@@ -2,17 +2,29 @@
 
 The observation model is a single narrowband snapshot batch with an unknown
 complex path gain: the bounds below already account for that nuisance
-parameter. Every bound shares the same structure
+parameter. Every bound is a numerator times the inverse of a 2x2 Fisher
+information matrix,
 
-    crb = numerator / (information - coupling**2 / other_information)
+    crb_r     = num * info_theta / det
+    crb_theta = num * info_r / det,     det = info_r info_theta - info_cross**2
 
 where the information terms are quadratic forms of the steering-vector
 derivatives. For the subarray-wise models these collapse to sums over
-subarrays; for the exact spherical model they are sums over antennas.
+subarrays; for the exact spherical model they are sums over antennas. The
+planar model has no range information at all, and at boresight over a
+symmetric layout info_cross vanishes.
 
-Information denominators that vanish (to a relative tolerance of 1e-12)
-mark a singular Fisher matrix; the affected bound is reported as +inf and
-flagged rather than returned as a huge or negative number.
+Each bound builds its information terms and hands them to _bound_pair,
+which alone turns information into a CrbPair (the oracle uses it too):
+
+- an information term below 1e-12 of its positive-part scale, or a
+  determinant below 1e-12 of info_r info_theta, marks a singular Fisher
+  matrix: the affected bound is +inf and flagged "degenerate", and the other
+  parameter keeps its one-parameter bound num / info;
+- at endfire (|cos theta| < 1e-12) the angle is unidentifiable: crb_theta is
+  +inf and flagged "endfire", and range keeps its one-parameter bound;
+- a parameter the model does not contain (range under the planar model) has
+  a +inf bound and no flag.
 
 Units: range bounds in meters squared, angle bounds in radians squared.
 """
@@ -33,9 +45,7 @@ __all__ = [
     "SensingSnr",
     "CrbPair",
     "HspmIntermediates",
-    "SwmIntermediates",
     "intermediates_hspm",
-    "intermediates_swm",
     "crb_hspm_dist",
     "crb_hspm_shared",
     "crb_pwm",
@@ -47,7 +57,7 @@ __all__ = [
     "optimal_spread",
 ]
 
-#: Relative tolerance below which an information denominator counts as zero.
+#: Relative tolerance below which an information term or determinant counts as zero.
 DEGENERATE_RTOL = 1e-12
 
 #: Tolerance on cos(theta) below which the geometry counts as endfire.
@@ -92,7 +102,12 @@ class CrbPair:
         model: Wavefront model the pair belongs to, or None when the pair
             was computed from raw steering data without a model label.
         flags: Subset of {"degenerate", "endfire"}.
-        diagnostics: Intermediate quantities used by the computation.
+        diagnostics: Values the computation produced on the way: the
+            information terms info_range, info_angle, info_cross and their
+            degeneracy scales scale_range, scale_angle (absent for a
+            parameter the model does not contain), the determinant when both
+            parameters are identifiable, and any model-specific inputs
+            (e.g. the offset moments of the asymptotic boresight form).
     """
 
     crb_r: float
@@ -136,24 +151,6 @@ class HspmIntermediates:
     z_hat: float
 
 
-@dataclass(frozen=True)
-class SwmIntermediates:
-    """Antenna-level sums feeding the exact spherical-wave bounds.
-
-        w_r          sum over antennas of d range / d r
-        w_theta      sum of d range / d theta
-        w_rr         sum of (d range / d r)^2
-        w_rtheta     sum of (d range / d r)(d range / d theta)
-        w_thetatheta sum of (d range / d theta)^2
-    """
-
-    w_r: float
-    w_theta: float
-    w_rr: float
-    w_rtheta: float
-    w_thetatheta: float
-
-
 def _num_scale(wavelength: float, snr: SensingSnr) -> float:
     """Common numerator factor (wavelength / 2 pi)^2 / gamma."""
     if wavelength <= 0:
@@ -167,11 +164,13 @@ class _Quadratic:
 
     info_r / info_theta / info_cross are the Fisher-information surrogates
     entering the bounds; scale_r / scale_theta are the same expressions
-    with every term taken positive, used for the degeneracy test.
+    with every term taken positive, used for the degeneracy test. An info
+    of None marks a parameter the model does not contain, which is not the
+    same as a parameter whose information vanishes.
     """
 
-    info_r: float
-    info_theta: float
+    info_r: float | None
+    info_theta: float | None
     info_cross: float
     scale_r: float
     scale_theta: float
@@ -188,56 +187,71 @@ def _centered_cross(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - a.mean()) * (b - b.mean())).sum())
 
 
-def _pair_from_quadratic(
-    model: WavefrontModel,
+def _bound_pair(
+    model: WavefrontModel | None,
     num: float,
     quad: _Quadratic,
-    cos_theta: float,
-    diagnostics: dict[str, Any],
+    cos_theta: float | None,
+    diagnostics: dict[str, Any] | None = None,
 ) -> CrbPair:
-    """Apply the shared denominator / degeneracy logic and build the pair."""
-    flags: set[str] = set()
-    inf = math.inf
+    """Invert the information under the degeneracy and endfire policy.
+
+    This is the only place that turns information into bounds; see the
+    module docstring for the policy.
+
+    Args:
+        model: Label carried into the result.
+        num: Numerator shared by both bounds.
+        quad: Information terms, in any real dtype; the bounds are
+            evaluated in that dtype and rounded to float at the end.
+        cos_theta: Cosine of the target angle, or None when it is unknown
+            and the endfire test is skipped.
+        diagnostics: Model-specific values to report beside the
+            information terms.
+
+    Returns:
+        The CrbPair.
+    """
     d_r, d_t, d_c = quad.info_r, quad.info_theta, quad.info_cross
-    deg_r = not (d_r > DEGENERATE_RTOL * quad.scale_r)
-    deg_t = not (d_t > DEGENERATE_RTOL * quad.scale_theta)
+    endfire = cos_theta is not None and abs(cos_theta) < ENDFIRE_TOL
+    if endfire:
+        d_t = None
+    live_r = d_r is not None and d_r > DEGENERATE_RTOL * quad.scale_r
+    live_t = d_t is not None and d_t > DEGENERATE_RTOL * quad.scale_theta
+    degenerate = (d_r is not None and not live_r) or (d_t is not None and not live_t)
 
-    diagnostics = dict(diagnostics)
-    diagnostics.update(
-        info_range=d_r, info_angle=d_t, info_cross=d_c,
-        scale_range=quad.scale_r, scale_angle=quad.scale_theta,
-    )
+    diagnostics = dict(diagnostics or {})
+    if quad.info_r is not None:
+        diagnostics.update(info_range=float(quad.info_r), scale_range=float(quad.scale_r))
+    if quad.info_theta is not None:
+        diagnostics.update(info_angle=float(quad.info_theta), scale_angle=float(quad.scale_theta))
+    if quad.info_r is not None and quad.info_theta is not None:
+        diagnostics["info_cross"] = float(d_c)
 
-    if deg_r and deg_t:
-        crb_r, crb_t = inf, inf
-        flags.add(FLAG_DEGENERATE)
-    elif deg_r:
-        crb_r, crb_t = inf, num / d_t
-        flags.add(FLAG_DEGENERATE)
-    elif deg_t:
-        crb_r, crb_t = num / d_r, inf
-        flags.add(FLAG_DEGENERATE)
-    else:
+    crb_r = crb_t = math.inf
+    if live_r and live_t:
         det2 = d_r * d_t - d_c * d_c
-        diagnostics.update(
-            determinant=det2,
-            denominator_range=det2 / d_t,
-            denominator_angle=det2 / d_r,
-        )
-        if not (det2 > DEGENERATE_RTOL * (d_r * d_t)):
-            crb_r, crb_t = inf, inf
-            flags.add(FLAG_DEGENERATE)
-        else:
+        diagnostics["determinant"] = float(det2)
+        if det2 > DEGENERATE_RTOL * (d_r * d_t):
             crb_r = num * d_t / det2
             crb_t = num * d_r / det2
+        else:
+            degenerate = True
+    elif live_r:
+        crb_r = num / d_r
+    elif live_t:
+        crb_t = num / d_t
 
-    if crb_t == inf and abs(cos_theta) < ENDFIRE_TOL:
-        flags.add(FLAG_ENDFIRE)
+    flags = []
+    if degenerate:
+        flags.append(FLAG_DEGENERATE)
+    if endfire:
+        flags.append(FLAG_ENDFIRE)
     return CrbPair(
-        crb_r=crb_r,
-        crb_theta=crb_t,
+        crb_r=float(crb_r),
+        crb_theta=float(crb_t),
         model=model,
-        flags=tuple(sorted(flags)),
+        flags=tuple(flags),
         diagnostics=diagnostics,
     )
 
@@ -254,7 +268,17 @@ def _hspm_arrays(layout: ModularLayout, target: TargetPolar, shared_angle: bool)
     return terms
 
 
-def _hspm_intermediates_from(terms: dict[str, np.ndarray]) -> HspmIntermediates:
+def intermediates_hspm(layout: ModularLayout, target: TargetPolar) -> HspmIntermediates:
+    """Subarray-level sums for the distinct-arrival-angle model.
+
+    Args:
+        layout: Array layout.
+        target: Target position.
+
+    Returns:
+        HspmIntermediates of the eight sums over subarrays.
+    """
+    terms = radial_terms(layout.subarray_x, target.r, target.theta)
     a, at = terms["dr_dr"], terms["dr_dt"]
     sr, st = terms["ds_dr"], terms["ds_dt"]
     return HspmIntermediates(
@@ -266,32 +290,6 @@ def _hspm_intermediates_from(terms: dict[str, np.ndarray]) -> HspmIntermediates:
         z=float((sr * sr).sum()),
         z_tilde=float((st * st).sum()),
         z_hat=float((sr * st).sum()),
-    )
-
-
-def intermediates_hspm(layout: ModularLayout, target: TargetPolar) -> HspmIntermediates:
-    """Subarray-level sums for the distinct-arrival-angle model.
-
-    Args:
-        layout: Array layout.
-        target: Target position.
-
-    Returns:
-        HspmIntermediates of the eight sums over subarrays.
-    """
-    return _hspm_intermediates_from(_hspm_arrays(layout, target, shared_angle=False))
-
-
-def intermediates_swm(layout: ModularLayout, target: TargetPolar) -> SwmIntermediates:
-    """Antenna-level sums for the exact spherical-wave model."""
-    terms = radial_terms(layout.element_x, target.r, target.theta)
-    a, at = terms["dr_dr"], terms["dr_dt"]
-    return SwmIntermediates(
-        w_r=float(a.sum()),
-        w_theta=float(at.sum()),
-        w_rr=float((a * a).sum()),
-        w_rtheta=float((a * at).sum()),
-        w_thetatheta=float((at * at).sum()),
     )
 
 
@@ -338,8 +336,7 @@ def _crb_hspm(
     m = layout.subarray_size
     num = 6.0 * k / m * _num_scale(wavelength, snr)
     model = WavefrontModel.HSPM_SHARED if shared_angle else WavefrontModel.HSPM_DIST
-    diagnostics = {"intermediates": _hspm_intermediates_from(terms)}
-    return _pair_from_quadratic(model, num, quad, math.cos(target.theta), diagnostics)
+    return _bound_pair(model, num, quad, math.cos(target.theta))
 
 
 def crb_hspm_dist(
@@ -387,8 +384,9 @@ def crb_pwm(
     """Bounds under the fully planar model.
 
     Range does not enter the planar steering vector, so crb_r is +inf by
-    construction. The angle bound is finite away from endfire provided the
-    layout has angle information (more than one antenna).
+    construction and carries no flag. The angle bound is finite away from
+    endfire provided the layout has angle information (more than one
+    antenna).
     """
     k = layout.num_subarrays
     m = layout.subarray_size
@@ -399,30 +397,12 @@ def crb_pwm(
     # 12 K M sum(x^2) + K^2 M (M^2-1) d^2 - 12 M sum(x)^2, in centered form.
     info = k * k * m * cm + 12.0 * m * k * _centered_power(x)
     scale = k * k * m * cm + 12.0 * m * k * float((x * x).sum())
-
-    diagnostics = {
-        "info_angle": info,
-        "scale_angle": scale,
-        "offset_spread": float((x * x).sum()),
-    }
-    flags: set[str] = set()
-    if not (info > DEGENERATE_RTOL * scale) or scale == 0.0:
-        crb_t = math.inf
-        flags.add(FLAG_DEGENERATE)
-    elif abs(cos_t) < ENDFIRE_TOL:
-        crb_t = math.inf
-    else:
-        num = 6.0 * k / (cos_t * cos_t) * _num_scale(wavelength, snr)
-        crb_t = num / info
-    if crb_t == math.inf and abs(cos_t) < ENDFIRE_TOL:
-        flags.add(FLAG_ENDFIRE)
-    return CrbPair(
-        crb_r=math.inf,
-        crb_theta=crb_t,
-        model=WavefrontModel.PWM,
-        flags=tuple(sorted(flags)),
-        diagnostics=diagnostics,
+    quad = _Quadratic(
+        info_r=None, info_theta=info, info_cross=0.0, scale_r=0.0, scale_theta=scale
     )
+
+    num = 6.0 * k / (cos_t * cos_t) * _num_scale(wavelength, snr)
+    return _bound_pair(WavefrontModel.PWM, num, quad, cos_t)
 
 
 def crb_swm(
@@ -449,10 +429,7 @@ def crb_swm(
     quad = _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
     num = 0.5 * n * _num_scale(wavelength, snr)
-    diagnostics = {"intermediates": intermediates_swm(layout, target)}
-    return _pair_from_quadratic(
-        WavefrontModel.SWM, num, quad, math.cos(target.theta), diagnostics
-    )
+    return _bound_pair(WavefrontModel.SWM, num, quad, math.cos(target.theta))
 
 
 def crb_bounds(
@@ -492,8 +469,8 @@ def crb_boresight(
     """Exact subarray-wise bounds at boresight for symmetric layouts.
 
     At theta = 0 over a centro-symmetric layout the cross information
-    vanishes and the general subarray-wise bounds reduce to single-ratio
-    expressions in r_k = sqrt(r^2 + x_k^2).
+    vanishes and the general subarray-wise information reduces to sums of
+    closed-form expressions in r_k = sqrt(r^2 + x_k^2).
 
     Args:
         layout: Centro-symmetric array layout.
@@ -526,38 +503,21 @@ def crb_boresight(
 
     info_r = k * cm * z_p + 12.0 * k * _centered_power(b_m1)
     scale_r = k * cm * z_p + 12.0 * k * q_p
-    info_t = m * cm * zt_p + 12.0 * m * qt_p
+    # The range rates d r_k / d theta sum to zero, so every angle term is
+    # positive and the information is its own scale.
+    info_t = k * cm * zt_p + 12.0 * k * qt_p
+    quad = _Quadratic(info_r, info_t, 0.0, scale_r, info_t)
 
-    num_r = 6.0 * k / m * _num_scale(wavelength, snr)
-    num_t = 6.0 * _num_scale(wavelength, snr)
-
-    flags: set[str] = set()
-    if info_r > DEGENERATE_RTOL * scale_r:
-        crb_r = num_r / info_r
-    else:
-        crb_r = math.inf
-        flags.add(FLAG_DEGENERATE)
-    crb_t = num_t / info_t
-
-    diagnostics = {
-        "z_prime": z_p, "q_prime": q_p,
-        "z_tilde_prime": zt_p, "q_tilde_prime": qt_p,
-        "info_range": info_r, "info_angle": info_t, "scale_range": scale_r,
-    }
-    return CrbPair(
-        crb_r=crb_r,
-        crb_theta=crb_t,
-        model=WavefrontModel.HSPM_DIST,
-        flags=tuple(sorted(flags)),
-        diagnostics=diagnostics,
-    )
+    num = 6.0 * k / m * _num_scale(wavelength, snr)
+    return _bound_pair(WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta))
 
 
-def _far_range_denominator(k: int, cm: float, spread: float) -> tuple[float, float]:
-    """Denominator of the asymptotic range bound and its degeneracy scale."""
-    denom = k * cm * spread - 3.0 * spread * spread
-    scale = k * cm * spread + 3.0 * spread * spread
-    return denom, scale
+def _far_range_information(k: int, cm: float, spread: float, r: float) -> tuple[float, float]:
+    """Asymptotic boresight range information and its degeneracy scale."""
+    r4 = r**4
+    info = (k * cm * spread - 3.0 * spread * spread) / r4
+    scale = (k * cm * spread + 3.0 * spread * spread) / r4
+    return info, scale
 
 
 def boresight_far_range_bound(
@@ -593,11 +553,12 @@ def boresight_far_range_bound(
     k = num_subarrays
     m = subarray_size
     cm = (m * m - 1) * pitch**2
-    denom, scale = _far_range_denominator(k, cm, spread)
-    if not (denom > DEGENERATE_RTOL * scale):
-        return math.inf
-    num_r = 6.0 * k / m * _num_scale(wavelength, snr)
-    return num_r * r**4 / denom
+    info, scale = _far_range_information(k, cm, spread, r)
+    quad = _Quadratic(
+        info_r=info, info_theta=None, info_cross=0.0, scale_r=scale, scale_theta=0.0
+    )
+    num = 6.0 * k / m * _num_scale(wavelength, snr)
+    return _bound_pair(None, num, quad, None).crb_r
 
 
 def crb_boresight_far(
@@ -611,12 +572,14 @@ def crb_boresight_far(
     Second-order expansion of crb_boresight in (aperture / range): with
     spread = sum(x_k^2),
 
-        crb_r     ~ num_r * r^4 / (K (M^2-1) d^2 spread - 3 spread^2)
-        crb_theta ~ num_t / (K (M^2-1) d^2 + 12 spread - correction / r^2)
+        crb_r     ~ num * r^4 / (K (M^2-1) d^2 spread - 3 spread^2)
+        crb_theta ~ num / (K (K (M^2-1) d^2 + 12 spread - correction / r^2))
 
-    where correction = (M^2-1) d^2 spread + 12 sum(x_k^4). The range bound
-    grows as r^4 and is +inf when the spread term cannot support range
-    estimation (single subarray, or spread beyond the admissible region).
+    where num = 6 K / M (lambda / 2 pi)^2 / gamma and correction =
+    (M^2-1) d^2 spread + 12 sum(x_k^4). The range bound grows as r^4 and is
+    +inf when the spread term cannot support range estimation (single
+    subarray, or spread beyond the admissible region); up to rounding it is
+    the bound boresight_far_range_bound gives for this layout's spread.
     """
     _require_boresight_symmetric(layout, target)
     k = layout.num_subarrays
@@ -627,39 +590,20 @@ def crb_boresight_far(
     spread = float((x * x).sum())
     fourth = float((x**4).sum())
 
-    num_r = 6.0 * k / m * _num_scale(wavelength, snr)
-    num_t = 6.0 / m * _num_scale(wavelength, snr)
-
-    denom_r, scale_r = _far_range_denominator(k, cm, spread)
+    info_r, scale_r = _far_range_information(k, cm, spread, r)
     correction = cm * spread + 12.0 * fourth
-    denom_t = k * cm + 12.0 * spread - correction / r**2
+    info_t = k * (k * cm + 12.0 * spread - correction / r**2)
+    scale_t = k * (k * cm + 12.0 * spread + correction / r**2)
+    quad = _Quadratic(info_r, info_t, 0.0, scale_r, scale_t)
 
-    flags: set[str] = set()
-    if denom_r > DEGENERATE_RTOL * scale_r:
-        crb_r = num_r * r**4 / denom_r
-    else:
-        crb_r = math.inf
-        flags.add(FLAG_DEGENERATE)
-    scale_t = k * cm + 12.0 * spread + correction / r**2
-    if denom_t > DEGENERATE_RTOL * scale_t:
-        crb_t = num_t / denom_t
-    else:
-        crb_t = math.inf
-        flags.add(FLAG_DEGENERATE)
-
+    num = 6.0 * k / m * _num_scale(wavelength, snr)
     diagnostics = {
         "offset_spread": spread,
         "offset_fourth_moment": fourth,
-        "denominator_range": denom_r,
-        "denominator_angle": denom_t,
         "regime_ratio": layout.aperture / r,
     }
-    return CrbPair(
-        crb_r=crb_r,
-        crb_theta=crb_t,
-        model=WavefrontModel.HSPM_DIST,
-        flags=tuple(sorted(flags)),
-        diagnostics=diagnostics,
+    return _bound_pair(
+        WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta), diagnostics
     )
 
 

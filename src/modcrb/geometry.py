@@ -19,20 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, NumericDomainError, SingularGeometryError
+from .errors import InvalidConfigurationError, SingularGeometryError
 
 __all__ = [
     "ModularLayout",
     "TargetPolar",
-    "BistaticGeometry",
     "FieldRegions",
     "build_layout",
     "field_regions",
     "subarray_range",
     "subarray_sine",
     "element_range",
-    "tx_transform",
-    "tx_steering",
     "distance_to",
     "radial_terms",
     "radial_shift",
@@ -122,48 +119,6 @@ class TargetPolar:
             raise InvalidConfigurationError(
                 f"target angle must be finite, got {self.theta}"
             )
-
-
-@dataclass(frozen=True)
-class BistaticGeometry:
-    """Transmitter placement relative to the receiving array.
-
-    Attributes:
-        tx_distance: Distance R from the array center to the Tx center,
-            meters (>= 0).
-        tx_bearing: Bearing of the Tx center seen from the array, radians.
-        tx_tilt: Orientation of the Tx line relative to its own normal,
-            radians.
-        num_tx: Tx antenna count (odd, >= 1).
-        wavelength: Carrier wavelength, meters.
-        tx_pitch: Tx antenna spacing, meters. Defaults to wavelength / 2.
-    """
-
-    tx_distance: float
-    tx_bearing: float
-    tx_tilt: float
-    num_tx: int
-    wavelength: float
-    tx_pitch: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.tx_distance < 0 or not math.isfinite(self.tx_distance):
-            raise InvalidConfigurationError(
-                f"tx_distance must be finite and >= 0, got {self.tx_distance}"
-            )
-        if self.num_tx < 1 or self.num_tx % 2 == 0:
-            raise InvalidConfigurationError(
-                f"num_tx must be a positive odd integer, got {self.num_tx}"
-            )
-        if self.wavelength <= 0:
-            raise InvalidConfigurationError(
-                f"wavelength must be positive, got {self.wavelength}"
-            )
-
-    @property
-    def pitch(self) -> float:
-        """Effective Tx spacing (explicit value or half wavelength)."""
-        return self.tx_pitch if self.tx_pitch is not None else 0.5 * self.wavelength
 
 
 @dataclass(frozen=True)
@@ -371,65 +326,6 @@ def element_range(layout: ModularLayout, target: TargetPolar, k: int, m: int) ->
     mi = _check_element_offset(layout, m)
     x = float(layout.element_x[ki * layout.subarray_size + mi])
     return distance_to(x, target)
-
-
-def tx_transform(bistatic: BistaticGeometry, target: TargetPolar) -> tuple[float, float]:
-    """Re-express a target relative to the transmitter center.
-
-    Args:
-        bistatic: Transmitter placement.
-        target: Target in receive-array coordinates.
-
-    Returns:
-        (range, bearing sine angle) of the target as seen from the Tx
-        center: the range is sqrt(R^2 + r^2 - 2 R r cos(theta + phi)) and
-        the bearing is arcsin((r sin(theta) + R sin(phi)) / range).
-
-    Raises:
-        SingularGeometryError: If the target coincides with the Tx center.
-        NumericDomainError: If the arcsine argument leaves [-1, 1] by more
-            than 1e-12.
-    """
-    r, theta = target.r, target.theta
-    big_r, phi = bistatic.tx_distance, bistatic.tx_bearing
-    # Tx center sits at (-R sin(phi), R cos(phi)); the target at
-    # (r sin(theta), r cos(theta)). hypot keeps the law-of-cosines form stable.
-    dx = r * math.sin(theta) + big_r * math.sin(phi)
-    dy = r * math.cos(theta) - big_r * math.cos(phi)
-    r_bar = math.hypot(dx, dy)
-    if r_bar == 0.0:
-        raise SingularGeometryError("target coincides with the Tx center")
-    arg = dx / r_bar
-    if abs(arg) > 1.0:
-        if abs(arg) - 1.0 > 1e-12:
-            raise NumericDomainError(
-                f"bearing sine argument {arg} outside [-1, 1]"
-            )
-        arg = math.copysign(1.0, arg)
-    return r_bar, math.asin(arg)
-
-
-def tx_steering(bistatic: BistaticGeometry, target: TargetPolar) -> np.ndarray:
-    """Spherical-wave steering vector of the transmit array toward a target.
-
-    Antenna n of the Tx line (n symmetric around 0, spacing pitch) lies at
-    distance sqrt(rb^2 - 2 rb n d sin(phi_out - tilt) + (n d)^2) from the
-    target, where (rb, phi_out) comes from tx_transform.
-
-    Args:
-        bistatic: Transmitter placement.
-        target: Target in receive-array coordinates.
-
-    Returns:
-        Complex unit-modulus vector of length num_tx.
-    """
-    r_bar, phi_out = tx_transform(bistatic, target)
-    half = (bistatic.num_tx - 1) // 2
-    n = np.arange(-half, half + 1, dtype=np.float64)
-    offsets = n * bistatic.pitch
-    psi = phi_out - bistatic.tx_tilt
-    ranges = np.hypot(r_bar - offsets * math.sin(psi), offsets * math.cos(psi))
-    return np.exp(-2j * math.pi * ranges / bistatic.wavelength)
 
 
 def radial_terms(x: np.ndarray, r: float, theta: float, dtype=np.float64) -> dict[str, np.ndarray]:

@@ -8,10 +8,9 @@ nuisance-projected Fisher matrix directly,
     A_rtheta  = Re(dg_r^H dg_theta - (dg_r^H g)(g^H dg_theta) / |g|^2)
     crb_r     = (1 / (2 gamma)) A_thetatheta / (A_rr A_thetatheta - A_rtheta^2)
 
-with the same degeneracy policy as the closed forms: an information term
-below 1e-12 of its positive-part scale marks the parameter unidentifiable
-and the bound +inf (falling back to the single-parameter bound for the
-other one).
+It shares only the last step with the closed forms: the projected terms go
+through the same inversion and the same degeneracy and endfire policy
+(crb._bound_pair), so a flag means the same thing on both routes.
 
 The projections are evaluated on explicit residual vectors, and the whole
 route can run in extended precision (np.longdouble) where the platform
@@ -24,20 +23,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .crb import (
-    DEGENERATE_RTOL,
-    ENDFIRE_TOL,
-    FLAG_DEGENERATE,
-    FLAG_ENDFIRE,
-    CrbPair,
-    SensingSnr,
-    crb_bounds,
-)
+from .crb import CrbPair, SensingSnr, _bound_pair, _Quadratic, crb_bounds
 from .errors import InvalidConfigurationError
 from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
 from .wavefront import (
@@ -51,10 +42,8 @@ from .wavefront import (
 )
 
 __all__ = [
-    "FimTerms",
     "ValidationReport",
     "VerificationSummary",
-    "fim_terms",
     "crb_from_steering",
     "fd_derivatives",
     "fd_rebased",
@@ -77,36 +66,8 @@ def oracle_dtype():
     return np.float64
 
 
-@dataclass(frozen=True)
-class FimTerms:
-    """Raw inner products of the steering vector and its derivatives.
-
-    Attributes:
-        n2_g: |g|^2.
-        n2_gr: |dg_r|^2.
-        n2_gtheta: |dg_theta|^2.
-        ip_gr_g: dg_r^H g.
-        ip_gtheta_g: dg_theta^H g.
-        ip_gr_gtheta: dg_r^H dg_theta.
-        detq: Determinant of the nuisance-projected 2x2 information core.
-    """
-
-    n2_g: float
-    n2_gr: float
-    n2_gtheta: float
-    ip_gr_g: complex
-    ip_gtheta_g: complex
-    ip_gr_gtheta: complex
-    detq: float
-
-
-def _inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """a^H b without dtype restrictions."""
-    return complex((np.conj(a) * b).sum())
-
-
 def _projected(g: np.ndarray, d_r: np.ndarray, d_theta: np.ndarray):
-    """A_rr, A_thetatheta, A_rtheta, |g|^2 via explicit residuals.
+    """A_rr, A_thetatheta, A_rtheta via explicit residuals.
 
     Values keep the dtype of the inputs so that extended-precision runs
     stay extended through the determinant.
@@ -117,31 +78,7 @@ def _projected(g: np.ndarray, d_r: np.ndarray, d_theta: np.ndarray):
     a_rr = (np.conj(e_r) * e_r).real.sum()
     a_tt = (np.conj(e_t) * e_t).real.sum()
     a_rt = (np.conj(e_r) * e_t).real.sum()
-    return a_rr, a_tt, a_rt, n2_g
-
-
-def fim_terms(g: SteeringVector, dg: SteeringDerivatives) -> FimTerms:
-    """Inner products of the information computation.
-
-    Args:
-        g: Steering vector.
-        dg: Its analytic or finite-difference derivatives.
-
-    Returns:
-        FimTerms; detq is evaluated from the projected residuals so it
-        stays accurate when the raw products nearly cancel.
-    """
-    gv, d_r, d_t = g.values, dg.d_r, dg.d_theta
-    a_rr, a_tt, a_rt, n2_g = _projected(gv, d_r, d_t)
-    return FimTerms(
-        n2_g=float(n2_g),
-        n2_gr=float((np.conj(d_r) * d_r).real.sum()),
-        n2_gtheta=float((np.conj(d_t) * d_t).real.sum()),
-        ip_gr_g=_inner(d_r, gv),
-        ip_gtheta_g=_inner(d_t, gv),
-        ip_gr_gtheta=_inner(d_r, d_t),
-        detq=float(a_rr * a_tt - a_rt * a_rt),
-    )
+    return a_rr, a_tt, a_rt
 
 
 def crb_from_steering(
@@ -158,56 +95,21 @@ def crb_from_steering(
         dg: Derivatives with respect to (r, theta).
         snr: Sensing SNR.
         model: Optional label carried into the result.
-        cos_theta: Optional cosine of the target angle, only used to tag
-            endfire infinities.
+        cos_theta: Optional cosine of the target angle for the endfire
+            test; without it no result is treated as endfire.
 
     Returns:
-        CrbPair with the same degeneracy policy as the closed forms.
+        CrbPair under the same degeneracy and endfire policy as the closed
+        forms.
     """
     gv, d_r, d_t = g.values, dg.d_r, dg.d_theta
     if gv.shape != d_r.shape or gv.shape != d_t.shape:
         raise InvalidConfigurationError("steering vector and derivatives disagree in shape")
-    a_rr, a_tt, a_rt, _ = _projected(gv, d_r, d_t)
+    a_rr, a_tt, a_rt = _projected(gv, d_r, d_t)
     scale_r = (np.conj(d_r) * d_r).real.sum()
     scale_t = (np.conj(d_t) * d_t).real.sum()
-
-    num = 0.5 / snr.gamma
-    inf = math.inf
-    flags: set[str] = set()
-    deg_r = not (a_rr > DEGENERATE_RTOL * scale_r)
-    deg_t = not (a_tt > DEGENERATE_RTOL * scale_t)
-    if deg_r and deg_t:
-        crb_r, crb_t = inf, inf
-        flags.add(FLAG_DEGENERATE)
-    elif deg_r:
-        crb_r, crb_t = inf, num / a_tt
-        flags.add(FLAG_DEGENERATE)
-    elif deg_t:
-        crb_r, crb_t = num / a_rr, inf
-        flags.add(FLAG_DEGENERATE)
-    else:
-        det2 = a_rr * a_tt - a_rt * a_rt
-        if not (det2 > DEGENERATE_RTOL * (a_rr * a_tt)):
-            crb_r, crb_t = inf, inf
-            flags.add(FLAG_DEGENERATE)
-        else:
-            crb_r = num * a_tt / det2
-            crb_t = num * a_rr / det2
-    if crb_t == inf and cos_theta is not None and abs(cos_theta) < ENDFIRE_TOL:
-        flags.add(FLAG_ENDFIRE)
-
-    diagnostics = {
-        "info_range": float(a_rr), "info_angle": float(a_tt),
-        "info_cross": float(a_rt),
-        "scale_range": float(scale_r), "scale_angle": float(scale_t),
-    }
-    return CrbPair(
-        crb_r=float(crb_r),
-        crb_theta=float(crb_t),
-        model=model,
-        flags=tuple(sorted(flags)),
-        diagnostics=diagnostics,
-    )
+    quad = _Quadratic(a_rr, a_tt, a_rt, scale_r, scale_t)
+    return _bound_pair(model, 0.5 / snr.gamma, quad, cos_theta)
 
 
 def fd_derivatives(

@@ -2,9 +2,8 @@
 
 Sweeps evaluate the requested wavefront models over a grid (target ranges
 or inner-gap values) and return flat records ready for CSV/JSON emission.
-Grid points are evaluated concurrently; records are assembled in grid
-order, so outputs are deterministic and two runs of the same config
-produce byte-identical files.
+Grid points are evaluated in grid order, so outputs are deterministic and
+two runs of the same config produce byte-identical files.
 
 The CSV format is fixed: header
 ``sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags``, UTF-8, LF
@@ -17,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .config import ExperimentConfig
@@ -40,9 +38,6 @@ __all__ = [
 
 #: Exact CSV header line, without the trailing newline.
 CSV_HEADER = "sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags"
-
-#: Cap on sweep evaluation threads; grids are short and points are cheap.
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -97,25 +92,20 @@ def run_point(config: ExperimentConfig) -> list[SweepRecord]:
 def run_range_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     """Evaluate the configured models over the config's range grid.
 
-    Grid points run concurrently; the returned records are ordered by
-    grid position first and model order second.
+    The returned records are ordered by grid position first and model
+    order second.
     """
     layout = config.layout()
     snr = config.snr()
     models = config.model_list()
     theta = config.target().theta
-
-    def at_range(r: float) -> list[SweepRecord]:
+    records = []
+    for r in config.range_grid():
         target = TargetPolar(r, theta)
-        return [
-            _record("r_m", r, crb_bounds(model, layout, target, config.wavelength, snr))
-            for model in models
-        ]
-
-    grid = config.range_grid()
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(grid))) as pool:
-        per_point = list(pool.map(at_range, grid))
-    return [record for point in per_point for record in point]
+        for model in models:
+            pair = crb_bounds(model, layout, target, config.wavelength, snr)
+            records.append(_record("r_m", r, pair))
+    return records
 
 
 def _sweep_spacings(config: ExperimentConfig, gamma: int) -> tuple[int, ...]:
@@ -154,18 +144,12 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
         )
         for gamma in gammas
     ]
-
-    def at_gamma(gamma: int, layout) -> list[SweepRecord]:
-        return [
-            _record(
-                "gamma", float(gamma), crb_bounds(model, layout, target, config.wavelength, snr)
-            )
-            for model in models
-        ]
-
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(layouts))) as pool:
-        per_gamma = list(pool.map(at_gamma, gammas, layouts))
-    return [record for point in per_gamma for record in point]
+    records = []
+    for gamma, layout in zip(gammas, layouts):
+        for model in models:
+            pair = crb_bounds(model, layout, target, config.wavelength, snr)
+            records.append(_record("gamma", float(gamma), pair))
+    return records
 
 
 def _format_float(value: float) -> str:

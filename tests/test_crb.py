@@ -23,11 +23,11 @@ from modcrb import (
     crb_pwm,
     crb_swm,
     intermediates_hspm,
-    intermediates_swm,
     optimal_spread,
     subarray_range,
     subarray_sine,
 )
+from modcrb.crb import _bound_pair, _hspm_arrays, _Quadratic
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -99,11 +99,11 @@ def test_distinct_angles_beat_shared_angle_on_range():
 
 
 def test_shared_angle_freezes_sine_derivatives():
-    shared = crb_hspm_shared(FIG3, TGT, LAMBDA, SNR)
-    inter = shared.diagnostics["intermediates"]
-    assert inter.z == 0.0
-    assert inter.z_hat == 0.0
-    assert math.isclose(inter.z_tilde, 3.0 * math.cos(TGT.theta) ** 2, rel_tol=1e-12)
+    shared = _hspm_arrays(FIG3, TGT, shared_angle=True)
+    sr, st = shared["ds_dr"], shared["ds_dt"]
+    assert (sr * sr).sum() == 0.0
+    assert (sr * st).sum() == 0.0
+    assert math.isclose((st * st).sum(), 3.0 * math.cos(TGT.theta) ** 2, rel_tol=1e-12)
     # the distinct-angle model must not collapse the same sums
     dist_inter = intermediates_hspm(FIG3, TGT)
     assert dist_inter.z > 0.0
@@ -123,6 +123,32 @@ def test_pwm_endfire_is_flagged():
     pair = crb_pwm(FIG3, TargetPolar(30.0, math.pi / 2), LAMBDA, SNR)
     assert math.isinf(pair.crb_theta)
     assert FLAG_ENDFIRE in pair.flags
+
+
+# (info_r, info_theta, info_cross, cos_theta) -> (crb_r, crb_theta, flags),
+# numerator 2 and degeneracy scales of 10. None marks an absent parameter.
+_POLICY_TABLE = {
+    # inverse of [[4, 3], [3, 9]] is [[9, -3], [-3, 4]] / 27
+    "regular": ((4.0, 9.0, 3.0, 1.0), (2.0 / 3.0, 8.0 / 27.0, ())),
+    "range-degenerate": ((1e-12, 9.0, 3.0, 1.0), (math.inf, 2.0 / 9.0, (FLAG_DEGENERATE,))),
+    "angle-degenerate": ((4.0, 0.0, 0.0, 1.0), (0.5, math.inf, (FLAG_DEGENERATE,))),
+    "both-degenerate": ((0.0, 0.0, 0.0, 1.0), (math.inf, math.inf, (FLAG_DEGENERATE,))),
+    "singular-determinant": ((4.0, 9.0, 6.0, 1.0), (math.inf, math.inf, (FLAG_DEGENERATE,))),
+    "range-absent": ((None, 9.0, 0.0, 1.0), (math.inf, 2.0 / 9.0, ())),
+    "angle-absent": ((4.0, None, 0.0, None), (0.5, math.inf, ())),
+    "endfire": ((4.0, 9.0, 3.0, 1e-13), (0.5, math.inf, (FLAG_ENDFIRE,))),
+    "endfire-range-degenerate": (
+        (0.0, 9.0, 0.0, -1e-13), (math.inf, math.inf, (FLAG_DEGENERATE, FLAG_ENDFIRE))),
+    "endfire-range-absent": ((None, 9.0, 0.0, 1e-13), (math.inf, math.inf, (FLAG_ENDFIRE,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POLICY_TABLE))
+def test_bound_pair_policy_table(case):
+    (info_r, info_t, info_c, cos_t), (crb_r, crb_t, flags) = _POLICY_TABLE[case]
+    quad = _Quadratic(info_r, info_t, info_c, 10.0, 10.0)
+    pair = _bound_pair(WavefrontModel.SWM, 2.0, quad, cos_t)
+    assert (pair.crb_r, pair.crb_theta, pair.flags) == (crb_r, crb_t, flags)
 
 
 def test_single_subarray_loses_range_only():
@@ -155,11 +181,6 @@ def test_intermediates_satisfy_cauchy_schwarz():
         assert kk * hspm.q_tilde >= hspm.p_tilde**2 * (1.0 - 1e-12)
         assert hspm.q * hspm.q_tilde >= hspm.q_hat**2 * (1.0 - 1e-12)
         assert hspm.z * hspm.z_tilde >= hspm.z_hat**2 * (1.0 - 1e-12)
-        swm = intermediates_swm(lay, tgt)
-        n = lay.num_elements
-        assert n * swm.w_rr >= swm.w_r**2 * (1.0 - 1e-12)
-        assert n * swm.w_thetatheta >= swm.w_theta**2 * (1.0 - 1e-12)
-        assert swm.w_rr * swm.w_thetatheta >= swm.w_rtheta**2 * (1.0 - 1e-12)
 
 
 def test_intermediates_match_finite_differences_of_geometry():
@@ -211,11 +232,15 @@ def test_boresight_form_preconditions():
 
 
 def test_boresight_single_subarray_range_degenerates():
-    lay = build_layout(1, 125, (0,), PITCH)
-    pair = crb_boresight(lay, TargetPolar(30.0, 0.0), LAMBDA, SNR)
-    assert math.isinf(pair.crb_r)
-    assert FLAG_DEGENERATE in pair.flags
-    assert math.isfinite(pair.crb_theta)
+    tgt = TargetPolar(30.0, 0.0)
+    for m in (125, 1):
+        lay = build_layout(1, m, (0,), PITCH)
+        pair = crb_boresight(lay, tgt, LAMBDA, SNR)
+        assert math.isinf(pair.crb_r)
+        assert FLAG_DEGENERATE in pair.flags
+        # a single antenna has no angle information either
+        assert math.isfinite(pair.crb_theta) == (m > 1)
+        _assert_pair_close(pair, crb_hspm_dist(lay, tgt, LAMBDA, SNR), 1e-10)
 
 
 def test_more_antennas_tighten_boresight_bounds():

@@ -1,4 +1,4 @@
-"""Geometry layer: layouts, ranges, arrival sines, field regions, Tx placement."""
+"""Geometry layer: layouts, ranges, arrival sines, field regions, radial terms."""
 
 import math
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from modcrb import (
-    BistaticGeometry,
     InvalidConfigurationError,
-    SingularGeometryError,
     TargetPolar,
     build_layout,
     element_range,
@@ -17,8 +15,6 @@ from modcrb import (
     radial_terms,
     subarray_range,
     subarray_sine,
-    tx_steering,
-    tx_transform,
 )
 
 PITCH = 0.0025
@@ -183,70 +179,6 @@ def test_field_regions_single_subarray_bounds_coincide():
     lay = build_layout(1, 9, (0,), PITCH)
     regions = field_regions(lay, 0.005)
     assert regions.subarray_farfield_bound == regions.array_rayleigh
-
-
-def test_tx_transform_collinear_and_limit():
-    bi = BistaticGeometry(tx_distance=100.0, tx_bearing=0.0, tx_tilt=0.0,
-                          num_tx=5, wavelength=0.005)
-    r_bar, phi_out = tx_transform(bi, TargetPolar(30.0, 0.0))
-    assert math.isclose(r_bar, 70.0, rel_tol=1e-14)
-    assert abs(phi_out) < 1e-14
-
-    # r -> 0 limit: the target collapses onto the receive origin
-    bi2 = BistaticGeometry(tx_distance=50.0, tx_bearing=0.4, tx_tilt=0.0,
-                           num_tx=3, wavelength=0.005)
-    r_bar, phi_out = tx_transform(bi2, TargetPolar(1e-12, 0.7))
-    assert math.isclose(r_bar, 50.0, rel_tol=1e-9)
-    assert math.isclose(phi_out, 0.4, rel_tol=1e-9)
-
-
-def test_tx_transform_matches_cartesian_oracle():
-    bi = BistaticGeometry(tx_distance=100.0, tx_bearing=math.pi / 6, tx_tilt=0.1,
-                          num_tx=7, wavelength=0.005)
-    tgt = TargetPolar(30.0, math.pi / 3)
-    r_bar, phi_out = tx_transform(bi, tgt)
-    law = math.sqrt(100.0**2 + 30.0**2 - 2 * 100.0 * 30.0 * math.cos(tgt.theta + bi.tx_bearing))
-    assert math.isclose(r_bar, law, rel_tol=1e-12)
-    tx = 30.0 * math.sin(tgt.theta) + 100.0 * math.sin(bi.tx_bearing)
-    assert math.isclose(math.sin(phi_out), tx / r_bar, rel_tol=1e-12)
-
-
-def test_tx_transform_singular_target_at_tx_center():
-    # with bearing 0 the Tx center sits at (0, R); a target at theta = 0,
-    # r = R lands exactly on it
-    bi = BistaticGeometry(tx_distance=10.0, tx_bearing=0.0, tx_tilt=0.0,
-                          num_tx=3, wavelength=0.005)
-    with pytest.raises(SingularGeometryError):
-        tx_transform(bi, TargetPolar(10.0, 0.0))
-
-
-def test_tx_steering_unit_modulus_and_single_antenna():
-    bi = BistaticGeometry(tx_distance=100.0, tx_bearing=0.2, tx_tilt=0.1,
-                          num_tx=1, wavelength=0.005)
-    tgt = TargetPolar(30.0, 0.5)
-    vec = tx_steering(bi, tgt)
-    assert vec.shape == (1,)
-    r_bar, _ = tx_transform(bi, tgt)
-    expected = np.exp(-2j * math.pi * r_bar / 0.005)
-    assert abs(vec[0] - expected) < 1e-12
-
-    bi9 = BistaticGeometry(tx_distance=100.0, tx_bearing=0.2, tx_tilt=0.1,
-                           num_tx=9, wavelength=0.005)
-    vec9 = tx_steering(bi9, tgt)
-    np.testing.assert_allclose(np.abs(vec9), 1.0, rtol=0, atol=1e-12)
-
-
-def test_tx_steering_broadside_reduces_to_symmetric_ranges():
-    # collinear placement gives r_bar = 70; tilt aligned with the outgoing
-    # bearing makes every Tx antenna see sqrt(70^2 + (n d)^2)
-    bi = BistaticGeometry(tx_distance=100.0, tx_bearing=0.0, tx_tilt=0.0,
-                          num_tx=7, wavelength=0.005)
-    tgt = TargetPolar(30.0, 0.0)
-    vec = tx_steering(bi, tgt)
-    n = np.arange(-3, 4, dtype=np.float64)
-    ranges = np.sqrt(4900.0 + (n * bi.pitch) ** 2)
-    expected = np.exp(-2j * math.pi * ranges / 0.005)
-    np.testing.assert_allclose(vec, expected, rtol=0, atol=1e-9)
 
 
 def test_radial_terms_match_scalar_finite_differences():

@@ -8,6 +8,7 @@ import pytest
 
 from modcrb import (
     InvalidConfigurationError,
+    FLAG_ENDFIRE,
     MODEL_ORDER,
     SensingSnr,
     SteeringDerivatives,
@@ -21,7 +22,6 @@ from modcrb import (
     cross_validate,
     fd_derivatives,
     fd_rebased,
-    fim_terms,
     intermediates_hspm,
     oracle_dtype,
     relative_error,
@@ -60,16 +60,15 @@ def test_fim_norm_terms_match_subarray_sums():
     m = FIG3.subarray_size
     md = (m**3 - m) * PITCH**2
     inter = intermediates_hspm(FIG3, TGT)
-    g = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
     dg = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
-    terms = fim_terms(g, dg)
+    ip_gr_gtheta = np.vdot(dg.d_r, dg.d_theta)
     expected_rr = k2**2 * (md * inter.z + 12.0 * m * inter.q) / 12.0
     expected_tt = k2**2 * (md * inter.z_tilde + 12.0 * m * inter.q_tilde) / 12.0
     expected_rt = k2**2 * (md * inter.z_hat + 12.0 * m * inter.q_hat) / 12.0
-    assert math.isclose(terms.n2_gr, expected_rr, rel_tol=1e-9)
-    assert math.isclose(terms.n2_gtheta, expected_tt, rel_tol=1e-9)
-    assert math.isclose(terms.ip_gr_gtheta.real, expected_rt, rel_tol=1e-9)
-    assert abs(terms.ip_gr_gtheta.imag) <= 1e-12 * abs(expected_rt)
+    assert math.isclose(np.vdot(dg.d_r, dg.d_r).real, expected_rr, rel_tol=1e-9)
+    assert math.isclose(np.vdot(dg.d_theta, dg.d_theta).real, expected_tt, rel_tol=1e-9)
+    assert math.isclose(ip_gr_gtheta.real, expected_rt, rel_tol=1e-9)
+    assert abs(ip_gr_gtheta.imag) <= 1e-12 * abs(expected_rt)
 
 
 def test_fim_cross_terms_reduce_to_range_rate_sums():
@@ -78,13 +77,12 @@ def test_fim_cross_terms_reduce_to_range_rate_sums():
     k2 = 2.0 * math.pi / LAMBDA
     m = FIG3.subarray_size
     inter = intermediates_hspm(FIG3, TGT)
-    g = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
+    g = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA).values
     dg = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
-    terms = fim_terms(g, dg)
     scale_r = k2 * m * (3.0 + abs(inter.p))
     scale_t = k2 * m * (3.0 + abs(inter.p_tilde))
-    assert abs(terms.ip_gr_g - 1j * k2 * m * inter.p) <= 1e-10 * scale_r
-    assert abs(terms.ip_gtheta_g - 1j * k2 * m * inter.p_tilde) <= 1e-10 * scale_t
+    assert abs(np.vdot(dg.d_r, g) - 1j * k2 * m * inter.p) <= 1e-10 * scale_r
+    assert abs(np.vdot(dg.d_theta, g) - 1j * k2 * m * inter.p_tilde) <= 1e-10 * scale_t
 
 
 def test_fim_terms_invariants():
@@ -92,15 +90,19 @@ def test_fim_terms_invariants():
     for _ in range(15):
         layout, target, _, wavelength = sample_case(rng)
         for model in MODEL_ORDER:
-            g = steering(model, layout, target, wavelength)
+            g = steering(model, layout, target, wavelength).values
             dg = steering_derivatives(model, layout, target, wavelength)
-            terms = fim_terms(g, dg)
-            n = layout.num_elements
-            assert math.isclose(terms.n2_g, float(n), rel_tol=1e-12)
-            cross_scale = terms.n2_gr * terms.n2_gtheta
-            assert terms.detq >= -1e-9 * max(cross_scale, 1.0)
-            assert terms.detq <= cross_scale * (1.0 + 1e-12)
-            assert abs(terms.ip_gr_gtheta) ** 2 <= cross_scale * (1.0 + 1e-12)
+            d_r, d_t = dg.d_r, dg.d_theta
+            n2_g = np.vdot(g, g).real
+            assert math.isclose(n2_g, float(layout.num_elements), rel_tol=1e-12)
+            # determinant of the gain-projected information, from residuals
+            e_r = d_r - (np.vdot(g, d_r) / n2_g) * g
+            e_t = d_t - (np.vdot(g, d_t) / n2_g) * g
+            detq = np.vdot(e_r, e_r).real * np.vdot(e_t, e_t).real - np.vdot(e_r, e_t).real ** 2
+            cross_scale = np.vdot(d_r, d_r).real * np.vdot(d_t, d_t).real
+            assert detq >= -1e-9 * max(cross_scale, 1.0)
+            assert detq <= cross_scale * (1.0 + 1e-12)
+            assert abs(np.vdot(d_r, d_t)) ** 2 <= cross_scale * (1.0 + 1e-12)
 
 
 def test_generic_route_flags_pwm_range_degeneracy():
@@ -111,6 +113,20 @@ def test_generic_route_flags_pwm_range_degeneracy():
     assert math.isinf(generic.crb_r)
     closed = crb_pwm(FIG3, TGT, LAMBDA, SNR)
     assert relative_error(closed.crb_theta, generic.crb_theta) <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
+def test_endfire_is_flagged_by_every_closed_form_and_the_oracle(theta):
+    tgt = TargetPolar(30.0, theta)
+    for model in MODEL_ORDER:
+        closed = crb_bounds(model, FIG3, tgt, LAMBDA, SNR)
+        g = steering(model, FIG3, tgt, LAMBDA, dtype=oracle_dtype())
+        dg = steering_derivatives(model, FIG3, tgt, LAMBDA, dtype=oracle_dtype())
+        generic = crb_from_steering(g, dg, SNR, model=model, cos_theta=math.cos(theta))
+        for pair in (closed, generic):
+            assert pair.crb_theta == math.inf, (model, pair)
+            assert FLAG_ENDFIRE in pair.flags, (model, pair)
+        assert closed.crb_r == generic.crb_r
 
 
 def test_crb_from_steering_rejects_shape_mismatch():

@@ -1,6 +1,7 @@
 """Config files, presets, sweep engines, CSV/JSON emission, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -34,6 +35,9 @@ from modcrb import (
 from modcrb.cli import main
 
 MODEL_TOKENS = ("hspm-dist", "hspm-shared", "pwm", "swm")
+PRESET_DIGESTS = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "preset_csv.sha256"
+)
 
 
 def small_sweep_config(**overrides):
@@ -199,6 +203,16 @@ def test_csv_writes_are_byte_identical(tmp_path):
     write_csv(run_range_sweep(cfg), str(a))
     write_csv(run_range_sweep(cfg), str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_preset_csvs_match_the_benchmark_digests(tmp_path):
+    with open(PRESET_DIGESTS, encoding="utf-8") as handle:
+        digests = {name: digest for digest, name in (line.split() for line in handle)}
+    for name, sweep in (("fig3", run_range_sweep), ("fig4-c1", run_layout_sweep),
+                        ("fig4-c2", run_layout_sweep)):
+        path = tmp_path / f"{name}.csv"
+        write_csv(sweep(preset(name)), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[f"{name}.csv"], name
 
 
 def test_csv_reader_rejects_malformed_input(tmp_path):
