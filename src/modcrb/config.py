@@ -46,6 +46,10 @@ PRESET_NAMES = ("fig3", "fig4-c1", "fig4-c2")
 
 _ALL_MODELS = tuple(m.value for m in MODEL_ORDER)
 
+# Most grid points one sweep may have, range and layout sweeps alike: with
+# four models that is 4e5 records, about 30 MB of CSV.
+_MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,8 +68,10 @@ class ExperimentConfig:
         r_m: Target range, meters.
         theta_deg: Target angle in degrees from the array normal.
         models: Wavefront model tokens to evaluate, in evaluation order.
-        r_start_m, r_stop_m, r_count: Range-sweep grid (inclusive ends).
-        gamma_start, gamma_stop: Inner-gap sweep bounds for layout sweeps.
+        r_start_m, r_stop_m, r_count: Range-sweep grid (inclusive ends),
+            at most 100000 points.
+        gamma_start, gamma_stop: Inner-gap sweep bounds for layout sweeps,
+            at most 100000 values.
         gap_budget: Per-side sum of the two gaps in a layout sweep; the
             outer gap is gap_budget - gamma, keeping the aperture fixed.
         out, json_out, plot_out: Optional output paths.
@@ -118,6 +124,12 @@ class ExperimentConfig:
             raise InvalidConfigurationError(
                 f"gamma sweep [{self.gamma_start}, {self.gamma_stop}] must start at >= 1 and be ordered"
             )
+        gamma_count = self.gamma_stop - self.gamma_start + 1
+        for name, count in (("r_count", self.r_count), ("gamma sweep", gamma_count)):
+            if count > _MAX_GRID_POINTS:
+                raise InvalidConfigurationError(
+                    f"{name} has {count} grid points, more than the {_MAX_GRID_POINTS} allowed"
+                )
 
     @property
     def wavelength(self) -> float:

@@ -14,8 +14,13 @@ subarrays; for the exact spherical model they are sums over antennas. The
 planar model has no range information at all, and at boresight over a
 symmetric layout info_cross vanishes.
 
-Each bound builds its information terms and hands them to _bound_pair,
-which alone turns information into a CrbPair (the oracle uses it too):
+Each wavefront model has one kernel that builds its information terms for
+a batch of points at once: stacked abscissas against broadcast ranges, with
+the sums taken over the last axis. Sweeps call the kernels once per chunk
+of grid points (see sweeps.py); crb_hspm_dist, crb_hspm_shared, crb_pwm,
+crb_swm and crb_bounds run a batch of one. Every bound then goes through
+_bound_pair, which alone turns information into bounds, point by point
+(the oracle and the boresight forms use it too):
 
 - an information term below 1e-12 of its positive-part scale, or a
   determinant below 1e-12 of info_r info_theta, marks a singular Fisher
@@ -33,7 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -117,11 +123,7 @@ class CrbPair:
     diagnostics: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, value in (("crb_r", self.crb_r), ("crb_theta", self.crb_theta)):
-            if math.isnan(value) or value <= 0:
-                raise InvalidConfigurationError(
-                    f"{name} must be positive or +inf, got {value}"
-                )
+        _require_positive(self.crb_r, self.crb_theta)
 
 
 @dataclass(frozen=True)
@@ -176,95 +178,154 @@ class _Quadratic:
     scale_theta: float
 
 
-def _centered_power(values: np.ndarray) -> float:
-    """Sum of squared deviations from the mean."""
-    delta = values - values.mean()
-    return float((delta * delta).sum())
+def _centered_power(values: np.ndarray) -> np.ndarray:
+    """Sum of squared deviations from the mean, over the last axis."""
+    delta = values - values.mean(axis=-1, keepdims=True)
+    return (delta * delta).sum(axis=-1)
 
 
-def _centered_cross(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of products of deviations from the means."""
-    return float(((a - a.mean()) * (b - b.mean())).sum())
+def _centered_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of products of deviations from the means, over the last axis."""
+    return (
+        (a - a.mean(axis=-1, keepdims=True)) * (b - b.mean(axis=-1, keepdims=True))
+    ).sum(axis=-1)
+
+
+_FLAG_SETS = {
+    (False, False): (),
+    (True, False): (FLAG_DEGENERATE,),
+    (False, True): (FLAG_ENDFIRE,),
+    (True, True): (FLAG_DEGENERATE, FLAG_ENDFIRE),
+}
+
+
+def _require_positive(crb_r: float, crb_theta: float) -> None:
+    """Reject a bound that is NaN or not positive; +inf is allowed."""
+    for name, value in (("crb_r", crb_r), ("crb_theta", crb_theta)):
+        if math.isnan(value) or value <= 0:
+            raise InvalidConfigurationError(f"{name} must be positive or +inf, got {value}")
+
+
+class _Bounds(NamedTuple):
+    """Bounds of one model over a batch of points.
+
+    points holds (crb_r, crb_theta, flags, determinant) per point, in C
+    order of the batch shape, with the bounds still in the dtype of the
+    information; the determinant is None unless both parameters were live.
+    quad is the information the bounds came from.
+    """
+
+    model: WavefrontModel | None
+    quad: _Quadratic
+    points: list[tuple[Any, Any, tuple[str, ...], Any]]
+
+    def pair(self, diagnostics: dict[str, Any] | None = None) -> CrbPair:
+        """The CrbPair of a batch of one point.
+
+        Args:
+            diagnostics: Model-specific values to report beside the
+                information terms.
+        """
+        ((crb_r, crb_t, flags, det2),) = self.points
+        quad = self.quad
+        diagnostics = dict(diagnostics or {})
+        if quad.info_r is not None:
+            diagnostics.update(info_range=float(quad.info_r), scale_range=float(quad.scale_r))
+        if quad.info_theta is not None:
+            diagnostics.update(
+                info_angle=float(quad.info_theta), scale_angle=float(quad.scale_theta)
+            )
+        if quad.info_r is not None and quad.info_theta is not None:
+            diagnostics["info_cross"] = float(quad.info_cross)
+        if det2 is not None:
+            diagnostics["determinant"] = float(det2)
+        return CrbPair(
+            crb_r=float(crb_r),
+            crb_theta=float(crb_t),
+            model=self.model,
+            flags=flags,
+            diagnostics=diagnostics,
+        )
+
+    def rows(self) -> list[tuple[float, float, tuple[str, ...]]]:
+        """(crb_r, crb_theta, flags) per point, checked as CrbPair checks them."""
+        rows = []
+        for crb_r, crb_t, flags, _ in self.points:
+            crb_r, crb_t = float(crb_r), float(crb_t)
+            _require_positive(crb_r, crb_t)
+            rows.append((crb_r, crb_t, flags))
+        return rows
 
 
 def _bound_pair(
     model: WavefrontModel | None,
     num: float,
     quad: _Quadratic,
-    cos_theta: float | None,
-    diagnostics: dict[str, Any] | None = None,
-) -> CrbPair:
+    cos_theta: float | np.ndarray | None,
+) -> _Bounds:
     """Invert the information under the degeneracy and endfire policy.
 
     This is the only place that turns information into bounds; see the
-    module docstring for the policy.
+    module docstring for the policy. It applies the policy point by point:
+    num, the terms of quad and cos_theta may be scalars or arrays that
+    broadcast against each other, and each point gets the bounds and flags
+    it would get on its own. A parameter the model does not contain (an
+    info of None) is absent at every point.
 
     Args:
         model: Label carried into the result.
         num: Numerator shared by both bounds.
         quad: Information terms, in any real dtype; the bounds are
-            evaluated in that dtype and rounded to float at the end.
+            evaluated in that dtype.
         cos_theta: Cosine of the target angle, or None when it is unknown
             and the endfire test is skipped.
-        diagnostics: Model-specific values to report beside the
-            information terms.
 
     Returns:
-        The CrbPair.
+        The _Bounds; .pair() gives the CrbPair of a single point.
     """
-    d_r, d_t, d_c = quad.info_r, quad.info_theta, quad.info_cross
-    endfire = cos_theta is not None and abs(cos_theta) < ENDFIRE_TOL
-    if endfire:
-        d_t = None
-    live_r = d_r is not None and d_r > DEGENERATE_RTOL * quad.scale_r
-    live_t = d_t is not None and d_t > DEGENERATE_RTOL * quad.scale_theta
-    degenerate = (d_r is not None and not live_r) or (d_t is not None and not live_t)
-
-    diagnostics = dict(diagnostics or {})
-    if quad.info_r is not None:
-        diagnostics.update(info_range=float(quad.info_r), scale_range=float(quad.scale_r))
-    if quad.info_theta is not None:
-        diagnostics.update(info_angle=float(quad.info_theta), scale_angle=float(quad.scale_theta))
-    if quad.info_r is not None and quad.info_theta is not None:
-        diagnostics["info_cross"] = float(d_c)
-
-    crb_r = crb_t = math.inf
-    if live_r and live_t:
-        det2 = d_r * d_t - d_c * d_c
-        diagnostics["determinant"] = float(det2)
-        if det2 > DEGENERATE_RTOL * (d_r * d_t):
-            crb_r = num * d_t / det2
-            crb_t = num * d_r / det2
-        else:
-            degenerate = True
-    elif live_r:
-        crb_r = num / d_r
-    elif live_t:
-        crb_t = num / d_t
-
-    flags = []
-    if degenerate:
-        flags.append(FLAG_DEGENERATE)
-    if endfire:
-        flags.append(FLAG_ENDFIRE)
-    return CrbPair(
-        crb_r=float(crb_r),
-        crb_theta=float(crb_t),
-        model=model,
-        flags=tuple(flags),
-        diagnostics=diagnostics,
+    has_r = quad.info_r is not None
+    has_t = quad.info_theta is not None
+    # Placeholders for an absent parameter or an unknown angle are never
+    # read, and cos = 1 is never endfire.
+    terms = np.broadcast(
+        num,
+        quad.info_r if has_r else 0.0,
+        quad.info_theta if has_t else 0.0,
+        quad.info_cross,
+        quad.scale_r,
+        quad.scale_theta,
+        1.0 if cos_theta is None else cos_theta,
     )
+    points = []
+    for num_i, d_r, d_t, d_c, scale_r, scale_t, cos_i in terms:
+        endfire = bool(abs(cos_i) < ENDFIRE_TOL)
+        live_r = has_r and d_r > DEGENERATE_RTOL * scale_r
+        live_t = has_t and not endfire and d_t > DEGENERATE_RTOL * scale_t
+        degenerate = bool((has_r and not live_r) or (has_t and not endfire and not live_t))
+        crb_r = crb_t = math.inf
+        det2 = None
+        if live_r and live_t:
+            det2 = d_r * d_t - d_c * d_c
+            if det2 > DEGENERATE_RTOL * (d_r * d_t):
+                crb_r = num_i * d_t / det2
+                crb_t = num_i * d_r / det2
+            else:
+                degenerate = True
+        elif live_r:
+            crb_r = num_i / d_r
+        elif live_t:
+            crb_t = num_i / d_t
+        points.append((crb_r, crb_t, _FLAG_SETS[degenerate, endfire], det2))
+    return _Bounds(model, quad, points)
 
 
-def _hspm_arrays(layout: ModularLayout, target: TargetPolar, shared_angle: bool):
+def _hspm_arrays(x: np.ndarray, r: float | np.ndarray, theta: float, shared_angle: bool):
     """Subarray derivative arrays for the two subarray-wise models."""
-    terms = radial_terms(layout.subarray_x, target.r, target.theta)
+    terms = radial_terms(x, r, theta)
     if shared_angle:
-        k = layout.num_subarrays
-        cos_t = math.cos(target.theta)
-        terms = dict(terms)
-        terms["ds_dr"] = np.zeros(k)
-        terms["ds_dt"] = np.full(k, cos_t)
+        shape = terms["ds_dr"].shape
+        terms["ds_dr"] = np.zeros(shape)
+        terms["ds_dt"] = np.full(shape, math.cos(theta))
     return terms
 
 
@@ -293,7 +354,20 @@ def intermediates_hspm(layout: ModularLayout, target: TargetPolar) -> HspmInterm
     )
 
 
-def _hspm_quadratic(layout: ModularLayout, terms: dict[str, np.ndarray]) -> _Quadratic:
+# Kernels: (layout, x, r, theta) -> (numerator factor, _Quadratic), where x
+# stacks the model's abscissas as (..., n), r broadcasts against x, and the
+# information terms reduce over the last axis. layout supplies only K, M and
+# the pitch, which every point of a batch shares. The numerator is the
+# factor times (wavelength / 2 pi)^2 / gamma.
+
+
+def _hspm_kernel(
+    layout: ModularLayout,
+    x: np.ndarray,
+    r: float | np.ndarray,
+    theta: float,
+    shared_angle: bool,
+) -> tuple[float, _Quadratic]:
     """Subarray-wise information pieces.
 
     The raw form of the range information is
@@ -302,6 +376,7 @@ def _hspm_quadratic(layout: ModularLayout, terms: dict[str, np.ndarray]) -> _Qua
     cancellation-free dr_dr_m1 values, which keeps the result accurate when
     every dr_dr is within rounding of 1.
     """
+    terms = _hspm_arrays(x, r, theta, shared_angle)
     k = layout.num_subarrays
     m = layout.subarray_size
     cm = (m * m - 1) * layout.pitch**2
@@ -309,34 +384,110 @@ def _hspm_quadratic(layout: ModularLayout, terms: dict[str, np.ndarray]) -> _Qua
     a = terms["dr_dr"]
     sr, st = terms["ds_dr"], terms["ds_dt"]
 
-    z = float((sr * sr).sum())
-    z_tilde = float((st * st).sum())
-    z_hat = float((sr * st).sum())
-    q = float((a * a).sum())
-    q_tilde = float((at * at).sum())
+    z = (sr * sr).sum(axis=-1)
+    z_tilde = (st * st).sum(axis=-1)
+    z_hat = (sr * st).sum(axis=-1)
+    q = (a * a).sum(axis=-1)
+    q_tilde = (at * at).sum(axis=-1)
 
     info_r = k * cm * z + 12.0 * k * _centered_power(a_m1)
     info_t = k * cm * z_tilde + 12.0 * k * _centered_power(at)
     info_c = k * cm * z_hat + 12.0 * k * _centered_cross(a_m1, at)
     scale_r = k * cm * z + 12.0 * k * q
     scale_t = k * cm * z_tilde + 12.0 * k * q_tilde
-    return _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
+    return 6.0 * k / m, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
 
-def _crb_hspm(
+def _pwm_kernel(
+    layout: ModularLayout, x: np.ndarray, r: float | np.ndarray, theta: float
+) -> tuple[float, _Quadratic]:
+    """Planar information: angle only, independent of the range."""
+    k = layout.num_subarrays
+    m = layout.subarray_size
+    cm = (m * m - 1) * layout.pitch**2
+    cos_t = math.cos(theta)
+
+    # 12 K M sum(x^2) + K^2 M (M^2-1) d^2 - 12 M sum(x)^2, in centered form;
+    # the same for every range, so spread over the batch shape.
+    shape = np.broadcast_shapes(x.shape, np.shape(r))[:-1]
+    info = np.broadcast_to(k * k * m * cm + 12.0 * m * k * _centered_power(x), shape)
+    scale = np.broadcast_to(k * k * m * cm + 12.0 * m * k * (x * x).sum(axis=-1), shape)
+    quad = _Quadratic(
+        info_r=None, info_theta=info, info_cross=0.0, scale_r=0.0, scale_theta=scale
+    )
+    return 6.0 * k / (cos_t * cos_t), quad
+
+
+def _swm_kernel(
+    layout: ModularLayout, x: np.ndarray, r: float | np.ndarray, theta: float
+) -> tuple[float, _Quadratic]:
+    """Spherical-wave information: sums over every antenna."""
+    terms = radial_terms(x, r, theta)
+    n = layout.num_elements
+    a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
+    a = terms["dr_dr"]
+
+    info_r = n * _centered_power(a_m1)
+    info_t = n * _centered_power(at)
+    info_c = n * _centered_cross(a_m1, at)
+    scale_r = n * (a * a).sum(axis=-1)
+    scale_t = n * (at * at).sum(axis=-1)
+    return 0.5 * n, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
+
+
+# Per model: the layout attribute holding its abscissas, and its kernel.
+_KERNELS = {
+    WavefrontModel.HSPM_DIST: ("subarray_x", partial(_hspm_kernel, shared_angle=False)),
+    WavefrontModel.HSPM_SHARED: ("subarray_x", partial(_hspm_kernel, shared_angle=True)),
+    WavefrontModel.PWM: ("subarray_x", _pwm_kernel),
+    WavefrontModel.SWM: ("element_x", _swm_kernel),
+}
+
+
+def _abscissas(model: WavefrontModel, layout: ModularLayout) -> np.ndarray:
+    """Abscissas a model's information sums over: subarray centers, or every antenna."""
+    return getattr(layout, _KERNELS[model][0])
+
+
+def _crb_batch(
+    model: WavefrontModel,
+    layout: ModularLayout,
+    x: np.ndarray,
+    r: float | np.ndarray,
+    theta: float,
+    wavelength: float,
+    snr: SensingSnr,
+) -> _Bounds:
+    """Bounds of one model over a batch of points with a shared angle.
+
+    Args:
+        model: Wavefront model.
+        layout: Layout supplying K, M and the pitch of every point.
+        x: The model's abscissas (see _abscissas), stacked as (..., n):
+            one row per layout, or one row shared by every range.
+        r: Target ranges broadcasting against x, e.g. (P, 1), or a scalar.
+        theta: Target angle, radians.
+        wavelength: Carrier wavelength, meters.
+        snr: Sensing SNR.
+
+    Returns:
+        _Bounds over the broadcast shape of x and r without its last axis.
+    """
+    factor, quad = _KERNELS[model][1](layout, x, r, theta)
+    num = factor * _num_scale(wavelength, snr)
+    return _bound_pair(model, num, quad, math.cos(theta))
+
+
+def _crb_point(
+    model: WavefrontModel,
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
     snr: SensingSnr,
-    shared_angle: bool,
 ) -> CrbPair:
-    terms = _hspm_arrays(layout, target, shared_angle)
-    quad = _hspm_quadratic(layout, terms)
-    k = layout.num_subarrays
-    m = layout.subarray_size
-    num = 6.0 * k / m * _num_scale(wavelength, snr)
-    model = WavefrontModel.HSPM_SHARED if shared_angle else WavefrontModel.HSPM_DIST
-    return _bound_pair(model, num, quad, math.cos(target.theta))
+    """One model at one target: a batch of one."""
+    x = _abscissas(model, layout)
+    return _crb_batch(model, layout, x, target.r, target.theta, wavelength, snr).pair()
 
 
 def crb_hspm_dist(
@@ -357,7 +508,7 @@ def crb_hspm_dist(
         CrbPair; crb_r is +inf when the range information degenerates
         (e.g. a single subarray).
     """
-    return _crb_hspm(layout, target, wavelength, snr, shared_angle=False)
+    return _crb_point(WavefrontModel.HSPM_DIST, layout, target, wavelength, snr)
 
 
 def crb_hspm_shared(
@@ -372,7 +523,7 @@ def crb_hspm_shared(
     derivatives are replaced by those of the global angle: the sine varies
     only through theta, at rate cos(theta), for every subarray.
     """
-    return _crb_hspm(layout, target, wavelength, snr, shared_angle=True)
+    return _crb_point(WavefrontModel.HSPM_SHARED, layout, target, wavelength, snr)
 
 
 def crb_pwm(
@@ -388,21 +539,7 @@ def crb_pwm(
     endfire provided the layout has angle information (more than one
     antenna).
     """
-    k = layout.num_subarrays
-    m = layout.subarray_size
-    cm = (m * m - 1) * layout.pitch**2
-    cos_t = math.cos(target.theta)
-    x = layout.subarray_x
-
-    # 12 K M sum(x^2) + K^2 M (M^2-1) d^2 - 12 M sum(x)^2, in centered form.
-    info = k * k * m * cm + 12.0 * m * k * _centered_power(x)
-    scale = k * k * m * cm + 12.0 * m * k * float((x * x).sum())
-    quad = _Quadratic(
-        info_r=None, info_theta=info, info_cross=0.0, scale_r=0.0, scale_theta=scale
-    )
-
-    num = 6.0 * k / (cos_t * cos_t) * _num_scale(wavelength, snr)
-    return _bound_pair(WavefrontModel.PWM, num, quad, cos_t)
+    return _crb_point(WavefrontModel.PWM, layout, target, wavelength, snr)
 
 
 def crb_swm(
@@ -416,20 +553,7 @@ def crb_swm(
     The information terms sum over every antenna rather than every
     subarray; no small-subarray expansion is involved.
     """
-    terms = radial_terms(layout.element_x, target.r, target.theta)
-    n = layout.num_elements
-    a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
-    a = terms["dr_dr"]
-
-    info_r = n * _centered_power(a_m1)
-    info_t = n * _centered_power(at)
-    info_c = n * _centered_cross(a_m1, at)
-    scale_r = n * float((a * a).sum())
-    scale_t = n * float((at * at).sum())
-    quad = _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
-
-    num = 0.5 * n * _num_scale(wavelength, snr)
-    return _bound_pair(WavefrontModel.SWM, num, quad, math.cos(target.theta))
+    return _crb_point(WavefrontModel.SWM, layout, target, wavelength, snr)
 
 
 def crb_bounds(
@@ -509,7 +633,7 @@ def crb_boresight(
     quad = _Quadratic(info_r, info_t, 0.0, scale_r, info_t)
 
     num = 6.0 * k / m * _num_scale(wavelength, snr)
-    return _bound_pair(WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta))
+    return _bound_pair(WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta)).pair()
 
 
 def _far_range_information(k: int, cm: float, spread: float, r: float) -> tuple[float, float]:
@@ -558,7 +682,7 @@ def boresight_far_range_bound(
         info_r=info, info_theta=None, info_cross=0.0, scale_r=scale, scale_theta=0.0
     )
     num = 6.0 * k / m * _num_scale(wavelength, snr)
-    return _bound_pair(None, num, quad, None).crb_r
+    return _bound_pair(None, num, quad, None).pair().crb_r
 
 
 def crb_boresight_far(
@@ -603,8 +727,8 @@ def crb_boresight_far(
         "regime_ratio": layout.aperture / r,
     }
     return _bound_pair(
-        WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta), diagnostics
-    )
+        WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta)
+    ).pair(diagnostics)
 
 
 def optimal_spread(num_subarrays: int, subarray_size: int, pitch: float) -> float:

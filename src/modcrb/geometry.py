@@ -328,11 +328,13 @@ def element_range(layout: ModularLayout, target: TargetPolar, k: int, m: int) ->
     return distance_to(x, target)
 
 
-def radial_terms(x: np.ndarray, r: float, theta: float, dtype=np.float64) -> dict[str, np.ndarray]:
+def radial_terms(
+    x: np.ndarray, r: float | np.ndarray, theta: float, dtype=np.float64
+) -> dict[str, np.ndarray]:
     """Per-point ranges, arrival sines, and their derivatives.
 
-    For reference abscissas x (any shape) and a target (r, theta) this
-    evaluates, elementwise:
+    For reference abscissas x and target ranges r, broadcast against each
+    other, and one target angle theta this evaluates, elementwise:
 
         rng      sqrt(r^2 - 2 r x sin + x^2)
         sin_a    (r sin - x) / rng                (arrival sine)
@@ -347,17 +349,24 @@ def radial_terms(x: np.ndarray, r: float, theta: float, dtype=np.float64) -> dic
     digits there; dr_dr_m1 routes around that via the algebraic identity
     dr_dr - 1 = -(x cos)^2 / (rng * (rng + r - x sin)).
 
+    The arithmetic is elementwise, so a batch gives every point the bits
+    it would get on its own: row i of radial_terms(x[None, :], r[:, None],
+    theta) equals radial_terms(x, r[i], theta).
+
     Args:
-        x: Reference abscissas, meters.
-        r: Target range, meters.
+        x: Reference abscissas, meters, of any shape; e.g. (K,) for one
+            layout or (P, K) for P layouts.
+        r: Target range, meters: a scalar, or an array broadcasting
+            against x, e.g. (P, 1) for P ranges against x of shape (1, K).
         theta: Target angle, radians.
         dtype: Real dtype for the computation (float64 or longdouble).
 
     Returns:
-        Dict of arrays keyed by the names above.
+        Dict of arrays of the broadcast shape of x and r, keyed by the
+        names above.
     """
     x = np.asarray(x, dtype=dtype)
-    r = dtype(r)
+    r = np.asarray(r, dtype=dtype)
     s = np.sin(dtype(theta))
     c = np.cos(dtype(theta))
     w = r - x * s

@@ -109,7 +109,7 @@ def crb_from_steering(
     scale_r = (np.conj(d_r) * d_r).real.sum()
     scale_t = (np.conj(d_t) * d_t).real.sum()
     quad = _Quadratic(a_rr, a_tt, a_rt, scale_r, scale_t)
-    return _bound_pair(model, 0.5 / snr.gamma, quad, cos_theta)
+    return _bound_pair(model, 0.5 / snr.gamma, quad, cos_theta).pair()
 
 
 def fd_derivatives(

@@ -99,7 +99,7 @@ def test_distinct_angles_beat_shared_angle_on_range():
 
 
 def test_shared_angle_freezes_sine_derivatives():
-    shared = _hspm_arrays(FIG3, TGT, shared_angle=True)
+    shared = _hspm_arrays(FIG3.subarray_x, TGT.r, TGT.theta, shared_angle=True)
     sr, st = shared["ds_dr"], shared["ds_dt"]
     assert (sr * sr).sum() == 0.0
     assert (sr * st).sum() == 0.0
@@ -147,7 +147,7 @@ _POLICY_TABLE = {
 def test_bound_pair_policy_table(case):
     (info_r, info_t, info_c, cos_t), (crb_r, crb_t, flags) = _POLICY_TABLE[case]
     quad = _Quadratic(info_r, info_t, info_c, 10.0, 10.0)
-    pair = _bound_pair(WavefrontModel.SWM, 2.0, quad, cos_t)
+    pair = _bound_pair(WavefrontModel.SWM, 2.0, quad, cos_t).pair()
     assert (pair.crb_r, pair.crb_theta, pair.flags) == (crb_r, crb_t, flags)
 
 

@@ -219,6 +219,22 @@ def test_radial_terms_centered_range_rate():
         )
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+def test_radial_terms_broadcast_ranges_match_scalar_calls(dtype):
+    lay = build_layout(5, 9, (12, 4, 0, 4, 12), PITCH)
+    x = lay.element_x
+    r = np.array([0.004, 0.5, 3.0, 30.0, 1e4], dtype=dtype)
+    for theta in (0.0, 0.6, -1.2, math.pi / 2):
+        batch = radial_terms(x[None, :], r[:, None], theta, dtype=dtype)
+        assert len(batch) == 7
+        for i, ri in enumerate(r):
+            single = radial_terms(x, ri, theta, dtype=dtype)
+            assert single.keys() == batch.keys()
+            for name, values in single.items():
+                assert values.dtype == dtype
+                assert np.array_equal(batch[name][i], values), (name, i, theta)
+
+
 def test_radial_shift_matches_direct_differences():
     lay = build_layout(5, 9, (12, 4, 0, 4, 12), PITCH)
     r, theta = 8.0, 0.6

@@ -13,11 +13,17 @@ import pytest
 
 from modcrb import (
     CSV_HEADER,
+    FLAG_DEGENERATE,
+    FLAG_ENDFIRE,
     ExperimentConfig,
     InvalidConfigurationError,
     PRESET_NAMES,
     SPEED_OF_LIGHT,
+    SweepRecord,
+    TargetPolar,
     WavefrontModel,
+    build_layout,
+    crb_bounds,
     emit_outputs,
     load_config,
     parse_config,
@@ -32,6 +38,7 @@ from modcrb import (
     write_json,
     write_plot_script,
 )
+from modcrb import sweeps
 from modcrb.cli import main
 
 MODEL_TOKENS = ("hspm-dist", "hspm-shared", "pwm", "swm")
@@ -185,6 +192,65 @@ def test_run_layout_sweep_validates_shape_and_budget():
         run_layout_sweep(bad)  # outer gap would hit 0
 
 
+def _pointwise_records(config, layout_sweep):
+    """The sweep's records from one crb_bounds call per (grid point, model)."""
+    snr = config.snr()
+    target = config.target()
+    if layout_sweep:
+        points = [
+            ("gamma", float(gamma), build_layout(
+                config.num_subarrays, config.subarray_size,
+                sweeps._sweep_spacings(config, gamma), config.pitch,
+            ), target)
+            for gamma in range(config.gamma_start, config.gamma_stop + 1)
+        ]
+    else:
+        layout = config.layout()
+        points = [("r_m", r, layout, TargetPolar(r, target.theta)) for r in config.range_grid()]
+    records = []
+    for sweep_var, value, layout, point in points:
+        for model in config.model_list():
+            pair = crb_bounds(model, layout, point, config.wavelength, snr)
+            records.append(SweepRecord(sweep_var, value, model.value, pair.crb_r,
+                                       pair.crb_theta, pair.flags))
+    return records
+
+
+_SWEEP_CASES = {
+    "fig3": ("fig3", {}, False, None),
+    "fig4-c1": ("fig4-c1", {}, True, None),
+    "fig4-c2": ("fig4-c2", {}, True, None),
+    "fig3-endfire+": ("fig3", dict(theta_deg=90.0), False, ("swm", FLAG_ENDFIRE)),
+    "fig3-endfire-": ("fig3", dict(theta_deg=-90.0), False, ("hspm-dist", FLAG_ENDFIRE)),
+    "single-antenna": (
+        "fig3", dict(num_subarrays=1, subarray_size=1, spacings=(0,)), False,
+        ("swm", FLAG_DEGENERATE)),
+    # hspm-dist reports range degenerate here, inside the Rayleigh distance
+    "fig4-c1-r300": ("fig4-c1", dict(theta_deg=60.0, r_m=300.0), True,
+                     ("hspm-dist", FLAG_DEGENERATE)),
+    # swm evaluates two points per chunk at N = 7007, so 7 points end on a
+    # partial chunk
+    "large-array": ("fig3", dict(num_subarrays=7, subarray_size=1001,
+                                 spacings=(100, 100, 100, 0, 100, 100, 100),
+                                 r_count=7, r_start_m=2.0, r_stop_m=50.0), False, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEP_CASES))
+def test_sweeps_match_pointwise_closed_forms(case):
+    name, overrides, layout_sweep, flagged = _SWEEP_CASES[case]
+    config = dataclasses.replace(preset(name), **overrides)
+    sweep = run_layout_sweep if layout_sweep else run_range_sweep
+    records = sweep(config)
+    assert records == _pointwise_records(config, layout_sweep)
+    if flagged is not None:
+        model, flag = flagged
+        assert any(rec.model == model and flag in rec.flags for rec in records)
+    if case == "large-array":
+        per_chunk = sweeps._CHUNK_ELEMENTS // config.layout().num_elements
+        assert per_chunk > 1 and config.r_count % per_chunk != 0
+
+
 def test_csv_round_trip_is_lossless(tmp_path):
     records = run_point(preset("fig3"))
     path = tmp_path / "point.csv"
@@ -235,6 +301,39 @@ def test_json_emission_spells_out_infinities(tmp_path):
     assert pwm["crb_r_m2"] == "inf"
     assert isinstance(pwm["crb_theta_rad2"], float)
     assert payload[0]["flags"] == []
+
+
+def test_json_bytes_match_the_json_module(tmp_path):
+    records = run_range_sweep(small_sweep_config()) + [
+        SweepRecord("r_m", 2.5, "swm", math.inf, -math.inf, (FLAG_DEGENERATE,)),
+        SweepRecord("gamma", 7.0, "hspm-dist", 1e-300, math.inf,
+                    (FLAG_DEGENERATE, FLAG_ENDFIRE)),
+        SweepRecord("r_m", 0.1, "pwm", -math.inf, 0.1 + 0.2, (FLAG_ENDFIRE,)),
+        SweepRecord("r_m", 30, "swm", math.nan, np.float64(2.5e-7)),
+    ]
+    payload = [
+        {
+            "sweep_var": rec.sweep_var,
+            "sweep_value": rec.sweep_value,
+            "model": rec.model,
+            "crb_r_m2": rec.crb_r_m2,
+            "crb_theta_rad2": rec.crb_theta_rad2,
+            "flags": list(rec.flags),
+        }
+        for rec in records
+    ]
+    for item in payload:
+        for key in ("sweep_value", "crb_r_m2", "crb_theta_rad2"):
+            if math.isinf(item[key]):
+                item[key] = "inf" if item[key] > 0 else "-inf"
+    assert {len(rec.flags) for rec in records} == {0, 1, 2}
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    path = tmp_path / "records.json"
+    write_json(records, str(path))
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_emit_outputs_writes_requested_files(tmp_path):
@@ -299,6 +398,22 @@ def test_cli_exit_codes():
         main(["crb", "--bogus-flag", "1"])
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+def test_cli_rejects_oversized_grids_before_building_them(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(ExperimentConfig, "range_grid", no_grid)
+    monkeypatch.setattr(sweeps, "build_layout", no_grid)
+    csv_path = tmp_path / "huge.csv"
+    assert main(["sweep-range", "--preset", "fig3", "--r-count", "100000000",
+                 "--out", str(csv_path)]) == 2
+    assert "r_count" in capsys.readouterr().err
+    assert main(["sweep-layout", "--preset", "fig4-c1", "--gap-budget", "300000",
+                 "--gamma-stop", "200000", "--out", str(csv_path)]) == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_cli_verify_exit_contract(capsys):
