@@ -12,7 +12,8 @@ Every subcommand accepts --config <path> and/or --preset <name>, with any
 inline flag (--K, --M, --spacings, --freq-ghz, --snr-db, --r, --theta-deg,
 --models, --out, ...) overriding the file value. Exit codes: 0 success,
 1 verification failure, 2 configuration error, 3 degenerate information
-in `crb --strict`.
+in `crb --strict`, 4 numeric error (a computed bound that is NaN or not
+positive, or a target that coincides with an antenna).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 
 from .config import PRESET_NAMES, ExperimentConfig, load_config, parse_models, preset
 from .crb import FLAG_DEGENERATE
-from .errors import InvalidConfigurationError
+from .errors import InvalidConfigurationError, NumericDomainError, SingularGeometryError
 from .geometry import field_regions
 from .oracle import verify_batch
 from .sweeps import SweepRecord, emit_outputs, run_layout_sweep, run_point, run_range_sweep
@@ -34,6 +35,7 @@ _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
 _EXIT_CONFIG = 2
 _EXIT_DEGENERATE = 3
+_EXIT_NUMERIC = 4
 
 # (flag, config field, type) for inline overrides shared by all subcommands.
 _OVERRIDES = (
@@ -213,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except (NumericDomainError, SingularGeometryError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return _EXIT_NUMERIC
 
 
 if __name__ == "__main__":

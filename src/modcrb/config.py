@@ -116,6 +116,10 @@ class ExperimentConfig:
             )
         if self.r_count < 1:
             raise InvalidConfigurationError(f"r_count must be >= 1, got {self.r_count}")
+        for name in ("r_start_m", "r_stop_m"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidConfigurationError(f"{name} must be finite, got {value}")
         if self.r_start_m <= 0 or self.r_stop_m < self.r_start_m:
             raise InvalidConfigurationError(
                 f"range grid [{self.r_start_m}, {self.r_stop_m}] must be positive and ordered"

@@ -43,7 +43,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigurationError
+from .errors import InvalidConfigurationError, NumericDomainError
 from .geometry import ModularLayout, TargetPolar, radial_terms
 from .wavefront import WavefrontModel
 
@@ -123,7 +123,7 @@ class CrbPair:
     diagnostics: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        _require_positive(self.crb_r, self.crb_theta)
+        _require_positive(self.crb_r, self.crb_theta, InvalidConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -199,11 +199,17 @@ _FLAG_SETS = {
 }
 
 
-def _require_positive(crb_r: float, crb_theta: float) -> None:
-    """Reject a bound that is NaN or not positive; +inf is allowed."""
+def _require_positive(
+    crb_r: float, crb_theta: float, error: type[ValueError] = NumericDomainError
+) -> None:
+    """Reject a bound that is NaN or not positive; +inf is allowed.
+
+    A computed bound that fails is a numeric failure (NumericDomainError);
+    CrbPair passes InvalidConfigurationError for the values it is given.
+    """
     for name, value in (("crb_r", crb_r), ("crb_theta", crb_theta)):
         if math.isnan(value) or value <= 0:
-            raise InvalidConfigurationError(f"{name} must be positive or +inf, got {value}")
+            raise error(f"{name} must be positive or +inf, got {value}")
 
 
 class _Bounds(NamedTuple):
@@ -227,6 +233,8 @@ class _Bounds(NamedTuple):
                 information terms.
         """
         ((crb_r, crb_t, flags, det2),) = self.points
+        crb_r, crb_t = float(crb_r), float(crb_t)
+        _require_positive(crb_r, crb_t)
         quad = self.quad
         diagnostics = dict(diagnostics or {})
         if quad.info_r is not None:
@@ -240,8 +248,8 @@ class _Bounds(NamedTuple):
         if det2 is not None:
             diagnostics["determinant"] = float(det2)
         return CrbPair(
-            crb_r=float(crb_r),
-            crb_theta=float(crb_t),
+            crb_r=crb_r,
+            crb_theta=crb_t,
             model=self.model,
             flags=flags,
             diagnostics=diagnostics,

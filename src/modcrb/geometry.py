@@ -395,8 +395,8 @@ def radial_shift(
     x: np.ndarray,
     r: float,
     theta: float,
-    dr: float = 0.0,
-    dtheta: float = 0.0,
+    dr: float | np.ndarray = 0.0,
+    dtheta: float | np.ndarray = 0.0,
     dtype=np.float64,
 ) -> dict[str, np.ndarray]:
     """Increments of rng and sin_a under a small polar shift of the target.
@@ -406,7 +406,7 @@ def radial_shift(
 
         d_rng    rng(r + dr, theta + dtheta) - rng(r, theta)
         d_sin    sin_a(r + dr, theta + dtheta) - sin_a(r, theta)
-        d_s      sin(theta + dtheta) - sin(theta)   (scalar, broadcast)
+        d_s      sin(theta + dtheta) - sin(theta)   (per shift, broadcast)
 
     A direct subtraction of the shifted and unshifted values would leave an
     O(h) increment buried under the rounding of two O(r) ranges; instead the
@@ -416,25 +416,35 @@ def radial_shift(
     involved, so finite differences built on these increments remain an
     independent check of the analytic derivatives.
 
+    The shifts may be arrays broadcasting against x, e.g. (P, 1) for P
+    shifts against x of shape (K,). The arithmetic is elementwise, so row i
+    of such a call equals the call with the scalar shift (dr[i], dtheta[i])
+    bit for bit.
+
     Args:
         x: Reference abscissas, meters.
         r: Base target range, meters.
         theta: Base target angle, radians.
-        dr: Range shift, meters (r + dr must stay positive).
-        dtheta: Angle shift, radians.
+        dr: Range shift, meters: a scalar, or an array broadcasting against
+            x (every r + dr must stay positive).
+        dtheta: Angle shift, radians: a scalar, or an array broadcasting
+            against x.
         dtype: Real dtype for the computation.
 
     Returns:
-        Dict of arrays keyed by the names above.
+        Dict of arrays of the broadcast shape of x, dr and dtheta, keyed by
+        the names above.
     """
     x = np.asarray(x, dtype=dtype)
     r0 = dtype(r)
     t0 = dtype(theta)
-    hr = dtype(dr)
-    ht = dtype(dtheta)
+    hr = np.asarray(dr, dtype=dtype)
+    ht = np.asarray(dtheta, dtype=dtype)
     r1 = r0 + hr
-    if r1 <= 0:
-        raise InvalidConfigurationError(f"shifted range {float(r1)} must stay positive")
+    if np.any(r1 <= 0):
+        raise InvalidConfigurationError(
+            f"shifted range {float(np.min(r1))} must stay positive"
+        )
     s0 = np.sin(t0)
     s1 = np.sin(t0 + ht)
     # sin(t + h) - sin(t) without cancellation.
@@ -455,5 +465,5 @@ def radial_shift(
     return {
         "d_rng": d_rng,
         "d_sin": d_sin,
-        "d_s": np.broadcast_to(d_s, x.shape).copy(),
+        "d_s": np.broadcast_to(d_s, d_rng.shape).copy(),
     }

@@ -16,6 +16,14 @@ The projections are evaluated on explicit residual vectors, and the whole
 route can run in extended precision (np.longdouble) where the platform
 provides it, so that it is trustworthy at more digits than the tolerance
 it is asked to certify.
+
+cross_validate makes one phase pass per leg: the analytic leg takes the
+steering vector and its derivatives from one phase evaluation and one
+complex exponential, and the finite-difference leg stacks its four shifts
+(+-h_r, +-h_theta) into one phase_increment call and one exponential.
+Both do the arithmetic of separate steering, steering_derivatives and
+per-shift calls in the same order and dtype, so every report keeps the
+bits it would have with separate passes.
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ from .wavefront import (
     SteeringDerivatives,
     SteeringVector,
     WavefrontModel,
+    _wavefront,
     phase_increment,
     steering,
-    steering_derivatives,
 )
 
 __all__ = [
@@ -72,9 +80,10 @@ def _projected(g: np.ndarray, d_r: np.ndarray, d_theta: np.ndarray):
     Values keep the dtype of the inputs so that extended-precision runs
     stay extended through the determinant.
     """
-    n2_g = (np.conj(g) * g).real.sum()
-    e_r = d_r - ((np.conj(g) * d_r).sum() / n2_g) * g
-    e_t = d_theta - ((np.conj(g) * d_theta).sum() / n2_g) * g
+    g_conj = np.conj(g)
+    n2_g = (g_conj * g).real.sum()
+    e_r = d_r - ((g_conj * d_r).sum() / n2_g) * g
+    e_t = d_theta - ((g_conj * d_theta).sum() / n2_g) * g
     a_rr = (np.conj(e_r) * e_r).real.sum()
     a_tt = (np.conj(e_t) * e_t).real.sum()
     a_rt = (np.conj(e_r) * e_t).real.sum()
@@ -183,6 +192,11 @@ def fd_rebased(
     2 pi r / lambda, whose rounding otherwise dominates once the Fisher
     residuals get small. Pair the result with an all-ones steering vector.
 
+    The four shifts go through one stacked phase_increment call and one
+    complex exponential over a (4, K*M) array; each row has the bits of
+    the scalar call for its shift, so the result equals differences of
+    four separate evaluations exactly.
+
     Args:
         model: Wavefront approximation.
         layout: Array layout.
@@ -204,13 +218,13 @@ def fd_rebased(
     if target.r - h_r <= 0:
         raise ValueError(f"range step {h_r} too large for target range {target.r}")
 
-    def shifted(dr: float, dtheta: float) -> np.ndarray:
-        dpsi = phase_increment(model, layout, target, wavelength, dr, dtheta, dtype)
-        return np.exp(-1j * dpsi)
-
+    # Rows: +h_r, -h_r, +h_theta, -h_theta, in one phase pass and one exp.
+    dr = np.array([h_r, -h_r, 0.0, 0.0])
+    dtheta = np.array([0.0, 0.0, h_theta, -h_theta])
+    g = np.exp(-1j * phase_increment(model, layout, target, wavelength, dr, dtheta, dtype))
     two = dtype(2.0)
-    d_r = (shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (two * dtype(h_r))
-    d_t = (shifted(0.0, h_theta) - shifted(0.0, -h_theta)) / (two * dtype(h_theta))
+    d_r = (g[0] - g[1]) / (two * dtype(h_r))
+    d_t = (g[2] - g[3]) / (two * dtype(h_theta))
     return SteeringDerivatives(d_r=d_r, d_theta=d_t)
 
 
@@ -343,8 +357,7 @@ def cross_validate(
     """
     dtype = oracle_dtype()
     closed = crb_bounds(model, layout, target, wavelength, snr)
-    g = steering(model, layout, target, wavelength, dtype=dtype)
-    dg = steering_derivatives(model, layout, target, wavelength, dtype=dtype)
+    g, dg = _wavefront(model, layout, target, wavelength, dtype)
     cos_t = math.cos(target.theta)
     analytic = crb_from_steering(g, dg, snr, model=model, cos_theta=cos_t)
 

@@ -180,9 +180,28 @@ def steering_derivatives(
     Returns:
         SteeringDerivatives with d_r and d_theta arrays of length K*M.
     """
+    return _wavefront(model, layout, target, wavelength, dtype)[1]
+
+
+def _wavefront(
+    model: WavefrontModel,
+    layout: ModularLayout,
+    target: TargetPolar,
+    wavelength: float,
+    dtype=np.float64,
+) -> tuple[SteeringVector, SteeringDerivatives]:
+    """Steering vector and its analytic derivatives from one phase pass.
+
+    One _phase_terms call and one exp(-1j psi) serve both results, with the
+    arithmetic of steering and steering_derivatives, so each array equals
+    the one those functions return bit for bit.
+    """
     psi, dpsi_r, dpsi_t = _phase_terms(model, layout, target, wavelength, dtype)
     g = np.exp(-1j * psi)
-    return SteeringDerivatives(d_r=-1j * dpsi_r * g, d_theta=-1j * dpsi_t * g)
+    return (
+        SteeringVector(values=g),
+        SteeringDerivatives(d_r=-1j * dpsi_r * g, d_theta=-1j * dpsi_t * g),
+    )
 
 
 def phase_increment(
@@ -190,8 +209,8 @@ def phase_increment(
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
-    dr: float = 0.0,
-    dtheta: float = 0.0,
+    dr: float | np.ndarray = 0.0,
+    dtheta: float | np.ndarray = 0.0,
     dtype=np.float64,
 ) -> np.ndarray:
     """Steering-phase increment psi(r + dr, theta + dtheta) - psi(r, theta).
@@ -203,33 +222,40 @@ def phase_increment(
     phase definitions are used, never their derivatives, which keeps finite
     differences of exp(-1j * increment) an independent derivative check.
 
+    Several shifts evaluate in one call: dr and dtheta may be arrays, which
+    broadcast against each other to a shape S and then against a trailing
+    abscissa axis. The arithmetic is elementwise, so entry i of a stacked
+    call equals the call with the scalar shift (dr[i], dtheta[i]) bit for
+    bit, and scalar shifts give shape (K*M,) as a shape-() S would.
+
     Args:
         model: Wavefront approximation.
         layout: Array layout.
         target: Base target position.
         wavelength: Carrier wavelength, meters.
-        dr: Range shift, meters.
-        dtheta: Angle shift, radians.
+        dr: Range shift, meters: a scalar or an array of shifts.
+        dtheta: Angle shift, radians: a scalar or an array of shifts.
         dtype: Real dtype of the computation.
 
     Returns:
-        Real array of length K*M, subarray-major, in radians.
+        Real array of shape S + (K*M,), subarray-major, in radians.
     """
     if wavelength <= 0:
         raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength}")
     k2 = dtype(2.0 * np.pi) / dtype(wavelength)
+    hr, ht = np.broadcast_arrays(np.asarray(dr, dtype=dtype), np.asarray(dtheta, dtype=dtype))
+    hr, ht = hr[..., None], ht[..., None]
 
     if model is WavefrontModel.SWM:
-        shift = radial_shift(layout.element_x, target.r, target.theta, dr, dtheta, dtype)
+        shift = radial_shift(layout.element_x, target.r, target.theta, hr, ht, dtype)
         return k2 * shift["d_rng"]
 
     if model is WavefrontModel.PWM:
         x = np.asarray(layout.element_x, dtype=dtype)
-        ht = dtype(dtheta)
         d_s = dtype(2.0) * np.cos(dtype(target.theta) + ht / dtype(2.0)) * np.sin(ht / dtype(2.0))
         return -k2 * x * d_s
 
-    shift = radial_shift(layout.subarray_x, target.r, target.theta, dr, dtheta, dtype)
+    shift = radial_shift(layout.subarray_x, target.r, target.theta, hr, ht, dtype)
     m_off = np.asarray(layout.element_offsets, dtype=dtype) * dtype(layout.pitch)
     if model is WavefrontModel.HSPM_DIST:
         d_sin = shift["d_sin"]
@@ -237,5 +263,5 @@ def phase_increment(
         d_sin = shift["d_s"]
     else:
         raise InvalidConfigurationError(f"unsupported model {model}")
-    dpsi = k2 * (shift["d_rng"][:, None] + m_off[None, :] * d_sin[:, None])
-    return dpsi.ravel()
+    dpsi = k2 * (shift["d_rng"][..., :, None] + m_off * d_sin[..., :, None])
+    return dpsi.reshape(dpsi.shape[:-2] + (-1,))

@@ -250,7 +250,25 @@ def test_radial_shift_matches_direct_differences():
         )
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+def test_radial_shift_stacked_shifts_match_scalar_calls(dtype):
+    lay = build_layout(5, 9, (12, 4, 0, 4, 12), PITCH)
+    x = lay.element_x
+    dr = np.array([1e-4, -1e-4, 0.0, 0.0, 3e-3])
+    dtheta = np.array([0.0, 0.0, 1e-4, -1e-4, -2e-3])
+    for theta in (0.0, 0.6, -1.2):
+        batch = radial_shift(x, 8.0, theta, dr[:, None], dtheta[:, None], dtype)
+        for i in range(len(dr)):
+            single = radial_shift(x, 8.0, theta, dr[i], dtheta[i], dtype)
+            assert single.keys() == batch.keys()
+            for name, values in single.items():
+                assert values.dtype == dtype and values.shape == x.shape
+                assert np.array_equal(batch[name][i], values), (name, i, theta)
+
+
 def test_radial_shift_rejects_nonpositive_shifted_range():
     lay = build_layout(3, 3, (2, 0, 2), PITCH)
     with pytest.raises(InvalidConfigurationError):
         radial_shift(lay.subarray_x, 1.0, 0.0, dr=-1.5)
+    with pytest.raises(InvalidConfigurationError):
+        radial_shift(lay.subarray_x, 1.0, 0.0, dr=np.array([[0.5], [-1.5]]))

@@ -24,6 +24,7 @@ from modcrb import (
     fd_rebased,
     intermediates_hspm,
     oracle_dtype,
+    phase_increment,
     relative_error,
     sample_case,
     steering,
@@ -232,6 +233,48 @@ def test_cross_validate_degenerate_pair_counts_as_exact():
                             LAMBDA, SNR)
     assert report.rel_err_analytic == 0.0
     assert report.closed_form["crb_r_m2"] == math.inf
+
+
+def test_cross_validate_equals_a_reference_built_from_separate_passes():
+    # the oracle evaluates the phase once per leg and stacks its four
+    # finite-difference shifts; neither may move a single bit of a report
+    dtype = oracle_dtype()
+    two = dtype(2.0)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        layout, target, snr, lam = sample_case(rng)
+        cos_t = math.cos(target.theta)
+        for model in MODEL_ORDER:
+            report = cross_validate(model, layout, target, lam, snr)
+            g = steering(model, layout, target, lam, dtype=dtype)
+            dg = steering_derivatives(model, layout, target, lam, dtype=dtype)
+            analytic = crb_from_steering(g, dg, snr, model=model, cos_theta=cos_t)
+            h_r, h_t = report.fd_step_used["h_r"], report.fd_step_used["h_theta"]
+
+            def shifted(dr, dtheta):
+                dpsi = phase_increment(model, layout, target, lam, dr, dtheta, dtype)
+                return np.exp(-1j * dpsi)
+
+            dg_fd = SteeringDerivatives(
+                d_r=(shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (two * dtype(h_r)),
+                d_theta=(shifted(0.0, h_t) - shifted(0.0, -h_t)) / (two * dtype(h_t)),
+            )
+            ones = SteeringVector(values=np.ones_like(dg_fd.d_r))
+            fd = crb_from_steering(ones, dg_fd, snr, model=model, cos_theta=cos_t)
+            closed = crb_bounds(model, layout, target, lam, snr)
+            assert report.closed_form == {"crb_r_m2": closed.crb_r,
+                                          "crb_theta_rad2": closed.crb_theta}
+            assert report.generic_analytic == {"crb_r_m2": analytic.crb_r,
+                                               "crb_theta_rad2": analytic.crb_theta}
+            assert report.generic_fd == {"crb_r_m2": fd.crb_r, "crb_theta_rad2": fd.crb_theta}
+            assert report.rel_err_analytic == max(
+                relative_error(closed.crb_r, analytic.crb_r),
+                relative_error(closed.crb_theta, analytic.crb_theta),
+            )
+            assert report.rel_err_fd == max(
+                relative_error(closed.crb_r, fd.crb_r),
+                relative_error(closed.crb_theta, fd.crb_theta),
+            )
 
 
 def test_validation_report_serializes_infinities():

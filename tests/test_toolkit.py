@@ -19,6 +19,7 @@ from modcrb import (
     InvalidConfigurationError,
     PRESET_NAMES,
     SPEED_OF_LIGHT,
+    SingularGeometryError,
     SweepRecord,
     TargetPolar,
     WavefrontModel,
@@ -38,6 +39,7 @@ from modcrb import (
     write_json,
     write_plot_script,
 )
+from modcrb import crb as crb_module
 from modcrb import sweeps
 from modcrb.cli import main
 
@@ -394,6 +396,9 @@ def test_cli_exit_codes():
     single = ["crb", "--preset", "fig3", "--K", "1", "--spacings", "0"]
     assert main(single + ["--strict"]) == 3  # one subarray: range info degenerate
     assert main(single) == 0  # same point, but flags are only advisory
+    # endfire alone is no degeneracy: --strict still exits 0
+    assert main(["crb", "--preset", "fig3", "--models", "pwm", "--theta-deg", "90",
+                 "--strict"]) == 0
     with pytest.raises(SystemExit):
         main(["crb", "--bogus-flag", "1"])
     with pytest.raises(SystemExit):
@@ -414,6 +419,38 @@ def test_cli_rejects_oversized_grids_before_building_them(tmp_path, monkeypatch,
                  "--gamma-stop", "200000", "--out", str(csv_path)]) == 2
     assert "gamma" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_cli_rejects_non_finite_range_grid_ends(tmp_path, capsys):
+    csv_path = tmp_path / "inf.csv"
+    assert main(["sweep-range", "--preset", "fig3", "--r-stop", "inf",
+                 "--out", str(csv_path)]) == 2
+    assert "r_stop_m must be finite" in capsys.readouterr().err
+    assert not csv_path.exists()
+    text = serialize_config(preset("fig3"))
+    assert "r_start = 1.0\n" in text
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(text.replace("r_start = 1.0\n", "r_start = nan\n"), encoding="utf-8")
+    assert main(["sweep-range", "--config", str(cfg)]) == 2
+    assert "r_start_m must be finite" in capsys.readouterr().err
+
+
+def test_cli_numeric_failures_exit_4(monkeypatch, capsys):
+    def nan_kernel(layout, x, r, theta):
+        _, quad = crb_module._pwm_kernel(layout, x, r, theta)
+        return math.nan, quad
+
+    with monkeypatch.context() as patch:
+        patch.setitem(crb_module._KERNELS, WavefrontModel.PWM, ("subarray_x", nan_kernel))
+        assert main(["crb", "--preset", "fig3", "--models", "pwm"]) == 4
+        assert "numeric error: crb_theta" in capsys.readouterr().err
+
+    def coincident(*args, **kwargs):
+        raise SingularGeometryError("target coincides with an antenna")
+
+    monkeypatch.setattr(crb_module, "radial_terms", coincident)
+    assert main(["crb", "--preset", "fig3", "--models", "swm"]) == 4
+    assert "numeric error: target coincides" in capsys.readouterr().err
 
 
 def test_cli_verify_exit_contract(capsys):

@@ -12,6 +12,7 @@ from modcrb import (
     WavefrontModel,
     build_layout,
     element_range,
+    oracle_dtype,
     phase_increment,
     steering,
     steering_derivatives,
@@ -231,3 +232,19 @@ def test_phase_increment_zero_shift_is_zero():
     for model in MODEL_ORDER:
         inc = phase_increment(model, FIG3, TGT, LAMBDA)
         assert np.all(inc == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, oracle_dtype()], ids=["float64", "oracle"])
+def test_phase_increment_stacked_shifts_match_scalar_calls(dtype):
+    lay = build_layout(3, 5, (7, 0, 7), PITCH)
+    dr = np.array([2e-4, -2e-4, 0.0, 0.0])
+    dtheta = np.array([0.0, 0.0, 1e-4, -1e-4])
+    for model in MODEL_ORDER:
+        for theta in (0.0, 0.6, -1.2):
+            tgt = TargetPolar(5.0, theta)
+            batch = phase_increment(model, lay, tgt, LAMBDA, dr, dtheta, dtype)
+            assert batch.shape == (4, lay.num_subarrays * lay.subarray_size)
+            for i in range(4):
+                single = phase_increment(model, lay, tgt, LAMBDA, dr[i], dtheta[i], dtype)
+                assert single.dtype == dtype and single.shape == batch[i].shape
+                assert np.array_equal(batch[i], single), (model, theta, i)
