@@ -27,9 +27,15 @@ _bound_pair, which alone turns information into bounds, point by point
   matrix: the affected bound is +inf and flagged "degenerate", and the other
   parameter keeps its one-parameter bound num / info;
 - at endfire (|cos theta| < 1e-12) the angle is unidentifiable: crb_theta is
-  +inf and flagged "endfire", and range keeps its one-parameter bound;
+  +inf and flagged "endfire"; so is range, since every d r_k / d r is 1 on
+  the array axis (the range information goes as cos^4 theta): crb_r is +inf
+  and flagged "degenerate" for every model with range;
 - a parameter the model does not contain (range under the planar model) has
   a +inf bound and no flag.
+
+The range scale is built from d r_k / d r - 1 like the information, not from
+d r_k / d r, whose squares sum to about K while the information is
+O((A / r)^4) for an aperture A.
 
 Units: range bounds in meters squared, angle bounds in radians squared.
 """
@@ -216,8 +222,8 @@ class _Bounds(NamedTuple):
     """Bounds of one model over a batch of points.
 
     points holds (crb_r, crb_theta, flags, determinant) per point, in C
-    order of the batch shape, with the bounds still in the dtype of the
-    information; the determinant is None unless both parameters were live.
+    order of the batch shape, not yet converted to float; the determinant
+    is None unless both parameters were live.
     quad is the information the bounds came from.
     """
 
@@ -283,8 +289,7 @@ def _bound_pair(
     Args:
         model: Label carried into the result.
         num: Numerator shared by both bounds.
-        quad: Information terms, in any real dtype; the bounds are
-            evaluated in that dtype.
+        quad: Information terms.
         cos_theta: Cosine of the target angle, or None when it is unknown
             and the endfire test is skipped.
 
@@ -307,7 +312,7 @@ def _bound_pair(
     points = []
     for num_i, d_r, d_t, d_c, scale_r, scale_t, cos_i in terms:
         endfire = bool(abs(cos_i) < ENDFIRE_TOL)
-        live_r = has_r and d_r > DEGENERATE_RTOL * scale_r
+        live_r = has_r and not endfire and d_r > DEGENERATE_RTOL * scale_r
         live_t = has_t and not endfire and d_t > DEGENERATE_RTOL * scale_t
         degenerate = bool((has_r and not live_r) or (has_t and not endfire and not live_t))
         crb_r = crb_t = math.inf
@@ -382,26 +387,24 @@ def _hspm_kernel(
         K (M^2 - 1) d^2 z + 12 (K q - p^2)
     and K q - p^2 is evaluated as K * sum((a - mean(a))^2) through the
     cancellation-free dr_dr_m1 values, which keeps the result accurate when
-    every dr_dr is within rounding of 1.
+    every dr_dr is within rounding of 1; so does the degeneracy scale.
     """
     terms = _hspm_arrays(x, r, theta, shared_angle)
     k = layout.num_subarrays
     m = layout.subarray_size
     cm = (m * m - 1) * layout.pitch**2
     a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
-    a = terms["dr_dr"]
     sr, st = terms["ds_dr"], terms["ds_dt"]
 
     z = (sr * sr).sum(axis=-1)
     z_tilde = (st * st).sum(axis=-1)
     z_hat = (sr * st).sum(axis=-1)
-    q = (a * a).sum(axis=-1)
     q_tilde = (at * at).sum(axis=-1)
 
     info_r = k * cm * z + 12.0 * k * _centered_power(a_m1)
     info_t = k * cm * z_tilde + 12.0 * k * _centered_power(at)
     info_c = k * cm * z_hat + 12.0 * k * _centered_cross(a_m1, at)
-    scale_r = k * cm * z + 12.0 * k * q
+    scale_r = k * cm * z + 12.0 * k * (a_m1 * a_m1).sum(axis=-1)
     scale_t = k * cm * z_tilde + 12.0 * k * q_tilde
     return 6.0 * k / m, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
@@ -433,12 +436,11 @@ def _swm_kernel(
     terms = radial_terms(x, r, theta)
     n = layout.num_elements
     a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
-    a = terms["dr_dr"]
 
     info_r = n * _centered_power(a_m1)
     info_t = n * _centered_power(at)
     info_c = n * _centered_cross(a_m1, at)
-    scale_r = n * (a * a).sum(axis=-1)
+    scale_r = n * (a_m1 * a_m1).sum(axis=-1)
     scale_t = n * (at * at).sum(axis=-1)
     return 0.5 * n, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
@@ -625,16 +627,14 @@ def crb_boresight(
     x = layout.subarray_x
     rk = np.hypot(np.full_like(x, r), x)
 
-    b = r / rk
-    # b - 1 without cancellation: r - rk = -x^2 / (r + rk).
+    # r / rk - 1 without cancellation: r - rk = -x^2 / (r + rk).
     b_m1 = -(x * x) / (rk * (r + rk))
     z_p = float(((r * x) ** 2 / rk**6).sum())
-    q_p = float((b * b).sum())
     zt_p = float((r**6 / rk**6).sum())
     qt_p = float(((r * x) ** 2 / rk**2).sum())
 
     info_r = k * cm * z_p + 12.0 * k * _centered_power(b_m1)
-    scale_r = k * cm * z_p + 12.0 * k * q_p
+    scale_r = k * cm * z_p + 12.0 * k * float((b_m1 * b_m1).sum())
     # The range rates d r_k / d theta sum to zero, so every angle term is
     # positive and the information is its own scale.
     info_t = k * cm * zt_p + 12.0 * k * qt_p

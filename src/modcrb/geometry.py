@@ -328,9 +328,7 @@ def element_range(layout: ModularLayout, target: TargetPolar, k: int, m: int) ->
     return distance_to(x, target)
 
 
-def radial_terms(
-    x: np.ndarray, r: float | np.ndarray, theta: float, dtype=np.float64
-) -> dict[str, np.ndarray]:
+def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str, np.ndarray]:
     """Per-point ranges, arrival sines, and their derivatives.
 
     For reference abscissas x and target ranges r, broadcast against each
@@ -359,16 +357,15 @@ def radial_terms(
         r: Target range, meters: a scalar, or an array broadcasting
             against x, e.g. (P, 1) for P ranges against x of shape (1, K).
         theta: Target angle, radians.
-        dtype: Real dtype for the computation (float64 or longdouble).
 
     Returns:
         Dict of arrays of the broadcast shape of x and r, keyed by the
         names above.
     """
-    x = np.asarray(x, dtype=dtype)
-    r = np.asarray(r, dtype=dtype)
-    s = np.sin(dtype(theta))
-    c = np.cos(dtype(theta))
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(r, dtype=float)
+    s = np.sin(theta)
+    c = np.cos(theta)
     w = r - x * s
     xc = x * c
     rng = np.hypot(w, xc)
@@ -391,30 +388,51 @@ def radial_terms(
     }
 
 
+def _sine_increment(theta: float, dtheta: float | np.ndarray) -> np.ndarray:
+    """sin(theta + dtheta) - sin(theta) by sum-to-product, free of cancellation."""
+    half = np.asarray(dtheta, dtype=float) / 2.0
+    return 2.0 * np.cos(theta + half) * np.sin(half)
+
+
+def _shifted_range(r: float, dr: float | np.ndarray) -> np.ndarray:
+    """r + dr; InvalidConfigurationError unless every one is positive."""
+    r1 = r + np.asarray(dr, dtype=float)
+    if np.any(r1 <= 0):
+        raise InvalidConfigurationError(
+            f"shifted range {float(np.min(r1))} must stay positive"
+        )
+    return r1
+
+
+def _rng_minus_w(w: np.ndarray, xc: np.ndarray, rng: np.ndarray) -> np.ndarray:
+    """rng - w for rng = hypot(w, xc), free of cancellation for either sign of w."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(w >= 0, xc * xc / (rng + w), rng - w)
+
+
 def radial_shift(
     x: np.ndarray,
     r: float,
     theta: float,
     dr: float | np.ndarray = 0.0,
     dtheta: float | np.ndarray = 0.0,
-    dtype=np.float64,
 ) -> dict[str, np.ndarray]:
-    """Increments of rng and sin_a under a small polar shift of the target.
+    """Increments of rng - r and sin_a under a small polar shift of the target.
 
     For a shift (r, theta) -> (r + dr, theta + dtheta) this returns, per
-    abscissa, the exact-algebra increments
+    abscissa, the exact-algebra increments d_excess of rng - r (the range
+    increment less the reference path's dr) and d_sin of sin_a. Rather than
+    subtracting two O(r) ranges,
 
-        d_rng    rng(r + dr, theta + dtheta) - rng(r, theta)
-        d_sin    sin_a(r + dr, theta + dtheta) - sin_a(r, theta)
-        d_s      sin(theta + dtheta) - sin(theta)   (per shift, broadcast)
+        d_excess = -[dr ((rng0 - w0) + (rng1 - w1)) + x d_s (r0 + r1)]
+                   / (rng0 + rng1)
 
-    A direct subtraction of the shifted and unshifted values would leave an
-    O(h) increment buried under the rounding of two O(r) ranges; instead the
-    range increment comes from the difference of squared ranges (every term
-    of which is O(h)) divided by the sum of ranges, and the sine increments
-    use the sum-to-product identity for sin. No derivative formulas are
-    involved, so finite differences built on these increments remain an
-    independent check of the analytic derivatives.
+    with w = r - x sin, rng - w = (x cos)^2 / (rng + w) and d_s the sine
+    increment by sum-to-product: every term is O(dr, dtheta) and carries a
+    factor x, so x = 0 gets exact zeros; d_sin is rearranged on top of it
+    the same way. No derivative formulas are involved, so finite
+    differences built on these increments remain an independent check of
+    the analytic derivatives.
 
     The shifts may be arrays broadcasting against x, e.g. (P, 1) for P
     shifts against x of shape (K,). The arithmetic is elementwise, so row i
@@ -429,41 +447,28 @@ def radial_shift(
             x (every r + dr must stay positive).
         dtheta: Angle shift, radians: a scalar, or an array broadcasting
             against x.
-        dtype: Real dtype for the computation.
 
     Returns:
         Dict of arrays of the broadcast shape of x, dr and dtheta, keyed by
         the names above.
     """
-    x = np.asarray(x, dtype=dtype)
-    r0 = dtype(r)
-    t0 = dtype(theta)
-    hr = np.asarray(dr, dtype=dtype)
-    ht = np.asarray(dtheta, dtype=dtype)
-    r1 = r0 + hr
-    if np.any(r1 <= 0):
-        raise InvalidConfigurationError(
-            f"shifted range {float(np.min(r1))} must stay positive"
-        )
-    s0 = np.sin(t0)
-    s1 = np.sin(t0 + ht)
-    # sin(t + h) - sin(t) without cancellation.
-    d_s = dtype(2.0) * np.cos(t0 + ht / dtype(2.0)) * np.sin(ht / dtype(2.0))
-    rng0 = np.hypot(r0 - x * s0, x * np.cos(t0))
-    rng1 = np.hypot(r1 - x * s1, x * np.cos(t0 + ht))
+    x = np.asarray(x, dtype=float)
+    hr = np.asarray(dr, dtype=float)
+    ht = np.asarray(dtheta, dtype=float)
+    r1 = _shifted_range(r, hr)
+    s0, c0 = np.sin(theta), np.cos(theta)
+    s1 = np.sin(theta + ht)
+    d_s = _sine_increment(theta, ht)
+    w0, xc0 = r - x * s0, x * c0
+    w1, xc1 = r1 - x * s1, x * np.cos(theta + ht)
+    rng0 = np.hypot(w0, xc0)
+    rng1 = np.hypot(w1, xc1)
     if np.any(rng0 == 0) or np.any(rng1 == 0):
         raise SingularGeometryError("target coincides with an antenna")
-    # rng^2 = r^2 - 2 r x sin + x^2, so the squared-range increment is made
-    # of O(h) terms only: (r1^2 - r0^2) - 2 x (r1 s1 - r0 s0).
-    d_rng_sq = hr * (r0 + r1) - dtype(2.0) * x * (hr * s1 + r0 * d_s)
-    d_rng = d_rng_sq / (rng0 + rng1)
-    # sin_a = (r sin - x) / rng; difference the quotient against the stable
-    # numerator and range increments.
-    num0 = r0 * s0 - x
-    d_num = hr * s1 + r0 * d_s
-    d_sin = (rng0 * d_num - num0 * d_rng) / (rng1 * rng0)
-    return {
-        "d_rng": d_rng,
-        "d_sin": d_sin,
-        "d_s": np.broadcast_to(d_s, d_rng.shape).copy(),
-    }
+    gap0 = _rng_minus_w(w0, xc0, rng0)
+    gap1 = _rng_minus_w(w1, xc1, rng1)
+    d_excess = -(hr * (gap0 + gap1) + x * d_s * (r + r1)) / (rng0 + rng1)
+    # sin_a1 - sin_a0 over rng0 rng1; with r0 - rng0 = x s0 - gap0 the
+    # numerator's dr term is x c0^2 + s0 gap0, again zero at x = 0.
+    d_num = d_s * rng0 * r1 + hr * (xc0 * c0 + s0 * gap0) - (r * s0 - x) * d_excess
+    return {"d_excess": d_excess, "d_sin": d_num / (rng0 * rng1)}

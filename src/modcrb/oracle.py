@@ -12,18 +12,19 @@ It shares only the last step with the closed forms: the projected terms go
 through the same inversion and the same degeneracy and endfire policy
 (crb._bound_pair), so a flag means the same thing on both routes.
 
-The projections are evaluated on explicit residual vectors, and the whole
-route can run in extended precision (np.longdouble) where the platform
-provides it, so that it is trustworthy at more digits than the tolerance
-it is asked to certify.
+The route runs in float64 and removes cancellations instead of adding
+precision: the projections use explicit residual vectors, and both legs
+measure range rates against the rate 2 pi / lambda of the path from the
+array center. That adds a multiple of g to dg_r, which the projection
+removes exactly, and keeps the rates' digits (and a meaningful degeneracy
+scale |dg_r|^2) where the range information is O((A / r)^4).
 
 cross_validate makes one phase pass per leg: the analytic leg takes the
 steering vector and its derivatives from one phase evaluation and one
 complex exponential, and the finite-difference leg stacks its four shifts
 (+-h_r, +-h_theta) into one phase_increment call and one exponential.
-Both do the arithmetic of separate steering, steering_derivatives and
-per-shift calls in the same order and dtype, so every report keeps the
-bits it would have with separate passes.
+Both do the arithmetic of separate passes in the same order, so every
+report keeps the bits it would have with separate passes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -64,22 +65,12 @@ __all__ = [
 
 
 def oracle_dtype():
-    """Real dtype used by the oracle route.
-
-    Extended precision when the platform's long double is wider than
-    float64, plain float64 otherwise.
-    """
-    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
-        return np.longdouble
+    """Real dtype of the oracle route, float64; the benchmark records its eps."""
     return np.float64
 
 
 def _projected(g: np.ndarray, d_r: np.ndarray, d_theta: np.ndarray):
-    """A_rr, A_thetatheta, A_rtheta via explicit residuals.
-
-    Values keep the dtype of the inputs so that extended-precision runs
-    stay extended through the determinant.
-    """
+    """A_rr, A_thetatheta, A_rtheta via explicit residuals."""
     g_conj = np.conj(g)
     n2_g = (g_conj * g).real.sum()
     e_r = d_r - ((g_conj * d_r).sum() / n2_g) * g
@@ -101,7 +92,11 @@ def crb_from_steering(
 
     Args:
         g: Steering vector.
-        dg: Derivatives with respect to (r, theta).
+        dg: Derivatives with respect to (r, theta), the range one in the
+            reference-path frame (as fd_rebased gives it): the raw one's
+            2 pi / lambda part leaves the bounds alone but inflates the
+            degeneracy scale |dg_r|^2 until well-conditioned range
+            information reads as degenerate.
         snr: Sensing SNR.
         model: Optional label carried into the result.
         cos_theta: Optional cosine of the target angle for the endfire
@@ -128,7 +123,6 @@ def fd_derivatives(
     wavelength: float,
     h_r: float | None = None,
     h_theta: float | None = None,
-    dtype=np.float64,
 ) -> SteeringDerivatives:
     """Central finite-difference derivatives of the steering vector.
 
@@ -139,7 +133,6 @@ def fd_derivatives(
         wavelength: Carrier wavelength, meters.
         h_r: Range step, meters. Defaults to max(1e-4, 1e-7 * r).
         h_theta: Angle step, radians. Defaults to 1e-4.
-        dtype: Real dtype of the steering evaluations.
 
     Returns:
         SteeringDerivatives from symmetric differences at the snapped
@@ -163,11 +156,11 @@ def fd_derivatives(
     t_hi, t_lo = theta + h_theta, theta - h_theta
 
     def g_at(rr: float, tt: float) -> np.ndarray:
-        return steering(model, layout, TargetPolar(rr, tt), wavelength, dtype=dtype).values
+        return steering(model, layout, TargetPolar(rr, tt), wavelength).values
 
     # Snapped steps: divide by the spacing the floats actually realize.
-    d_r = (g_at(r_hi, theta) - g_at(r_lo, theta)) / dtype(r_hi - r_lo)
-    d_t = (g_at(r, t_hi) - g_at(r, t_lo)) / dtype(t_hi - t_lo)
+    d_r = (g_at(r_hi, theta) - g_at(r_lo, theta)) / (r_hi - r_lo)
+    d_t = (g_at(r, t_hi) - g_at(r, t_lo)) / (t_hi - t_lo)
     return SteeringDerivatives(d_r=d_r, d_theta=d_t)
 
 
@@ -178,7 +171,6 @@ def fd_rebased(
     wavelength: float,
     h_r: float,
     h_theta: float,
-    dtype=np.float64,
 ) -> SteeringDerivatives:
     """Central differences of the steering vector in its own phase frame.
 
@@ -186,11 +178,13 @@ def fd_rebased(
     per-entry constant, leaves every Gram quantity the CRB is built from
     unchanged and turns the vector at the base point into all ones. In that
     frame the shifted evaluations are exp(-1j dpsi) for the small phase
-    increments dpsi = psi(u +- h) - psi(u), which phase_increment provides
-    accurately relative to their own size. The differences stay second
-    order in h but no longer sit on top of absolute phases of order
-    2 pi r / lambda, whose rounding otherwise dominates once the Fisher
-    residuals get small. Pair the result with an all-ones steering vector.
+    increments dpsi of phase_increment, accurate relative to their own size
+    and measured against the reference path (the range differences lack a
+    multiple of the all-ones vector, which the projection removes). The
+    differences stay second order in h but no longer sit on top of absolute
+    phases of order 2 pi r / lambda, whose rounding otherwise dominates once
+    the Fisher residuals get small. Pair the result with an all-ones
+    steering vector.
 
     The four shifts go through one stacked phase_increment call and one
     complex exponential over a (4, K*M) array; each row has the bits of
@@ -204,7 +198,6 @@ def fd_rebased(
         wavelength: Carrier wavelength, meters.
         h_r: Range step, meters (must leave r - h_r > 0).
         h_theta: Angle step, radians.
-        dtype: Real dtype of the phase computation.
 
     Returns:
         SteeringDerivatives in the rebased frame.
@@ -221,10 +214,9 @@ def fd_rebased(
     # Rows: +h_r, -h_r, +h_theta, -h_theta, in one phase pass and one exp.
     dr = np.array([h_r, -h_r, 0.0, 0.0])
     dtheta = np.array([0.0, 0.0, h_theta, -h_theta])
-    g = np.exp(-1j * phase_increment(model, layout, target, wavelength, dr, dtheta, dtype))
-    two = dtype(2.0)
-    d_r = (g[0] - g[1]) / (two * dtype(h_r))
-    d_t = (g[2] - g[3]) / (two * dtype(h_theta))
+    g = np.exp(-1j * phase_increment(model, layout, target, wavelength, dr, dtheta))
+    d_r = (g[0] - g[1]) / (2.0 * h_r)
+    d_t = (g[2] - g[3]) / (2.0 * h_theta)
     return SteeringDerivatives(d_r=d_r, d_theta=d_t)
 
 
@@ -284,24 +276,13 @@ class ValidationReport:
         """JSON-ready dict; non-finite floats become strings like "inf"."""
 
         def clean(value):
-            if isinstance(value, float) and not math.isfinite(value):
-                if value == math.inf:
-                    return "inf"
-                return "-inf" if value == -math.inf else "nan"
             if isinstance(value, dict):
                 return {k: clean(v) for k, v in value.items()}
+            if isinstance(value, float) and not math.isfinite(value):
+                return str(value)  # "inf", "-inf" or "nan"
             return value
 
-        return {
-            "model": self.model,
-            "point": clean(self.point),
-            "closed_form": clean(self.closed_form),
-            "generic_analytic": clean(self.generic_analytic),
-            "generic_fd": clean(self.generic_fd),
-            "rel_err_analytic": clean(self.rel_err_analytic),
-            "rel_err_fd": clean(self.rel_err_fd),
-            "fd_step_used": clean(self.fd_step_used),
-        }
+        return clean(asdict(self))
 
     def to_json(self, indent: int | None = None) -> str:
         """Serialize to JSON text."""
@@ -314,16 +295,16 @@ def _fd_steps(dg: SteeringDerivatives, target: TargetPolar) -> tuple[float, floa
     A unit-modulus entry exp(-1j psi(u)) differenced at step h picks up a
     multiplicative sin(w h)/(w h) ~ 1 - (w h)^2/6 attenuation at phase rate
     w = dpsi/du, so the step is sized against the largest entry rate. The
-    rates are only used for step sizing; the finite differences themselves
+    range rates are rebased (see _wavefront) and can be tiny, but they vary
+    on the scale of r, so h_r also stays below 1e-5 r, a truncation of about
+    (h_r / r)^2. The rates only size the steps; the finite differences
     never reuse the analytic values.
     """
     eta = 1.4e-4  # (w h) giving (w h)^2 / 6 ~ 3e-9
     rate_r = float(np.abs(dg.d_r).max())
     rate_t = float(np.abs(dg.d_theta).max())
-    h_r = min(1e-4, 0.5 * target.r)
-    if rate_r > 0:
-        h_r = min(h_r, eta / rate_r)
-    h_theta = 1e-4 if rate_t == 0 else min(1e-4, eta / rate_t)
+    h_r = min(1e-5 * target.r, eta / rate_r) if rate_r else 1e-5 * target.r
+    h_theta = min(1e-4, eta / rate_t) if rate_t else 1e-4
     return h_r, h_theta
 
 
@@ -338,10 +319,11 @@ def cross_validate(
 ) -> ValidationReport:
     """Check one closed form against the generic route at one point.
 
-    The generic route runs in the oracle dtype (extended precision where
-    available). The finite-difference leg uses fd_rebased with phase-aware
-    steps (recorded in the report) so that it stays meaningful even where
-    the closed forms are themselves heavily cancellation-protected.
+    Both legs of the generic route work in the reference-path frame (see
+    the module docstring). The finite-difference leg uses fd_rebased with
+    phase-aware steps (recorded in the report) so that it stays meaningful
+    even where the closed forms are themselves heavily
+    cancellation-protected.
 
     Args:
         model: Wavefront model under test.
@@ -355,16 +337,15 @@ def cross_validate(
     Returns:
         ValidationReport with both relative errors.
     """
-    dtype = oracle_dtype()
     closed = crb_bounds(model, layout, target, wavelength, snr)
-    g, dg = _wavefront(model, layout, target, wavelength, dtype)
+    g, dg = _wavefront(model, layout, target, wavelength)
     cos_t = math.cos(target.theta)
     analytic = crb_from_steering(g, dg, snr, model=model, cos_theta=cos_t)
 
     auto_r, auto_t = _fd_steps(dg, target)
     h_r = h_r if h_r is not None else auto_r
     h_theta = h_theta if h_theta is not None else auto_t
-    dg_fd = fd_rebased(model, layout, target, wavelength, h_r, h_theta, dtype=dtype)
+    dg_fd = fd_rebased(model, layout, target, wavelength, h_r, h_theta)
     g_ones = SteeringVector(values=np.ones_like(dg_fd.d_r))
     fd = crb_from_steering(g_ones, dg_fd, snr, model=model, cos_theta=cos_t)
 

@@ -23,7 +23,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .geometry import ModularLayout, TargetPolar, radial_shift, radial_terms
+from .geometry import (
+    ModularLayout,
+    TargetPolar,
+    _shifted_range,
+    _sine_increment,
+    radial_shift,
+    radial_terms,
+)
 
 __all__ = [
     "WavefrontModel",
@@ -93,43 +100,38 @@ def _phase_terms(
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
-    dtype,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phase psi and its (r, theta) gradients such that g = exp(-1j psi).
+    """Phase psi such that g = exp(-1j psi), and rebased (r, theta) rates.
 
-    Returns three real arrays of length K*M: psi, dpsi/dr, dpsi/dtheta.
+    Returns three real arrays of length K*M: psi, the range rate of
+    psi - 2 pi r / lambda (of psi under PWM, which has no range), built from
+    the cancellation-free dr_dr - 1, and dpsi/dtheta.
     """
     if wavelength <= 0:
         raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength}")
-    k2 = dtype(2.0 * np.pi) / dtype(wavelength)
-    theta = dtype(target.theta)
+    k2 = 2.0 * np.pi / wavelength
 
     if model is WavefrontModel.SWM:
-        terms = radial_terms(layout.element_x, target.r, target.theta, dtype=dtype)
-        return k2 * terms["rng"], k2 * terms["dr_dr"], k2 * terms["dr_dt"]
+        terms = radial_terms(layout.element_x, target.r, target.theta)
+        return k2 * terms["rng"], k2 * terms["dr_dr_m1"], k2 * terms["dr_dt"]
 
     if model is WavefrontModel.PWM:
-        x = np.asarray(layout.element_x, dtype=dtype)
-        s = np.sin(theta)
-        c = np.cos(theta)
+        x = layout.element_x
         zero = np.zeros_like(x)
-        return -k2 * x * s, zero, -k2 * x * c
+        return -k2 * x * np.sin(target.theta), zero, -k2 * x * np.cos(target.theta)
 
-    terms = radial_terms(layout.subarray_x, target.r, target.theta, dtype=dtype)
-    m_off = np.asarray(layout.element_offsets, dtype=dtype) * dtype(layout.pitch)
+    terms = radial_terms(layout.subarray_x, target.r, target.theta)
+    m_off = layout.element_offsets * layout.pitch
     if model is WavefrontModel.HSPM_DIST:
-        sin_sub = terms["sin_a"]
-        dsin_dr = terms["ds_dr"]
-        dsin_dt = terms["ds_dt"]
-    elif model is WavefrontModel.HSPM_SHARED:
-        sin_sub = np.full(layout.num_subarrays, np.sin(theta), dtype=dtype)
-        dsin_dr = np.zeros(layout.num_subarrays, dtype=dtype)
-        dsin_dt = np.full(layout.num_subarrays, np.cos(theta), dtype=dtype)
+        sin_sub, dsin_dr, dsin_dt = terms["sin_a"], terms["ds_dr"], terms["ds_dt"]
     else:
-        raise InvalidConfigurationError(f"unsupported model {model}")
+        k = layout.num_subarrays
+        sin_sub = np.full(k, np.sin(target.theta))
+        dsin_dr = np.zeros(k)
+        dsin_dt = np.full(k, np.cos(target.theta))
 
     psi = k2 * (terms["rng"][:, None] + m_off[None, :] * sin_sub[:, None])
-    dpsi_r = k2 * (terms["dr_dr"][:, None] + m_off[None, :] * dsin_dr[:, None])
+    dpsi_r = k2 * (terms["dr_dr_m1"][:, None] + m_off[None, :] * dsin_dr[:, None])
     dpsi_t = k2 * (terms["dr_dt"][:, None] + m_off[None, :] * dsin_dt[:, None])
     return psi.ravel(), dpsi_r.ravel(), dpsi_t.ravel()
 
@@ -139,7 +141,6 @@ def steering(
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
-    dtype=np.float64,
 ) -> SteeringVector:
     """Steering vector of the layout toward a target under a model.
 
@@ -148,13 +149,11 @@ def steering(
         layout: Array layout.
         target: Target position.
         wavelength: Carrier wavelength, meters.
-        dtype: Real dtype of the phase computation; np.longdouble selects
-            extended precision where the platform provides it.
 
     Returns:
         SteeringVector of length K*M, unit modulus per entry.
     """
-    psi, _, _ = _phase_terms(model, layout, target, wavelength, dtype)
+    psi, _, _ = _phase_terms(model, layout, target, wavelength)
     return SteeringVector(values=np.exp(-1j * psi))
 
 
@@ -163,7 +162,6 @@ def steering_derivatives(
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
-    dtype=np.float64,
 ) -> SteeringDerivatives:
     """Analytic (r, theta) derivatives of the steering vector.
 
@@ -175,12 +173,16 @@ def steering_derivatives(
         layout: Array layout.
         target: Target position.
         wavelength: Carrier wavelength, meters.
-        dtype: Real dtype of the phase computation.
 
     Returns:
         SteeringDerivatives with d_r and d_theta arrays of length K*M.
     """
-    return _wavefront(model, layout, target, wavelength, dtype)[1]
+    g, dg = _wavefront(model, layout, target, wavelength)
+    if model is WavefrontModel.PWM:
+        return dg
+    # Put back the reference path's rate that _phase_terms leaves out.
+    d_r = dg.d_r - 1j * (2.0 * np.pi / wavelength) * g.values
+    return SteeringDerivatives(d_r=d_r, d_theta=dg.d_theta)
 
 
 def _wavefront(
@@ -188,15 +190,14 @@ def _wavefront(
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
-    dtype=np.float64,
 ) -> tuple[SteeringVector, SteeringDerivatives]:
-    """Steering vector and its analytic derivatives from one phase pass.
+    """Steering vector and its rebased derivatives from one phase pass.
 
-    One _phase_terms call and one exp(-1j psi) serve both results, with the
-    arithmetic of steering and steering_derivatives, so each array equals
-    the one those functions return bit for bit.
+    The range derivative is that of g * exp(2j pi r / lambda). It differs
+    from steering_derivatives' by a multiple of g, which the projection onto
+    the nuisance gain removes exactly, but it no longer sits on 2 pi / lambda.
     """
-    psi, dpsi_r, dpsi_t = _phase_terms(model, layout, target, wavelength, dtype)
+    psi, dpsi_r, dpsi_t = _phase_terms(model, layout, target, wavelength)
     g = np.exp(-1j * psi)
     return (
         SteeringVector(values=g),
@@ -211,16 +212,18 @@ def phase_increment(
     wavelength: float,
     dr: float | np.ndarray = 0.0,
     dtheta: float | np.ndarray = 0.0,
-    dtype=np.float64,
 ) -> np.ndarray:
-    """Steering-phase increment psi(r + dr, theta + dtheta) - psi(r, theta).
+    """Increment of the rebased steering phase under a shift of the target.
 
-    Directly subtracting two phase evaluations loses the increment under
-    the rounding of the absolute phases (which reach 2 pi r / lambda); this
-    builds it from the exact-algebra range and sine increments instead, so
-    the result is accurate relative to its own O(dr, dtheta) size. Only the
-    phase definitions are used, never their derivatives, which keeps finite
-    differences of exp(-1j * increment) an independent derivative check.
+    The rebased phase is psi - 2 pi r / lambda, the phase against the path
+    from the array center, for every model with range, and psi under PWM.
+    Subtracting two phase evaluations would lose the increment under the
+    rounding of phases near 2 pi r / lambda; the exact-algebra increments of
+    radial_shift keep it accurate relative to its own O(dr, dtheta) size,
+    and exactly zero where the phase cannot move (the center subarray under
+    a range shift). Only the phase definitions are used, never their
+    derivatives, so finite differences of exp(-1j * increment) remain an
+    independent derivative check.
 
     Several shifts evaluate in one call: dr and dtheta may be arrays, which
     broadcast against each other to a shape S and then against a trailing
@@ -233,35 +236,36 @@ def phase_increment(
         layout: Array layout.
         target: Base target position.
         wavelength: Carrier wavelength, meters.
-        dr: Range shift, meters: a scalar or an array of shifts.
+        dr: Range shift, meters: a scalar or an array of shifts (every
+            r + dr must stay positive).
         dtheta: Angle shift, radians: a scalar or an array of shifts.
-        dtype: Real dtype of the computation.
 
     Returns:
         Real array of shape S + (K*M,), subarray-major, in radians.
+
+    Raises:
+        InvalidConfigurationError: On a non-positive wavelength or shifted
+            range.
     """
     if wavelength <= 0:
         raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength}")
-    k2 = dtype(2.0 * np.pi) / dtype(wavelength)
-    hr, ht = np.broadcast_arrays(np.asarray(dr, dtype=dtype), np.asarray(dtheta, dtype=dtype))
+    k2 = 2.0 * np.pi / wavelength
+    hr, ht = np.broadcast_arrays(np.asarray(dr, dtype=float), np.asarray(dtheta, dtype=float))
     hr, ht = hr[..., None], ht[..., None]
+    _shifted_range(target.r, hr)
 
     if model is WavefrontModel.SWM:
-        shift = radial_shift(layout.element_x, target.r, target.theta, hr, ht, dtype)
-        return k2 * shift["d_rng"]
+        shift = radial_shift(layout.element_x, target.r, target.theta, hr, ht)
+        return k2 * shift["d_excess"]
 
     if model is WavefrontModel.PWM:
-        x = np.asarray(layout.element_x, dtype=dtype)
-        d_s = dtype(2.0) * np.cos(dtype(target.theta) + ht / dtype(2.0)) * np.sin(ht / dtype(2.0))
-        return -k2 * x * d_s
+        return -k2 * layout.element_x * _sine_increment(target.theta, ht)
 
-    shift = radial_shift(layout.subarray_x, target.r, target.theta, hr, ht, dtype)
-    m_off = np.asarray(layout.element_offsets, dtype=dtype) * dtype(layout.pitch)
+    shift = radial_shift(layout.subarray_x, target.r, target.theta, hr, ht)
+    m_off = layout.element_offsets * layout.pitch
     if model is WavefrontModel.HSPM_DIST:
         d_sin = shift["d_sin"]
-    elif model is WavefrontModel.HSPM_SHARED:
-        d_sin = shift["d_s"]
     else:
-        raise InvalidConfigurationError(f"unsupported model {model}")
-    dpsi = k2 * (shift["d_rng"][..., :, None] + m_off * d_sin[..., :, None])
+        d_sin = _sine_increment(target.theta, ht)
+    dpsi = k2 * (shift["d_excess"][..., :, None] + m_off * d_sin[..., :, None])
     return dpsi.reshape(dpsi.shape[:-2] + (-1,))

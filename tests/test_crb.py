@@ -136,7 +136,10 @@ _POLICY_TABLE = {
     "singular-determinant": ((4.0, 9.0, 6.0, 1.0), (math.inf, math.inf, (FLAG_DEGENERATE,))),
     "range-absent": ((None, 9.0, 0.0, 1.0), (math.inf, 2.0 / 9.0, ())),
     "angle-absent": ((4.0, None, 0.0, None), (0.5, math.inf, ())),
-    "endfire": ((4.0, 9.0, 3.0, 1e-13), (0.5, math.inf, (FLAG_ENDFIRE,))),
+    # on the array axis every d r_k / d r is 1, so a model with range has no
+    # range information there: endfire makes range degenerate whatever the
+    # rounding left in info_r
+    "endfire": ((4.0, 9.0, 3.0, 1e-13), (math.inf, math.inf, (FLAG_DEGENERATE, FLAG_ENDFIRE))),
     "endfire-range-degenerate": (
         (0.0, 9.0, 0.0, -1e-13), (math.inf, math.inf, (FLAG_DEGENERATE, FLAG_ENDFIRE))),
     "endfire-range-absent": ((None, 9.0, 0.0, 1e-13), (math.inf, math.inf, (FLAG_ENDFIRE,))),

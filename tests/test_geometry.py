@@ -219,23 +219,26 @@ def test_radial_terms_centered_range_rate():
         )
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+# Ranges of either float width evaluate in float64, the one precision.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 def test_radial_terms_broadcast_ranges_match_scalar_calls(dtype):
     lay = build_layout(5, 9, (12, 4, 0, 4, 12), PITCH)
     x = lay.element_x
     r = np.array([0.004, 0.5, 3.0, 30.0, 1e4], dtype=dtype)
     for theta in (0.0, 0.6, -1.2, math.pi / 2):
-        batch = radial_terms(x[None, :], r[:, None], theta, dtype=dtype)
+        batch = radial_terms(x[None, :], r[:, None], theta)
         assert len(batch) == 7
         for i, ri in enumerate(r):
-            single = radial_terms(x, ri, theta, dtype=dtype)
+            single = radial_terms(x, ri, theta)
             assert single.keys() == batch.keys()
             for name, values in single.items():
-                assert values.dtype == dtype
+                assert values.dtype == np.float64
                 assert np.array_equal(batch[name][i], values), (name, i, theta)
 
 
 def test_radial_shift_matches_direct_differences():
+    # d_excess is the increment of rng - r, so adding back the reference
+    # path's shift dr gives the direct range difference
     lay = build_layout(5, 9, (12, 4, 0, 4, 12), PITCH)
     r, theta = 8.0, 0.6
     for dr, dtheta in ((1e-3, 0.0), (0.0, 1e-3), (-2e-4, 0.0), (0.0, -2e-4)):
@@ -243,27 +246,41 @@ def test_radial_shift_matches_direct_differences():
         base = radial_terms(lay.subarray_x, r, theta)
         moved = radial_terms(lay.subarray_x, r + dr, theta + dtheta)
         np.testing.assert_allclose(
-            shift["d_rng"], moved["rng"] - base["rng"], rtol=1e-9, atol=1e-15
+            shift["d_excess"] + dr, moved["rng"] - base["rng"], rtol=1e-9, atol=1e-15
         )
         np.testing.assert_allclose(
             shift["d_sin"], moved["sin_a"] - base["sin_a"], rtol=1e-8, atol=1e-15
         )
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+# Shifts of either float width evaluate in float64, the one precision.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 def test_radial_shift_stacked_shifts_match_scalar_calls(dtype):
     lay = build_layout(5, 9, (12, 4, 0, 4, 12), PITCH)
     x = lay.element_x
-    dr = np.array([1e-4, -1e-4, 0.0, 0.0, 3e-3])
-    dtheta = np.array([0.0, 0.0, 1e-4, -1e-4, -2e-3])
+    dr = np.array([1e-4, -1e-4, 0.0, 0.0, 3e-3], dtype=dtype)
+    dtheta = np.array([0.0, 0.0, 1e-4, -1e-4, -2e-3], dtype=dtype)
     for theta in (0.0, 0.6, -1.2):
-        batch = radial_shift(x, 8.0, theta, dr[:, None], dtheta[:, None], dtype)
+        batch = radial_shift(x, 8.0, theta, dr[:, None], dtheta[:, None])
         for i in range(len(dr)):
-            single = radial_shift(x, 8.0, theta, dr[i], dtheta[i], dtype)
-            assert single.keys() == batch.keys()
+            single = radial_shift(x, 8.0, theta, dr[i], dtheta[i])
+            assert single.keys() == batch.keys() == {"d_excess", "d_sin"}
             for name, values in single.items():
-                assert values.dtype == dtype and values.shape == x.shape
+                assert values.dtype == np.float64 and values.shape == x.shape
                 assert np.array_equal(batch[name][i], values), (name, i, theta)
+
+
+def test_radial_shift_is_exact_at_the_center_abscissa():
+    # at x = 0 the range is r itself and the arrival sine is sin(theta), so
+    # rng - r never changes and a range shift leaves the sine alone
+    x = np.array([0.0, 0.3])
+    dr = np.array([[1e-3], [-2e-4], [0.0], [5e-4]])
+    dtheta = np.array([[0.0], [0.0], [1e-4], [-2e-3]])
+    for theta in (0.0, 0.6, -1.2):
+        shift = radial_shift(x, 8.0, theta, dr, dtheta)
+        assert np.all(shift["d_excess"][:, 0] == 0.0)
+        assert np.all(shift["d_sin"][:2, 0] == 0.0)
+        assert np.all(shift["d_excess"][:, 1] != 0.0)
 
 
 def test_radial_shift_rejects_nonpositive_shifted_range():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from modcrb import (
 )
 from modcrb import crb as crb_module
 from modcrb import sweeps
-from modcrb.cli import main
+from modcrb.cli import build_parser, main
 
 MODEL_TOKENS = ("hspm-dist", "hspm-shared", "pwm", "swm")
 PRESET_DIGESTS = os.path.join(
@@ -218,6 +219,8 @@ def _pointwise_records(config, layout_sweep):
     return records
 
 
+# case -> (preset, overrides, layout sweep?, (model, flag) that some record
+# must carry, or None when no record may be flagged)
 _SWEEP_CASES = {
     "fig3": ("fig3", {}, False, None),
     "fig4-c1": ("fig4-c1", {}, True, None),
@@ -227,9 +230,9 @@ _SWEEP_CASES = {
     "single-antenna": (
         "fig3", dict(num_subarrays=1, subarray_size=1, spacings=(0,)), False,
         ("swm", FLAG_DEGENERATE)),
-    # hspm-dist reports range degenerate here, inside the Rayleigh distance
-    "fig4-c1-r300": ("fig4-c1", dict(theta_deg=60.0, r_m=300.0), True,
-                     ("hspm-dist", FLAG_DEGENERATE)),
+    # inside the 812 m Rayleigh distance the range information is small,
+    # O((A / r)^4), but well conditioned: no record may be flagged
+    "fig4-c1-r300": ("fig4-c1", dict(theta_deg=60.0, r_m=300.0), True, None),
     # swm evaluates two points per chunk at N = 7007, so 7 points end on a
     # partial chunk
     "large-array": ("fig3", dict(num_subarrays=7, subarray_size=1001,
@@ -245,7 +248,9 @@ def test_sweeps_match_pointwise_closed_forms(case):
     sweep = run_layout_sweep if layout_sweep else run_range_sweep
     records = sweep(config)
     assert records == _pointwise_records(config, layout_sweep)
-    if flagged is not None:
+    if flagged is None:
+        assert not any(rec.flags for rec in records)
+    else:
         model, flag = flagged
         assert any(rec.model == model and flag in rec.flags for rec in records)
     if case == "large-array":
@@ -281,6 +286,36 @@ def test_preset_csvs_match_the_benchmark_digests(tmp_path):
         path = tmp_path / f"{name}.csv"
         write_csv(sweep(preset(name)), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[f"{name}.csv"], name
+
+
+# Names the benchmark harness reads from the package. The harness takes
+# about 40 s to self-test, so a refactor that drops one of them would
+# otherwise surface only as failed benchmark operations.
+_BENCH_NAMES = (
+    ("modcrb", "__version__"),
+    ("modcrb", "oracle_dtype"),
+    ("modcrb.cli", "_resolve_config"),
+    ("modcrb.cli", "build_parser"),
+    ("modcrb.geometry", "TargetPolar"),
+    ("modcrb.geometry", "build_layout"),
+    ("modcrb.oracle", "cross_validate"),
+    ("modcrb.oracle", "verify_batch"),
+    ("modcrb.sweeps", "_sweep_spacings"),
+    ("modcrb.sweeps", "emit_outputs"),
+    ("modcrb.sweeps", "read_csv"),
+    ("modcrb.sweeps", "run_layout_sweep"),
+    ("modcrb.sweeps", "run_range_sweep"),
+    ("modcrb.wavefront", "WavefrontModel"),
+)
+
+
+def test_benchmark_reads_existing_names():
+    for module, name in _BENCH_NAMES:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    # the run record stores this eps; the verify workload reads these defaults
+    assert np.finfo(importlib.import_module("modcrb").oracle_dtype()).eps == np.finfo(float).eps
+    args = build_parser().parse_args(["verify"])
+    assert (args.tol_analytic, args.tol_fd) == (1e-9, 1e-4)
 
 
 def test_csv_reader_rejects_malformed_input(tmp_path):

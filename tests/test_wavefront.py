@@ -12,7 +12,6 @@ from modcrb import (
     WavefrontModel,
     build_layout,
     element_range,
-    oracle_dtype,
     phase_increment,
     steering,
     steering_derivatives,
@@ -215,17 +214,21 @@ def test_finite_differences_confirm_analytic_derivatives():
 
 
 def test_phase_increment_matches_direct_difference_at_long_wavelength():
+    # the increment is measured against the reference path, whose phase
+    # 2 pi r / lambda moves by k2 dr; pwm has no range and no reference term
     lam = 0.5
+    k2 = 2.0 * math.pi / lam
     lay = build_layout(3, 5, (3, 0, 3), lam / 2.0)
     r, theta = 20.0, 0.8
     tgt = TargetPolar(r, theta)
     for model in MODEL_ORDER:
+        reference = 0.0 if model is WavefrontModel.PWM else k2
         for dr, dtheta in ((1e-3, 0.0), (0.0, 1e-3), (-5e-4, 2e-4)):
             inc = phase_increment(model, lay, tgt, lam, dr=dr, dtheta=dtheta)
             g0 = steering(model, lay, tgt, lam).values
             g1 = steering(model, lay, TargetPolar(r + dr, theta + dtheta), lam).values
             direct = np.angle(g0 * np.conj(g1))  # psi1 - psi0, wrapped
-            np.testing.assert_allclose(inc, direct, rtol=1e-9, atol=1e-11)
+            np.testing.assert_allclose(inc + reference * dr, direct, rtol=1e-9, atol=1e-11)
 
 
 def test_phase_increment_zero_shift_is_zero():
@@ -234,17 +237,39 @@ def test_phase_increment_zero_shift_is_zero():
         assert np.all(inc == 0.0)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, oracle_dtype()], ids=["float64", "oracle"])
+# Shifts of either float width evaluate in float64, the one precision.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 def test_phase_increment_stacked_shifts_match_scalar_calls(dtype):
     lay = build_layout(3, 5, (7, 0, 7), PITCH)
-    dr = np.array([2e-4, -2e-4, 0.0, 0.0])
-    dtheta = np.array([0.0, 0.0, 1e-4, -1e-4])
+    dr = np.array([2e-4, -2e-4, 0.0, 0.0], dtype=dtype)
+    dtheta = np.array([0.0, 0.0, 1e-4, -1e-4], dtype=dtype)
     for model in MODEL_ORDER:
         for theta in (0.0, 0.6, -1.2):
             tgt = TargetPolar(5.0, theta)
-            batch = phase_increment(model, lay, tgt, LAMBDA, dr, dtheta, dtype)
+            batch = phase_increment(model, lay, tgt, LAMBDA, dr, dtheta)
             assert batch.shape == (4, lay.num_subarrays * lay.subarray_size)
             for i in range(4):
-                single = phase_increment(model, lay, tgt, LAMBDA, dr[i], dtheta[i], dtype)
-                assert single.dtype == dtype and single.shape == batch[i].shape
+                single = phase_increment(model, lay, tgt, LAMBDA, dr[i], dtheta[i])
+                assert single.dtype == np.float64 and single.shape == batch[i].shape
                 assert np.array_equal(batch[i], single), (model, theta, i)
+
+
+def test_phase_increment_rejects_nonpositive_shifted_range_for_every_model():
+    # pwm never reads the range, but a shift to r + dr <= 0 is no target
+    tgt = TargetPolar(1.0, 0.3)
+    for model in MODEL_ORDER:
+        with pytest.raises(InvalidConfigurationError, match="must stay positive"):
+            phase_increment(model, FIG3, tgt, LAMBDA, dr=-5.0)
+        with pytest.raises(InvalidConfigurationError, match="must stay positive"):
+            phase_increment(model, FIG3, tgt, LAMBDA, dr=np.array([1e-4, -1.0]))
+
+
+def test_phase_increment_center_subarray_ignores_range_shifts():
+    # the center subarray's range is r and its arrival sine sin(theta) at
+    # every range, so its rebased phase cannot move under a range shift
+    m = FIG3.subarray_size
+    for model in (WavefrontModel.HSPM_DIST, WavefrontModel.HSPM_SHARED):
+        for theta in (0.0, 0.6, -1.2):
+            inc = phase_increment(model, FIG3, TargetPolar(30.0, theta), LAMBDA,
+                                  dr=np.array([1e-3, -1e-3]))
+            assert np.all(inc[:, m:2 * m] == 0.0), (model, theta)
