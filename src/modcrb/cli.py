@@ -13,7 +13,7 @@ inline flag (--K, --M, --spacings, --freq-ghz, --snr-db, --r, --theta-deg,
 --models, --out, ...) overriding the file value. Exit codes: 0 success,
 1 verification failure, 2 configuration error, 3 degenerate information
 in `crb --strict`, 4 numeric error (a computed bound that is NaN or not
-positive, or a target that coincides with an antenna).
+positive, a target that coincides with an antenna, or an overflow).
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (NumericDomainError, SingularGeometryError) as exc:
+    except (NumericDomainError, SingularGeometryError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
 

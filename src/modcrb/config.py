@@ -102,18 +102,12 @@ class ExperimentConfig:
             raise InvalidConfigurationError("model list must not be empty")
         for token in self.models:
             WavefrontModel.parse(token)
-        if self.lambda_m is None and self.freq_ghz <= 0:
-            raise InvalidConfigurationError(
-                f"freq_ghz must be positive, got {self.freq_ghz}"
-            )
-        if self.lambda_m is not None and self.lambda_m <= 0:
-            raise InvalidConfigurationError(
-                f"lambda_m must be positive, got {self.lambda_m}"
-            )
-        if self.pitch_m is not None and self.pitch_m <= 0:
-            raise InvalidConfigurationError(
-                f"pitch_m must be positive, got {self.pitch_m}"
-            )
+        for name in ("freq_ghz", "lambda_m", "pitch_m"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise InvalidConfigurationError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         if self.r_count < 1:
             raise InvalidConfigurationError(f"r_count must be >= 1, got {self.r_count}")
         for name in ("r_start_m", "r_stop_m"):

@@ -50,7 +50,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import InvalidConfigurationError, NumericDomainError
-from .geometry import ModularLayout, TargetPolar, radial_terms
+from .geometry import ModularLayout, TargetPolar, _require_wavelength, radial_terms
 from .wavefront import WavefrontModel
 
 __all__ = [
@@ -65,8 +65,6 @@ __all__ = [
     "crb_bounds",
     "crb_boresight",
     "crb_boresight_far",
-    "boresight_far_range_bound",
-    "optimal_spread",
 ]
 
 #: Relative tolerance below which an information term or determinant counts as zero.
@@ -134,10 +132,14 @@ class CrbPair:
 
 @dataclass(frozen=True)
 class HspmIntermediates:
-    """Subarray-level sums feeding the subarray-wise bounds.
+    """Raw subarray-level sums of the distinct-arrival-angle model.
 
-    p/q families aggregate range derivatives of the subarray ranges,
-    z families aggregate derivatives of the subarray arrival sines:
+    The bounds do not read these sums: _hspm_kernel builds the range terms
+    from the centered d r_k / d r - 1, because K q - p^2 loses digits to
+    cancellation as every d r_k / d r approaches 1 far from the array. The
+    sums are reported for inspection, e.g. of the cross sums that vanish at
+    boresight. p/q families aggregate range derivatives of the subarray
+    ranges, z families aggregate derivatives of the subarray arrival sines:
 
         p       sum_k d r_k / d r
         p_tilde sum_k d r_k / d theta
@@ -161,8 +163,7 @@ class HspmIntermediates:
 
 def _num_scale(wavelength: float, snr: SensingSnr) -> float:
     """Common numerator factor (wavelength / 2 pi)^2 / gamma."""
-    if wavelength <= 0:
-        raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength}")
+    _require_wavelength(wavelength)
     return (wavelength / (2.0 * math.pi)) ** 2 / snr.gamma
 
 
@@ -644,53 +645,19 @@ def crb_boresight(
     return _bound_pair(WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta)).pair()
 
 
-def _far_range_information(k: int, cm: float, spread: float, r: float) -> tuple[float, float]:
-    """Asymptotic boresight range information and its degeneracy scale."""
-    r4 = r**4
-    info = (k * cm * spread - 3.0 * spread * spread) / r4
-    scale = (k * cm * spread + 3.0 * spread * spread) / r4
-    return info, scale
+def _far_range_information(k: int, cm: float, x: np.ndarray, r: float) -> tuple[float, float]:
+    """Leading-order boresight range information and its degeneracy scale.
 
-
-def boresight_far_range_bound(
-    spread: float,
-    num_subarrays: int,
-    subarray_size: int,
-    pitch: float,
-    r: float,
-    wavelength: float,
-    snr: SensingSnr,
-) -> float:
-    """Asymptotic boresight range bound as a function of the offset spread.
-
-    The range bound of crb_boresight_far depends on the subarray offsets
-    only through their spread sum(x_k^2); this evaluates it directly from
-    that number so the spread can be treated as a free design variable.
-
-    Args:
-        spread: Sum of squared subarray offsets, meters squared.
-        num_subarrays: Subarray count K.
-        subarray_size: Antennas per subarray M.
-        pitch: Antenna spacing, meters.
-        r: Target range, meters.
-        wavelength: Carrier wavelength, meters.
-        snr: Sensing SNR.
-
-    Returns:
-        Range bound in meters squared; +inf when the information
-        denominator is not positive, which happens outside the admissible
-        interval (0, K (M^2 - 1) d^2 / 3). The minimizing spread is
-        optimal_spread(num_subarrays, subarray_size, pitch).
+    r^4 times the information is the offset-moment law
+        F = K cm sum(x^2) + 3 (K sum(x^4) - sum(x^2)^2)
+    with K sum(x^4) - sum(x^2)^2 evaluated as K sum((x^2 - mean(x^2))^2),
+    which has no cancellation; the scale takes both terms positive.
     """
-    k = num_subarrays
-    m = subarray_size
-    cm = (m * m - 1) * pitch**2
-    info, scale = _far_range_information(k, cm, spread, r)
-    quad = _Quadratic(
-        info_r=info, info_theta=None, info_cross=0.0, scale_r=scale, scale_theta=0.0
-    )
-    num = 6.0 * k / m * _num_scale(wavelength, snr)
-    return _bound_pair(None, num, quad, None).pair().crb_r
+    x2 = x * x
+    r4 = r**4
+    info = (k * cm * x2.sum() + 3.0 * k * _centered_power(x2)) / r4
+    scale = (k * cm * x2.sum() + 3.0 * k * (x2 * x2).sum()) / r4
+    return float(info), float(scale)
 
 
 def crb_boresight_far(
@@ -701,17 +668,23 @@ def crb_boresight_far(
 ) -> CrbPair:
     """Asymptotic boresight bounds for ranges far beyond the aperture.
 
-    Second-order expansion of crb_boresight in (aperture / range): with
-    spread = sum(x_k^2),
+    Expansion of crb_boresight in (aperture / range), the range
+    information to its leading order F / r^4 and the angle information to
+    second order: with spread = sum(x_k^2) over the subarray offsets x_k,
 
-        crb_r     ~ num * r^4 / (K (M^2-1) d^2 spread - 3 spread^2)
+        crb_r     ~ num * r^4 / F,
+        F         = K (M^2-1) d^2 spread + 3 (K sum(x_k^4) - spread^2)
         crb_theta ~ num / (K (K (M^2-1) d^2 + 12 spread - correction / r^2))
 
     where num = 6 K / M (lambda / 2 pi)^2 / gamma and correction =
-    (M^2-1) d^2 spread + 12 sum(x_k^4). The range bound grows as r^4 and is
-    +inf when the spread term cannot support range estimation (single
-    subarray, or spread beyond the admissible region); up to rounding it is
-    the bound boresight_far_range_bound gives for this layout's spread.
+    (M^2-1) d^2 spread + 12 sum(x_k^4). The range bound depends on the
+    layout through the offset moments in F, not through the spread alone,
+    and grows as r^4. By Cauchy-Schwarz F > 0 for any layout of more than
+    one subarray, so the range bound is finite there; a single subarray
+    has F = 0 and gets +inf flagged "degenerate", as in crb_boresight. The
+    relative deviation of either bound from crb_boresight falls as
+    (aperture / r)^2; for the range bound on the fig3 layout it is
+    0.28 (aperture / r)^2.
     """
     _require_boresight_symmetric(layout, target)
     k = layout.num_subarrays
@@ -722,7 +695,7 @@ def crb_boresight_far(
     spread = float((x * x).sum())
     fourth = float((x**4).sum())
 
-    info_r, scale_r = _far_range_information(k, cm, spread, r)
+    info_r, scale_r = _far_range_information(k, cm, x, r)
     correction = cm * spread + 12.0 * fourth
     info_t = k * (k * cm + 12.0 * spread - correction / r**2)
     scale_t = k * (k * cm + 12.0 * spread + correction / r**2)
@@ -737,20 +710,3 @@ def crb_boresight_far(
     return _bound_pair(
         WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta)
     ).pair(diagnostics)
-
-
-def optimal_spread(num_subarrays: int, subarray_size: int, pitch: float) -> float:
-    """Offset spread minimizing the asymptotic boresight range bound.
-
-    The denominator of the asymptotic range bound is quadratic in the
-    spread sum(x_k^2); its maximum sits at K (M^2 - 1) d^2 / 6.
-
-    Args:
-        num_subarrays: Subarray count K.
-        subarray_size: Antennas per subarray M.
-        pitch: Antenna spacing, meters.
-
-    Returns:
-        The optimizing spread, meters squared.
-    """
-    return num_subarrays * (subarray_size**2 - 1) * pitch**2 / 6.0

@@ -237,19 +237,26 @@ def build_layout(
     )
 
 
+def _require_wavelength(wavelength: float) -> None:
+    """Reject a wavelength that is not finite and positive."""
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise InvalidConfigurationError(
+            f"wavelength must be finite and positive, got {wavelength}"
+        )
+
+
 def field_regions(layout: ModularLayout, wavelength: float) -> FieldRegions:
     """Compute the wavefront-regime thresholds of a layout.
 
     Args:
         layout: Array layout.
-        wavelength: Carrier wavelength, meters (> 0).
+        wavelength: Carrier wavelength, meters (finite, > 0).
 
     Returns:
         FieldRegions with the subarray far-field bound 2*((M-1)*d)^2 / wl
         and the full-aperture Rayleigh distance 2*S^2 / wl.
     """
-    if wavelength <= 0:
-        raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength}")
+    _require_wavelength(wavelength)
     sub_span = (layout.subarray_size - 1) * layout.pitch
     return FieldRegions(
         subarray_farfield_bound=2.0 * sub_span**2 / wavelength,

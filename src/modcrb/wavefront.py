@@ -26,6 +26,7 @@ from .errors import InvalidConfigurationError
 from .geometry import (
     ModularLayout,
     TargetPolar,
+    _require_wavelength,
     _shifted_range,
     _sine_increment,
     radial_shift,
@@ -107,8 +108,7 @@ def _phase_terms(
     psi - 2 pi r / lambda (of psi under PWM, which has no range), built from
     the cancellation-free dr_dr - 1, and dpsi/dtheta.
     """
-    if wavelength <= 0:
-        raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength}")
+    _require_wavelength(wavelength)
     k2 = 2.0 * np.pi / wavelength
 
     if model is WavefrontModel.SWM:
@@ -244,11 +244,10 @@ def phase_increment(
         Real array of shape S + (K*M,), subarray-major, in radians.
 
     Raises:
-        InvalidConfigurationError: On a non-positive wavelength or shifted
-            range.
+        InvalidConfigurationError: On a wavelength that is not finite and
+            positive, or a non-positive shifted range.
     """
-    if wavelength <= 0:
-        raise InvalidConfigurationError(f"wavelength must be positive, got {wavelength}")
+    _require_wavelength(wavelength)
     k2 = 2.0 * np.pi / wavelength
     hr, ht = np.broadcast_arrays(np.asarray(dr, dtype=float), np.asarray(dtheta, dtype=float))
     hr, ht = hr[..., None], ht[..., None]

@@ -13,7 +13,6 @@ from modcrb import (
     SensingSnr,
     TargetPolar,
     WavefrontModel,
-    boresight_far_range_bound,
     build_layout,
     crb_boresight,
     crb_boresight_far,
@@ -23,7 +22,6 @@ from modcrb import (
     crb_pwm,
     crb_swm,
     intermediates_hspm,
-    optimal_spread,
     subarray_range,
     subarray_sine,
 )
@@ -266,48 +264,55 @@ def test_far_form_angle_bound_converges_to_exact():
     assert devs[-1] < 0.01
 
 
-def test_far_form_range_denominator_is_degenerate_for_built_layouts():
-    # the truncated range denominator K (M^2-1) d^2 spread - 3 spread^2 is
-    # negative for every constructible layout (the offsets of K subarrays
-    # at integer gaps always overshoot the admissible spread), so the far
-    # form reports +inf range with the degenerate flag
+def test_far_form_range_bound_converges_to_exact():
+    # the moment law is the leading order of the exact range information,
+    # so the relative deviation falls as (A/r)^2 on every layout
     for lay in (FIG3, build_layout(3, 3, (2, 0, 2), PITCH),
                 build_layout(5, 25, (10, 10, 0, 10, 10), PITCH)):
-        far = crb_boresight_far(lay, TargetPolar(100.0 * lay.aperture, 0.0), LAMBDA, SNR)
-        assert math.isinf(far.crb_r)
-        assert FLAG_DEGENERATE in far.flags
-        assert far.diagnostics["regime_ratio"] < 0.011
+        mults = (10.0, 20.0, 50.0, 100.0)
+        scaled = []
+        for mult in mults:
+            tgt = TargetPolar(mult * lay.aperture, 0.0)
+            exact = crb_boresight(lay, tgt, LAMBDA, SNR)
+            far = crb_boresight_far(lay, tgt, LAMBDA, SNR)
+            assert far.flags == ()
+            scaled.append(abs(far.crb_r - exact.crb_r) / exact.crb_r * mult**2)
+        assert max(scaled) / min(scaled) - 1.0 < 0.01
+        assert max(scaled) < 1.0
 
 
-def test_spread_bound_admissible_interval():
-    k, m = 3, 125
-    cm = (m * m - 1) * PITCH**2
-    limit = k * cm / 3.0
-    args = (k, m, PITCH, 100.0, LAMBDA, SNR)
-    assert math.isfinite(boresight_far_range_bound(0.5 * limit, *args))
-    assert math.isinf(boresight_far_range_bound(0.0, *args))
-    assert math.isinf(boresight_far_range_bound(limit, *args))
-    assert math.isinf(boresight_far_range_bound(1.5 * limit, *args))
+def test_far_form_range_bound_is_finite_beyond_one_subarray():
+    rng = np.random.default_rng(71)
+    for _ in range(30):
+        k = int(rng.choice([1, 3, 5, 7]))
+        m = int(rng.integers(0, 40)) * 2 + 1
+        right = [int(g) for g in rng.integers(1, 150, size=(k - 1) // 2)]
+        lay = build_layout(k, m, tuple(right[::-1] + [0] + right), PITCH)
+        tgt = TargetPolar(float(rng.uniform(10.0, 100.0)) * max(lay.aperture, PITCH), 0.0)
+        far = crb_boresight_far(lay, tgt, LAMBDA, SNR)
+        if k == 1:
+            exact = crb_boresight(lay, tgt, LAMBDA, SNR)
+            assert math.isinf(far.crb_r) and math.isinf(exact.crb_r)
+            assert FLAG_DEGENERATE in far.flags and FLAG_DEGENERATE in exact.flags
+        else:
+            assert math.isfinite(far.crb_r)
+            assert far.flags == ()
 
 
-def test_spread_bound_minimized_at_optimal_spread():
-    for k, m, d in ((3, 3, 0.0025), (5, 75, 0.0025), (7, 11, 0.01)):
-        best = optimal_spread(k, m, d)
-        args = (k, m, d, 50.0, LAMBDA, SNR)
-        at_best = boresight_far_range_bound(best, *args)
-        for factor in (0.5, 0.9, 1.1, 1.5):
-            assert at_best < boresight_far_range_bound(factor * best, *args)
+def test_far_form_range_information_is_the_moment_law():
+    for lay in (FIG3, build_layout(5, 75, (10, 90, 0, 90, 10), PITCH),
+                build_layout(7, 1, (3, 1, 4, 0, 4, 1, 3), 0.01)):
+        r = 100.0 * lay.aperture
+        far = crb_boresight_far(lay, TargetPolar(r, 0.0), LAMBDA, SNR)
+        k, m, d = lay.num_subarrays, lay.subarray_size, lay.pitch
+        sx2 = float(np.sum(lay.subarray_x**2))
+        sx4 = float(np.sum(lay.subarray_x**4))
+        moment = k * (m * m - 1) * d**2 * sx2 + 3.0 * (k * sx4 - sx2 * sx2)
+        assert math.isclose(far.diagnostics["info_range"] * r**4, moment, rel_tol=1e-12)
 
 
-def test_spread_bound_grows_as_fourth_power_of_range():
-    k, m = 5, 75
-    s = optimal_spread(k, m, PITCH)
-    near = boresight_far_range_bound(s, k, m, PITCH, 50.0, LAMBDA, SNR)
-    far = boresight_far_range_bound(s, k, m, PITCH, 100.0, LAMBDA, SNR)
-    assert math.isclose(far / near, 16.0, rel_tol=1e-12)
-
-
-def test_optimal_spread_values():
-    assert optimal_spread(1, 1, PITCH) == 0.0
-    expected = 5.0 * (75**2 - 1) * 0.0025**2 / 6.0
-    assert math.isclose(optimal_spread(5, 75, 0.0025), expected, rel_tol=1e-15)
+def test_far_form_range_bound_grows_as_fourth_power_of_range():
+    lay = build_layout(5, 75, (50, 50, 0, 50, 50), PITCH)
+    near = crb_boresight_far(lay, TargetPolar(50.0, 0.0), LAMBDA, SNR)
+    far = crb_boresight_far(lay, TargetPolar(100.0, 0.0), LAMBDA, SNR)
+    assert math.isclose(far.crb_r / near.crb_r, 16.0, rel_tol=1e-12)

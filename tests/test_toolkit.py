@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -45,9 +46,8 @@ from modcrb import sweeps
 from modcrb.cli import build_parser, main
 
 MODEL_TOKENS = ("hspm-dist", "hspm-shared", "pwm", "swm")
-PRESET_DIGESTS = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "preset_csv.sha256"
-)
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PRESET_DIGESTS = os.path.join(REPO_ROOT, "bench", "preset_csv.sha256")
 
 
 def small_sweep_config(**overrides):
@@ -318,6 +318,20 @@ def test_benchmark_reads_existing_names():
     assert (args.tol_analytic, args.tol_fd) == (1e-9, 1e-4)
 
 
+def test_readme_python_api_runs_and_names_public_symbols(capsys):
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    section = readme.split("## Python API", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert "PASS" in capsys.readouterr().out
+    paragraph = next(p for p in section.split("\n\n") if p.startswith("Geometry helpers"))
+    names = re.findall(r"`([^`]+)`", paragraph)
+    assert len(names) >= 10
+    public = set(importlib.import_module("modcrb").__all__)
+    assert [name for name in names if name not in public] == []
+
+
 def test_csv_reader_rejects_malformed_input(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n", encoding="utf-8")
@@ -486,6 +500,22 @@ def test_cli_numeric_failures_exit_4(monkeypatch, capsys):
     monkeypatch.setattr(crb_module, "radial_terms", coincident)
     assert main(["crb", "--preset", "fig3", "--models", "swm"]) == 4
     assert "numeric error: target coincides" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--preset", "fig3", "--lambda-m", "inf", "--pitch-m", "0.0025"], 2,
+     "configuration error: lambda_m must be finite"),
+    (["--preset", "fig3", "--lambda-m", "nan", "--pitch-m", "0.0025"], 2,
+     "configuration error: lambda_m must be finite"),
+    (["--freq-ghz", "nan"], 2, "configuration error: freq_ghz must be finite"),
+    (["--freq-ghz", "1e-300"], 4, "numeric error"),
+    (["--preset", "fig3", "--lambda-m", "1e200", "--pitch-m", "0.0025"], 4,
+     "numeric error"),
+])
+def test_cli_wavelength_that_is_not_finite_or_overflows(argv, code, message, capsys):
+    with np.errstate(over="ignore"):
+        assert main(["crb", *argv]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_cli_verify_exit_contract(capsys):

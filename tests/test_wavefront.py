@@ -8,10 +8,13 @@ import pytest
 from modcrb import (
     InvalidConfigurationError,
     MODEL_ORDER,
+    SensingSnr,
     TargetPolar,
     WavefrontModel,
     build_layout,
+    crb_bounds,
     element_range,
+    field_regions,
     phase_increment,
     steering,
     steering_derivatives,
@@ -273,3 +276,17 @@ def test_phase_increment_center_subarray_ignores_range_shifts():
             inc = phase_increment(model, FIG3, TargetPolar(30.0, theta), LAMBDA,
                                   dr=np.array([1e-3, -1e-3]))
             assert np.all(inc[:, m:2 * m] == 0.0), (model, theta)
+
+
+def test_every_wavelength_consumer_requires_a_finite_positive_value():
+    snr = SensingSnr(1.0)
+    for wavelength in (0.0, -LAMBDA, math.inf, math.nan):
+        calls = [
+            lambda: field_regions(FIG3, wavelength),
+            lambda: crb_bounds(WavefrontModel.SWM, FIG3, TGT, wavelength, snr),
+            lambda: phase_increment(WavefrontModel.SWM, FIG3, TGT, wavelength, dr=1e-3),
+        ] + [lambda model=model: steering(model, FIG3, TGT, wavelength)
+             for model in MODEL_ORDER]
+        for call in calls:
+            with pytest.raises(InvalidConfigurationError, match="finite and positive"):
+                call()
