@@ -18,9 +18,13 @@ Each wavefront model has one kernel that builds its information terms for
 a batch of points at once: stacked abscissas against broadcast ranges, with
 the sums taken over the last axis. Sweeps call the kernels once per chunk
 of grid points (see sweeps.py); crb_hspm_dist, crb_hspm_shared, crb_pwm,
-crb_swm and crb_bounds run a batch of one. Every bound then goes through
-_bound_pair, which alone turns information into bounds, point by point
-(the oracle and the boresight forms use it too):
+crb_swm and crb_bounds run a batch of one. A kernel computes only the
+geometry it reads: swm and hspm-shared read d r_k / d r - 1 and
+d r_k / d theta from geometry.radial_terms, hspm-dist adds the arrival-sine
+derivatives of geometry.arrival_sine_terms, and pwm reads the abscissas
+alone. Every bound then goes through _bound_pair, which alone turns
+information into bounds, point by point (the oracle and the boresight
+forms use it too):
 
 - an information term below 1e-12 of its positive-part scale, or a
   determinant below 1e-12 of info_r info_theta, marks a singular Fisher
@@ -50,7 +54,13 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import InvalidConfigurationError, NumericDomainError
-from .geometry import ModularLayout, TargetPolar, _require_wavelength, radial_terms
+from .geometry import (
+    ModularLayout,
+    TargetPolar,
+    _require_wavelength,
+    arrival_sine_terms,
+    radial_terms,
+)
 from .wavefront import WavefrontModel
 
 __all__ = [
@@ -162,9 +172,23 @@ class HspmIntermediates:
 
 
 def _num_scale(wavelength: float, snr: SensingSnr) -> float:
-    """Common numerator factor (wavelength / 2 pi)^2 / gamma."""
+    """Common numerator factor (wavelength / 2 pi)^2 / gamma.
+
+    Raises:
+        InvalidConfigurationError: On a wavelength that is not finite and
+            positive.
+        NumericDomainError: If the factor overflows.
+    """
     _require_wavelength(wavelength)
-    return (wavelength / (2.0 * math.pi)) ** 2 / snr.gamma
+    try:
+        scale = (wavelength / (2.0 * math.pi)) ** 2 / snr.gamma
+    except OverflowError:
+        scale = math.inf
+    if math.isinf(scale):
+        raise NumericDomainError(
+            f"wavelength {wavelength} m at snr gamma {snr.gamma} overflows the bound numerator"
+        )
+    return scale
 
 
 @dataclass(frozen=True)
@@ -185,17 +209,15 @@ class _Quadratic:
     scale_theta: float
 
 
+def _centered(values: np.ndarray) -> np.ndarray:
+    """Deviations from the mean, over the last axis."""
+    return values - values.mean(axis=-1, keepdims=True)
+
+
 def _centered_power(values: np.ndarray) -> np.ndarray:
     """Sum of squared deviations from the mean, over the last axis."""
-    delta = values - values.mean(axis=-1, keepdims=True)
+    delta = _centered(values)
     return (delta * delta).sum(axis=-1)
-
-
-def _centered_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of products of deviations from the means, over the last axis."""
-    return (
-        (a - a.mean(axis=-1, keepdims=True)) * (b - b.mean(axis=-1, keepdims=True))
-    ).sum(axis=-1)
 
 
 _FLAG_SETS = {
@@ -333,16 +355,6 @@ def _bound_pair(
     return _Bounds(model, quad, points)
 
 
-def _hspm_arrays(x: np.ndarray, r: float | np.ndarray, theta: float, shared_angle: bool):
-    """Subarray derivative arrays for the two subarray-wise models."""
-    terms = radial_terms(x, r, theta)
-    if shared_angle:
-        shape = terms["ds_dr"].shape
-        terms["ds_dr"] = np.zeros(shape)
-        terms["ds_dt"] = np.full(shape, math.cos(theta))
-    return terms
-
-
 def intermediates_hspm(layout: ModularLayout, target: TargetPolar) -> HspmIntermediates:
     """Subarray-level sums for the distinct-arrival-angle model.
 
@@ -353,9 +365,11 @@ def intermediates_hspm(layout: ModularLayout, target: TargetPolar) -> HspmInterm
     Returns:
         HspmIntermediates of the eight sums over subarrays.
     """
-    terms = radial_terms(layout.subarray_x, target.r, target.theta)
-    a, at = terms["dr_dr"], terms["dr_dt"]
-    sr, st = terms["ds_dr"], terms["ds_dt"]
+    x, r, theta = layout.subarray_x, target.r, target.theta
+    terms = radial_terms(x, r, theta)
+    sines = arrival_sine_terms(x, r, theta, terms)
+    a, at = terms["w"] / terms["rng"], terms["dr_dt"]
+    sr, st = sines["ds_dr"], sines["ds_dt"]
     return HspmIntermediates(
         p=float(a.sum()),
         p_tilde=float(at.sum()),
@@ -388,23 +402,35 @@ def _hspm_kernel(
         K (M^2 - 1) d^2 z + 12 (K q - p^2)
     and K q - p^2 is evaluated as K * sum((a - mean(a))^2) through the
     cancellation-free dr_dr_m1 values, which keeps the result accurate when
-    every dr_dr is within rounding of 1; so does the degeneracy scale.
+    every d r_k / d r is within rounding of 1; so does the degeneracy scale.
+    Under a shared angle every subarray's sine moves only with theta, at
+    rate cos(theta), so z = z_hat = 0 and z_tilde = K cos^2(theta); only
+    the distinct-angle model reads the per-subarray arrival sines.
     """
-    terms = _hspm_arrays(x, r, theta, shared_angle)
+    terms = radial_terms(x, r, theta)
     k = layout.num_subarrays
     m = layout.subarray_size
     cm = (m * m - 1) * layout.pitch**2
     a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
-    sr, st = terms["ds_dr"], terms["ds_dt"]
 
-    z = (sr * sr).sum(axis=-1)
-    z_tilde = (st * st).sum(axis=-1)
-    z_hat = (sr * st).sum(axis=-1)
+    if shared_angle:
+        cos_t = math.cos(theta)
+        z = z_hat = 0.0
+        # Summed term by term like the distinct-angle z_tilde; K cos^2 would
+        # round differently.
+        z_tilde = np.full(at.shape, cos_t * cos_t).sum(axis=-1)
+    else:
+        sines = arrival_sine_terms(x, r, theta, terms)
+        sr, st = sines["ds_dr"], sines["ds_dt"]
+        z = (sr * sr).sum(axis=-1)
+        z_tilde = (st * st).sum(axis=-1)
+        z_hat = (sr * st).sum(axis=-1)
     q_tilde = (at * at).sum(axis=-1)
 
-    info_r = k * cm * z + 12.0 * k * _centered_power(a_m1)
-    info_t = k * cm * z_tilde + 12.0 * k * _centered_power(at)
-    info_c = k * cm * z_hat + 12.0 * k * _centered_cross(a_m1, at)
+    da, dt = _centered(a_m1), _centered(at)
+    info_r = k * cm * z + 12.0 * k * (da * da).sum(axis=-1)
+    info_t = k * cm * z_tilde + 12.0 * k * (dt * dt).sum(axis=-1)
+    info_c = k * cm * z_hat + 12.0 * k * (da * dt).sum(axis=-1)
     scale_r = k * cm * z + 12.0 * k * (a_m1 * a_m1).sum(axis=-1)
     scale_t = k * cm * z_tilde + 12.0 * k * q_tilde
     return 6.0 * k / m, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
@@ -438,9 +464,10 @@ def _swm_kernel(
     n = layout.num_elements
     a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
 
-    info_r = n * _centered_power(a_m1)
-    info_t = n * _centered_power(at)
-    info_c = n * _centered_cross(a_m1, at)
+    da, dt = _centered(a_m1), _centered(at)
+    info_r = n * (da * da).sum(axis=-1)
+    info_t = n * (dt * dt).sum(axis=-1)
+    info_c = n * (da * dt).sum(axis=-1)
     scale_r = n * (a_m1 * a_m1).sum(axis=-1)
     scale_t = n * (at * at).sum(axis=-1)
     return 0.5 * n, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
@@ -484,8 +511,10 @@ def _crb_batch(
     Returns:
         _Bounds over the broadcast shape of x and r without its last axis.
     """
+    # An overflowing wavelength fails here, before any array arithmetic.
+    scale = _num_scale(wavelength, snr)
     factor, quad = _KERNELS[model][1](layout, x, r, theta)
-    num = factor * _num_scale(wavelength, snr)
+    num = factor * scale
     return _bound_pair(model, num, quad, math.cos(theta))
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "element_range",
     "distance_to",
     "radial_terms",
+    "arrival_sine_terms",
     "radial_shift",
 ]
 
@@ -336,23 +337,25 @@ def element_range(layout: ModularLayout, target: TargetPolar, k: int, m: int) ->
 
 
 def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str, np.ndarray]:
-    """Per-point ranges, arrival sines, and their derivatives.
+    """Per-point ranges and their derivatives.
 
     For reference abscissas x and target ranges r, broadcast against each
     other, and one target angle theta this evaluates, elementwise:
 
-        rng      sqrt(r^2 - 2 r x sin + x^2)
-        sin_a    (r sin - x) / rng                (arrival sine)
-        dr_dr    (r - x sin) / rng                (d rng / d r)
+        w        r - x sin
+        xc       x cos
+        rng      sqrt(r^2 - 2 r x sin + x^2) = hypot(w, xc)
+        dr_dr_m1 d rng / d r - 1 = w / rng - 1, evaluated cancellation-free
         dr_dt    -r x cos / rng                   (d rng / d theta)
-        ds_dr    r x cos^2 / rng^3                (d sin_a / d r)
-        ds_dt    r^2 cos (r - x sin) / rng^3      (d sin_a / d theta)
-        dr_dr_m1 dr_dr - 1, evaluated cancellation-free
 
-    dr_dr tends to 1 for ranges far beyond the aperture, so sums of
-    (dr_dr - mean) computed from dr_dr alone would lose all significant
-    digits there; dr_dr_m1 routes around that via the algebraic identity
-    dr_dr - 1 = -(x cos)^2 / (rng * (rng + r - x sin)).
+    These are the terms every model with range reads: the closed-form
+    kernels of swm, hspm-dist and hspm-shared, and their phases. w and xc
+    feed arrival_sine_terms, which only the distinct-angle model needs.
+
+    d rng / d r tends to 1 for ranges far beyond the aperture, so sums of
+    its deviations from the mean would lose all significant digits there;
+    dr_dr_m1 routes around that via the algebraic identity
+    w / rng - 1 = -(x cos)^2 / (rng * (rng + w)).
 
     The arithmetic is elementwise, so a batch gives every point the bits
     it would get on its own: row i of radial_terms(x[None, :], r[:, None],
@@ -366,6 +369,52 @@ def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str
         theta: Target angle, radians.
 
     Returns:
+        Dict of arrays keyed by the names above, of the broadcast shape of
+        x and r, except xc, which has the shape of x.
+
+    Raises:
+        SingularGeometryError: If the target coincides with an abscissa.
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(r, dtype=float)
+    w = r - x * np.sin(theta)
+    xc = x * np.cos(theta)
+    rng = np.hypot(w, xc)
+    if np.any(rng == 0):
+        raise SingularGeometryError("target coincides with an antenna")
+    # Branch on the sign of w: both forms are exact algebra, each one free
+    # of cancellation on its own side. The first is evaluated everywhere,
+    # and the second replaces it only where w < 0.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dr_dr_m1 = np.divide(-(xc * xc), rng * (rng + w), out=np.empty(np.shape(rng)))
+    behind = w < 0
+    if np.any(behind):
+        dr_dr_m1[behind] = (w[behind] - rng[behind]) / rng[behind]
+    return {"w": w, "xc": xc, "rng": rng, "dr_dr_m1": dr_dr_m1, "dr_dt": -r * xc / rng}
+
+
+def arrival_sine_terms(
+    x: np.ndarray, r: float | np.ndarray, theta: float, ranges: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Per-point arrival sines and their derivatives.
+
+    Only the distinct-arrival-angle model reads these. From the w, xc and
+    rng of ranges = radial_terms(x, r, theta) this evaluates, elementwise:
+
+        sin_a    (r sin - x) / rng, clipped to [-1, 1]   (arrival sine)
+        ds_dr    r x cos^2 / rng^3                (d sin_a / d r)
+        ds_dt    r^2 cos (r - x sin) / rng^3      (d sin_a / d theta)
+
+    Like radial_terms, the arithmetic is elementwise, so row i of a batch
+    equals the call for point i alone.
+
+    Args:
+        x: Reference abscissas, meters, as passed to radial_terms.
+        r: Target range, meters, as passed to radial_terms.
+        theta: Target angle, radians, as passed to radial_terms.
+        ranges: radial_terms(x, r, theta).
+
+    Returns:
         Dict of arrays of the broadcast shape of x and r, keyed by the
         names above.
     """
@@ -373,25 +422,12 @@ def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str
     r = np.asarray(r, dtype=float)
     s = np.sin(theta)
     c = np.cos(theta)
-    w = r - x * s
-    xc = x * c
-    rng = np.hypot(w, xc)
-    if np.any(rng == 0):
-        raise SingularGeometryError("target coincides with an antenna")
-    dr_dr = w / rng
-    # Branch on the sign of w: both forms are exact algebra, each one free
-    # of cancellation on its own side.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dr_dr_m1 = np.where(w >= 0, -(xc * xc) / (rng * (rng + w)), (w - rng) / rng)
+    rng = ranges["rng"]
     rng3 = rng * rng * rng
     return {
-        "rng": rng,
         "sin_a": np.clip((r * s - x) / rng, -1.0, 1.0),
-        "dr_dr": dr_dr,
-        "dr_dt": -r * xc / rng,
-        "ds_dr": r * xc * c / rng3,
-        "ds_dt": r * r * c * w / rng3,
-        "dr_dr_m1": dr_dr_m1,
+        "ds_dr": r * ranges["xc"] * c / rng3,
+        "ds_dt": r * r * c * ranges["w"] / rng3,
     }
 
 

@@ -48,8 +48,8 @@ CSV_HEADER = "sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags"
 # Most abscissas one closed-form call evaluates: a chunk's grid points times
 # the model's abscissas per point. Peak memory grows with it. Over five
 # 56-point range sweeps at K=7, M=1001 (7007 antennas), 2**14 peaked at
-# 30.5 MB of RSS against 29.7 MB for one point per call; 2**16 peaked at
-# 34.3 MB and the whole grid in one call at 57.2 MB.
+# 30.1 MB of RSS against 29.6 MB for one point per call; 2**16 peaked at
+# 33.3 MB and the whole grid in one call at 51.1 MB (x86_64, numpy 2.4).
 _CHUNK_ELEMENTS = 1 << 14
 
 

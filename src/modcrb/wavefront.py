@@ -29,6 +29,7 @@ from .geometry import (
     _require_wavelength,
     _shifted_range,
     _sine_increment,
+    arrival_sine_terms,
     radial_shift,
     radial_terms,
 )
@@ -120,15 +121,17 @@ def _phase_terms(
         zero = np.zeros_like(x)
         return -k2 * x * np.sin(target.theta), zero, -k2 * x * np.cos(target.theta)
 
-    terms = radial_terms(layout.subarray_x, target.r, target.theta)
+    x, r, theta = layout.subarray_x, target.r, target.theta
+    terms = radial_terms(x, r, theta)
     m_off = layout.element_offsets * layout.pitch
     if model is WavefrontModel.HSPM_DIST:
-        sin_sub, dsin_dr, dsin_dt = terms["sin_a"], terms["ds_dr"], terms["ds_dt"]
+        sines = arrival_sine_terms(x, r, theta, terms)
+        sin_sub, dsin_dr, dsin_dt = sines["sin_a"], sines["ds_dr"], sines["ds_dt"]
     else:
         k = layout.num_subarrays
-        sin_sub = np.full(k, np.sin(target.theta))
+        sin_sub = np.full(k, np.sin(theta))
         dsin_dr = np.zeros(k)
-        dsin_dt = np.full(k, np.cos(target.theta))
+        dsin_dt = np.full(k, np.cos(theta))
 
     psi = k2 * (terms["rng"][:, None] + m_off[None, :] * sin_sub[:, None])
     dpsi_r = k2 * (terms["dr_dr_m1"][:, None] + m_off[None, :] * dsin_dr[:, None])

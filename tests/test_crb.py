@@ -22,10 +22,11 @@ from modcrb import (
     crb_pwm,
     crb_swm,
     intermediates_hspm,
+    radial_terms,
     subarray_range,
     subarray_sine,
 )
-from modcrb.crb import _bound_pair, _hspm_arrays, _Quadratic
+from modcrb.crb import _bound_pair, _hspm_kernel, _Quadratic
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -97,11 +98,20 @@ def test_distinct_angles_beat_shared_angle_on_range():
 
 
 def test_shared_angle_freezes_sine_derivatives():
-    shared = _hspm_arrays(FIG3.subarray_x, TGT.r, TGT.theta, shared_angle=True)
-    sr, st = shared["ds_dr"], shared["ds_dt"]
-    assert (sr * sr).sum() == 0.0
-    assert (sr * st).sum() == 0.0
-    assert math.isclose((st * st).sum(), 3.0 * math.cos(TGT.theta) ** 2, rel_tol=1e-12)
+    # every subarray's sine moves only with theta, at rate cos(theta), so the
+    # sine sums are z = z_hat = 0 and z_tilde = K cos^2(theta)
+    k, m = FIG3.num_subarrays, FIG3.subarray_size
+    cm = (m * m - 1) * PITCH**2
+    terms = radial_terms(FIG3.subarray_x, TGT.r, TGT.theta)
+    da = terms["dr_dr_m1"] - terms["dr_dr_m1"].mean()
+    dt = terms["dr_dt"] - terms["dr_dt"].mean()
+    _, quad = _hspm_kernel(FIG3, FIG3.subarray_x, TGT.r, TGT.theta, shared_angle=True)
+    z_tilde = k * math.cos(TGT.theta) ** 2
+    assert math.isclose(quad.info_r, 12.0 * k * (da * da).sum(), rel_tol=1e-12)
+    assert math.isclose(
+        quad.info_theta, k * cm * z_tilde + 12.0 * k * (dt * dt).sum(), rel_tol=1e-12
+    )
+    assert math.isclose(quad.info_cross, 12.0 * k * (da * dt).sum(), rel_tol=1e-12)
     # the distinct-angle model must not collapse the same sums
     dist_inter = intermediates_hspm(FIG3, TGT)
     assert dist_inter.z > 0.0

@@ -8,6 +8,7 @@ import pytest
 from modcrb import (
     InvalidConfigurationError,
     TargetPolar,
+    arrival_sine_terms,
     build_layout,
     element_range,
     field_regions,
@@ -185,6 +186,7 @@ def test_radial_terms_match_scalar_finite_differences():
     lay = build_layout(3, 125, (90, 0, 90), PITCH)
     r, theta = 30.0, math.pi / 3
     terms = radial_terms(lay.subarray_x, r, theta)
+    sines = arrival_sine_terms(lay.subarray_x, r, theta, terms)
     h = 1e-6
 
     def rk(rr, tt, k):
@@ -195,19 +197,19 @@ def test_radial_terms_match_scalar_finite_differences():
 
     for i, k in enumerate((-1, 0, 1)):
         assert math.isclose(terms["rng"][i], rk(r, theta, k), rel_tol=1e-14)
-        assert math.isclose(terms["sin_a"][i], sk(r, theta, k), rel_tol=1e-12)
+        assert math.isclose(sines["sin_a"][i], sk(r, theta, k), rel_tol=1e-12)
         fd = (rk(r + h, theta, k) - rk(r - h, theta, k)) / (2 * h)
-        assert math.isclose(terms["dr_dr"][i], fd, rel_tol=1e-7)
+        assert math.isclose(terms["w"][i] / terms["rng"][i], fd, rel_tol=1e-7)
         fd = (rk(r, theta + h, k) - rk(r, theta - h, k)) / (2 * h)
         assert math.isclose(terms["dr_dt"][i], fd, rel_tol=1e-7, abs_tol=1e-9)
         fd = (sk(r + h, theta, k) - sk(r - h, theta, k)) / (2 * h)
-        assert math.isclose(terms["ds_dr"][i], fd, rel_tol=1e-6, abs_tol=1e-12)
+        assert math.isclose(sines["ds_dr"][i], fd, rel_tol=1e-6, abs_tol=1e-12)
         fd = (sk(r, theta + h, k) - sk(r, theta - h, k)) / (2 * h)
-        assert math.isclose(terms["ds_dt"][i], fd, rel_tol=1e-7, abs_tol=1e-9)
+        assert math.isclose(sines["ds_dt"][i], fd, rel_tol=1e-7, abs_tol=1e-9)
 
 
 def test_radial_terms_centered_range_rate():
-    # dr_dr_m1 is dr_dr - 1 evaluated without cancellation
+    # dr_dr_m1 is d rng / d r - 1 = w / rng - 1 evaluated without cancellation
     rng = np.random.default_rng(5)
     for _ in range(20):
         lay = random_layout(rng)
@@ -215,7 +217,7 @@ def test_radial_terms_centered_range_rate():
         theta = float(rng.uniform(-1.3, 1.3))
         terms = radial_terms(lay.subarray_x, r, theta)
         np.testing.assert_allclose(
-            terms["dr_dr_m1"], terms["dr_dr"] - 1.0, rtol=0, atol=1e-13
+            terms["dr_dr_m1"], terms["w"] / terms["rng"] - 1.0, rtol=0, atol=1e-13
         )
 
 
@@ -227,13 +229,17 @@ def test_radial_terms_broadcast_ranges_match_scalar_calls(dtype):
     r = np.array([0.004, 0.5, 3.0, 30.0, 1e4], dtype=dtype)
     for theta in (0.0, 0.6, -1.2, math.pi / 2):
         batch = radial_terms(x[None, :], r[:, None], theta)
-        assert len(batch) == 7
+        assert batch.keys() == {"w", "xc", "rng", "dr_dr_m1", "dr_dt"}
+        batch.update(arrival_sine_terms(x[None, :], r[:, None], theta, batch))
+        assert len(batch) == 8
         for i, ri in enumerate(r):
             single = radial_terms(x, ri, theta)
+            single.update(arrival_sine_terms(x, ri, theta, single))
             assert single.keys() == batch.keys()
             for name, values in single.items():
                 assert values.dtype == np.float64
-                assert np.array_equal(batch[name][i], values), (name, i, theta)
+                row = np.broadcast_to(batch[name], (len(r), x.size))[i]
+                assert np.array_equal(row, values), (name, i, theta)
 
 
 def test_radial_shift_matches_direct_differences():
@@ -248,8 +254,10 @@ def test_radial_shift_matches_direct_differences():
         np.testing.assert_allclose(
             shift["d_excess"] + dr, moved["rng"] - base["rng"], rtol=1e-9, atol=1e-15
         )
+        base_sin = arrival_sine_terms(lay.subarray_x, r, theta, base)["sin_a"]
+        moved_sin = arrival_sine_terms(lay.subarray_x, r + dr, theta + dtheta, moved)["sin_a"]
         np.testing.assert_allclose(
-            shift["d_sin"], moved["sin_a"] - base["sin_a"], rtol=1e-8, atol=1e-15
+            shift["d_sin"], moved_sin - base_sin, rtol=1e-8, atol=1e-15
         )
 
 

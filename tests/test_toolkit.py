@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -288,14 +289,31 @@ def test_preset_csvs_match_the_benchmark_digests(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[f"{name}.csv"], name
 
 
+# The preset digests cover arrays of at most 375 antennas, and the pointwise
+# comparison above runs the same kernels on both sides, so this digest is
+# what pins the closed forms' bits at N = 7007.
+_LARGE_ARRAY_CSV_SHA256 = "2964da76eb0fcd611821647192d29a24d4b8a72582a0cd1ac6c55f2ea4d622d5"
+
+
+def test_large_array_csv_matches_its_digest(tmp_path):
+    _, overrides, _, _ = _SWEEP_CASES["large-array"]
+    config = dataclasses.replace(preset("fig3"), theta_deg=37.0, **overrides)
+    path = tmp_path / "large-array.csv"
+    write_csv(run_range_sweep(config), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _LARGE_ARRAY_CSV_SHA256
+
+
 # Names the benchmark harness reads from the package. The harness takes
 # about 40 s to self-test, so a refactor that drops one of them would
-# otherwise surface only as failed benchmark operations.
+# otherwise surface only as failed benchmark operations. The radial_terms
+# entries are the tracer's probes: it skips a missing probe silently, which
+# would zero the geometry.radial_terms metrics and fail nothing.
 _BENCH_NAMES = (
     ("modcrb", "__version__"),
     ("modcrb", "oracle_dtype"),
     ("modcrb.cli", "_resolve_config"),
     ("modcrb.cli", "build_parser"),
+    ("modcrb.crb", "radial_terms"),
     ("modcrb.geometry", "TargetPolar"),
     ("modcrb.geometry", "build_layout"),
     ("modcrb.oracle", "cross_validate"),
@@ -306,6 +324,7 @@ _BENCH_NAMES = (
     ("modcrb.sweeps", "run_layout_sweep"),
     ("modcrb.sweeps", "run_range_sweep"),
     ("modcrb.wavefront", "WavefrontModel"),
+    ("modcrb.wavefront", "radial_terms"),
 )
 
 
@@ -511,11 +530,18 @@ def test_cli_numeric_failures_exit_4(monkeypatch, capsys):
     (["--freq-ghz", "1e-300"], 4, "numeric error"),
     (["--preset", "fig3", "--lambda-m", "1e200", "--pitch-m", "0.0025"], 4,
      "numeric error"),
+    (["--preset", "fig3", "--lambda-m", "1e150", "--pitch-m", "0.0025", "--snr-db", "-3000"],
+     4, "numeric error"),
 ])
 def test_cli_wavelength_that_is_not_finite_or_overflows(argv, code, message, capsys):
-    with np.errstate(over="ignore"):
+    # an overflow is caught before any array arithmetic warns about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["crb", *argv]) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if code == 4:
+        assert "wavelength" in err
 
 
 def test_cli_verify_exit_contract(capsys):
