@@ -191,6 +191,17 @@ def _num_scale(wavelength: float, snr: SensingSnr) -> float:
     return scale
 
 
+def _subarray_moment(layout: ModularLayout) -> float:
+    """(M^2 - 1) d^2 of the subarray-wise information; NumericDomainError on overflow."""
+    try:
+        cm = (layout.subarray_size**2 - 1) * layout.pitch**2
+    except OverflowError:
+        cm = math.inf
+    if math.isinf(cm):
+        raise NumericDomainError(f"pitch {layout.pitch} m overflows (M^2 - 1) pitch^2")
+    return cm
+
+
 @dataclass(frozen=True)
 class _Quadratic:
     """Information quadratic form with cancellation-free pieces.
@@ -245,14 +256,14 @@ class _Bounds(NamedTuple):
     """Bounds of one model over a batch of points.
 
     points holds (crb_r, crb_theta, flags, determinant) per point, in C
-    order of the batch shape, not yet converted to float; the determinant
-    is None unless both parameters were live.
+    order of the batch shape, as Python floats; the determinant is None
+    unless both parameters were live.
     quad is the information the bounds came from.
     """
 
     model: WavefrontModel | None
     quad: _Quadratic
-    points: list[tuple[Any, Any, tuple[str, ...], Any]]
+    points: list[tuple[float, float, tuple[str, ...], float | None]]
 
     def pair(self, diagnostics: dict[str, Any] | None = None) -> CrbPair:
         """The CrbPair of a batch of one point.
@@ -262,7 +273,6 @@ class _Bounds(NamedTuple):
                 information terms.
         """
         ((crb_r, crb_t, flags, det2),) = self.points
-        crb_r, crb_t = float(crb_r), float(crb_t)
         _require_positive(crb_r, crb_t)
         quad = self.quad
         diagnostics = dict(diagnostics or {})
@@ -275,7 +285,7 @@ class _Bounds(NamedTuple):
         if quad.info_r is not None and quad.info_theta is not None:
             diagnostics["info_cross"] = float(quad.info_cross)
         if det2 is not None:
-            diagnostics["determinant"] = float(det2)
+            diagnostics["determinant"] = det2
         return CrbPair(
             crb_r=crb_r,
             crb_theta=crb_t,
@@ -286,12 +296,9 @@ class _Bounds(NamedTuple):
 
     def rows(self) -> list[tuple[float, float, tuple[str, ...]]]:
         """(crb_r, crb_theta, flags) per point, checked as CrbPair checks them."""
-        rows = []
-        for crb_r, crb_t, flags, _ in self.points:
-            crb_r, crb_t = float(crb_r), float(crb_t)
+        for crb_r, crb_t, _, _ in self.points:
             _require_positive(crb_r, crb_t)
-            rows.append((crb_r, crb_t, flags))
-        return rows
+        return [point[:3] for point in self.points]
 
 
 def _bound_pair(
@@ -323,7 +330,7 @@ def _bound_pair(
     has_t = quad.info_theta is not None
     # Placeholders for an absent parameter or an unknown angle are never
     # read, and cos = 1 is never endfire.
-    terms = np.broadcast(
+    columns = (
         num,
         quad.info_r if has_r else 0.0,
         quad.info_theta if has_t else 0.0,
@@ -332,12 +339,16 @@ def _bound_pair(
         quad.scale_theta,
         1.0 if cos_theta is None else cos_theta,
     )
+    terms = np.empty(np.broadcast(*columns).shape + (len(columns),))
+    for i, column in enumerate(columns):
+        terms[..., i] = column
+    # Python floats round as float64 does, and loop faster than numpy scalars.
     points = []
-    for num_i, d_r, d_t, d_c, scale_r, scale_t, cos_i in terms:
-        endfire = bool(abs(cos_i) < ENDFIRE_TOL)
+    for num_i, d_r, d_t, d_c, scale_r, scale_t, cos_i in terms.reshape(-1, len(columns)).tolist():
+        endfire = abs(cos_i) < ENDFIRE_TOL
         live_r = has_r and not endfire and d_r > DEGENERATE_RTOL * scale_r
         live_t = has_t and not endfire and d_t > DEGENERATE_RTOL * scale_t
-        degenerate = bool((has_r and not live_r) or (has_t and not endfire and not live_t))
+        degenerate = (has_r and not live_r) or (has_t and not endfire and not live_t)
         crb_r = crb_t = math.inf
         det2 = None
         if live_r and live_t:
@@ -407,10 +418,10 @@ def _hspm_kernel(
     rate cos(theta), so z = z_hat = 0 and z_tilde = K cos^2(theta); only
     the distinct-angle model reads the per-subarray arrival sines.
     """
-    terms = radial_terms(x, r, theta)
     k = layout.num_subarrays
     m = layout.subarray_size
-    cm = (m * m - 1) * layout.pitch**2
+    cm = _subarray_moment(layout)
+    terms = radial_terms(x, r, theta)
     a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
 
     if shared_angle:
@@ -442,7 +453,7 @@ def _pwm_kernel(
     """Planar information: angle only, independent of the range."""
     k = layout.num_subarrays
     m = layout.subarray_size
-    cm = (m * m - 1) * layout.pitch**2
+    cm = _subarray_moment(layout)
     cos_t = math.cos(theta)
 
     # 12 K M sum(x^2) + K^2 M (M^2-1) d^2 - 12 M sum(x)^2, in centered form;
@@ -482,8 +493,12 @@ _KERNELS = {
 }
 
 
-def _abscissas(model: WavefrontModel, layout: ModularLayout) -> np.ndarray:
-    """Abscissas a model's information sums over: subarray centers, or every antenna."""
+def _abscissas(model: WavefrontModel, layout) -> np.ndarray:
+    """Abscissas a model's information sums over: subarray centers, or every antenna.
+
+    layout is a ModularLayout, or the geometry._grid_abscissas of a grid of
+    layouts, whose arrays hold one row per layout.
+    """
     return getattr(layout, _KERNELS[model][0])
 
 
@@ -513,7 +528,12 @@ def _crb_batch(
     """
     # An overflowing wavelength fails here, before any array arithmetic.
     scale = _num_scale(wavelength, snr)
-    factor, quad = _KERNELS[model][1](layout, x, r, theta)
+    try:
+        with np.errstate(over="raise"):
+            factor, quad = _KERNELS[model][1](layout, x, r, theta)
+    except FloatingPointError as exc:
+        raise NumericDomainError(f"{model.value} information overflows at pitch {layout.pitch}"
+                                 f" m and ranges up to {np.max(r)} m") from exc
     num = factor * scale
     return _bound_pair(model, num, quad, math.cos(theta))
 
@@ -652,7 +672,7 @@ def crb_boresight(
     _require_boresight_symmetric(layout, target)
     k = layout.num_subarrays
     m = layout.subarray_size
-    cm = (m * m - 1) * layout.pitch**2
+    cm = _subarray_moment(layout)
     r = target.r
     x = layout.subarray_x
     rk = np.hypot(np.full_like(x, r), x)
@@ -718,7 +738,7 @@ def crb_boresight_far(
     _require_boresight_symmetric(layout, target)
     k = layout.num_subarrays
     m = layout.subarray_size
-    cm = (m * m - 1) * layout.pitch**2
+    cm = _subarray_moment(layout)
     r = target.r
     x = layout.subarray_x
     spread = float((x * x).sum())

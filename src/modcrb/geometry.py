@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,12 +66,6 @@ class ModularLayout:
     def num_elements(self) -> int:
         """Total antenna count K*M."""
         return self.num_subarrays * self.subarray_size
-
-    @property
-    def subarray_indices(self) -> np.ndarray:
-        """Symmetric subarray labels -(K-1)/2 ... (K-1)/2."""
-        half = (self.num_subarrays - 1) // 2
-        return np.arange(-half, half + 1)
 
     @property
     def element_offsets(self) -> np.ndarray:
@@ -210,21 +205,8 @@ def build_layout(
             f"non-center spacing entries must be >= 1, got {tuple(gaps)}"
         )
 
-    # Accumulate gap multiples outward from the center; G_0 = 0.
-    gap_arr = np.asarray(gaps, dtype=np.int64)
-    cum_right = np.cumsum(gap_arr[half + 1:]) if half else np.empty(0, dtype=np.int64)
-    cum_left = -np.cumsum(gap_arr[half - 1::-1]) if half else np.empty(0, dtype=np.int64)
-    cum = np.concatenate([cum_left[::-1], [0], cum_right])
-
-    k_idx = np.arange(-half, half + 1, dtype=np.int64)
-    m_idx = np.arange(-(M - 1) // 2, (M - 1) // 2 + 1, dtype=np.int64)
-    ref_idx = cum + k_idx * (M - 1)
-    # Integer index grid keeps mirror symmetry exact after the single
-    # multiply by the pitch.
-    elem_idx = ref_idx[:, None] + m_idx[None, :]
-
-    subarray_x = ref_idx.astype(np.float64) * pitch
-    element_x = elem_idx.astype(np.float64).ravel() * pitch
+    grid = _grid_abscissas(np.array([gaps], dtype=np.int64), M, pitch)
+    subarray_x, element_x = grid.subarray_x[0], grid.element_x[0]
     subarray_x.setflags(write=False)
     element_x.setflags(write=False)
 
@@ -236,6 +218,31 @@ def build_layout(
         subarray_x=subarray_x,
         element_x=element_x,
     )
+
+
+class _Abscissas(NamedTuple):
+    subarray_x: np.ndarray
+    element_x: np.ndarray
+
+
+def _grid_abscissas(gaps: np.ndarray, m: int, pitch: float) -> _Abscissas:
+    """Abscissas, meters, of P layouts sharing K, M and the pitch, one row each.
+
+    gaps stacks P validated build_layout spacings as (P, K) int64, and m is
+    M; a row of subarray_x has K entries, one of element_x K*M, subarray-major.
+    """
+    half = (gaps.shape[1] - 1) // 2
+    # With T the running sum of gap + M - 1 along a row, subarray k's
+    # reference index G_k + k (M - 1) is T_k - T_c right of the center c
+    # and T_k - T_c - gap_k left of it, where gap_k lies on k's inner side.
+    ref_idx = np.cumsum(gaps + (m - 1), axis=1)
+    ref_idx -= ref_idx[:, half:half + 1]
+    ref_idx[:, :half] -= gaps[:, :half]
+    m_idx = np.arange(-(m - 1) // 2, (m - 1) // 2 + 1, dtype=np.int64)
+    # Integer index grid keeps mirror symmetry exact after the single
+    # multiply by the pitch.
+    elem_idx = (ref_idx[:, :, None] + m_idx).reshape(len(gaps), -1)
+    return _Abscissas(ref_idx.astype(np.float64) * pitch, elem_idx.astype(np.float64) * pitch)
 
 
 def _require_wavelength(wavelength: float) -> None:

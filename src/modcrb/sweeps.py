@@ -2,6 +2,9 @@
 
 Sweeps evaluate the requested wavefront models over a grid (target ranges
 or inner-gap values) and return flat records ready for CSV/JSON emission.
+A layout sweep builds no layout per gap value: it stacks the validated gap
+rows of the whole grid and derives every abscissa from them in one integer
+pass (geometry._grid_abscissas, the formula build_layout uses for one row).
 Each model's closed form runs once per chunk of grid points, a chunk
 holding at most _CHUNK_ELEMENTS abscissas (points times the model's
 subarrays or antennas per point), which bounds the memory of one call
@@ -27,7 +30,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .crb import _abscissas, _crb_batch
 from .errors import InvalidConfigurationError
-from .geometry import TargetPolar, build_layout
+from .geometry import TargetPolar, _grid_abscissas, build_layout
 
 __all__ = [
     "CSV_HEADER",
@@ -166,22 +169,16 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     models = config.model_list()
     gammas = range(config.gamma_start, config.gamma_stop + 1)
     # Validate the whole grid before spending time on any evaluation.
-    layouts = [
-        build_layout(
-            config.num_subarrays,
-            config.subarray_size,
-            _sweep_spacings(config, gamma),
-            config.pitch,
-        )
-        for gamma in gammas
-    ]
+    gaps = np.array([_sweep_spacings(config, gamma) for gamma in gammas], dtype=np.int64)
+    layout = build_layout(config.num_subarrays, config.subarray_size, gaps[0], config.pitch)
+    grid = _grid_abscissas(gaps, layout.subarray_size, layout.pitch)
     columns = []
     for model in models:
+        x = _abscissas(model, grid)
         rows = []
-        for part in _chunks(len(layouts), _abscissas(model, layouts[0]).size):
-            x = np.stack([_abscissas(model, layout) for layout in layouts[part]])
+        for part in _chunks(len(gaps), x.shape[1]):
             bounds = _crb_batch(
-                model, layouts[0], x, target.r, target.theta, config.wavelength, snr
+                model, layout, x[part], target.r, target.theta, config.wavelength, snr
             )
             rows += bounds.rows()
         columns.append(rows)

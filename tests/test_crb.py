@@ -162,6 +162,31 @@ def test_bound_pair_policy_table(case):
     assert (pair.crb_r, pair.crb_theta, pair.flags) == (crb_r, crb_t, flags)
 
 
+def test_bound_pair_mixed_batch_matches_batches_of_one():
+    # one batch per combination of absent parameters and known angle, each
+    # mixing live, degenerate, singular and endfire points
+    groups = {}
+    for case, ((info_r, info_t, info_c, cos_t), _) in sorted(_POLICY_TABLE.items()):
+        key = (info_r is None, info_t is None, cos_t is None)
+        groups.setdefault(key, []).append((info_r, info_t, info_c, cos_t))
+    assert len(groups[False, False, False]) == 7
+    for (no_r, no_t, no_cos), points in groups.items():
+        info_r, info_t, info_c, cos_t = (np.array(column) for column in zip(*points))
+        num = np.linspace(1.0, 3.0, len(points))
+        quad = _Quadratic(None if no_r else info_r, None if no_t else info_t, info_c,
+                          10.0, 10.0)
+        batch = _bound_pair(WavefrontModel.SWM, num, quad, None if no_cos else cos_t)
+        assert len(batch.points) == len(points)
+        for i, (d_r, d_t, d_c, cos_i) in enumerate(points):
+            one = _bound_pair(WavefrontModel.SWM, float(num[i]),
+                              _Quadratic(d_r, d_t, d_c, 10.0, 10.0), cos_i)
+            assert batch.points[i] == one.points[0]
+            crb_r, crb_t, _, det2 = batch.points[i]
+            assert type(crb_r) is float and type(crb_t) is float
+            assert det2 is None or type(det2) is float
+        assert batch.rows() == [point[:3] for point in batch.points]
+
+
 def test_single_subarray_loses_range_only():
     lay = build_layout(1, 125, (0,), PITCH)
     pair = crb_hspm_dist(lay, TGT, LAMBDA, SNR)

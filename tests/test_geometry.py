@@ -12,11 +12,14 @@ from modcrb import (
     build_layout,
     element_range,
     field_regions,
+    preset,
     radial_shift,
     radial_terms,
     subarray_range,
     subarray_sine,
 )
+from modcrb.geometry import _grid_abscissas
+from modcrb.sweeps import _sweep_spacings
 
 PITCH = 0.0025
 
@@ -78,6 +81,38 @@ def test_aperture_equals_coordinate_span():
             assert lay.aperture == 0.0
         else:
             assert math.isclose(lay.aperture, span, rel_tol=1e-12)
+
+
+def _assert_rows_are_layouts(gaps, m, pitch):
+    grid = _grid_abscissas(np.array(gaps, dtype=np.int64), m, pitch)
+    assert grid.subarray_x.shape == (len(gaps), len(gaps[0]))
+    assert grid.element_x.shape == (len(gaps), len(gaps[0]) * m)
+    for row, spacings in enumerate(gaps):
+        lay = build_layout(len(spacings), m, spacings, pitch)
+        assert grid.subarray_x[row].tobytes() == lay.subarray_x.tobytes()
+        assert grid.element_x[row].tobytes() == lay.element_x.tobytes()
+        for values in (lay.subarray_x, lay.element_x):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+
+def test_grid_abscissas_rows_are_the_layouts_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for k in (1, 3, 5, 7):
+        half = (k - 1) // 2
+        gaps = [
+            tuple(int(g) for g in rng.integers(1, 301, size=half)) + (0,)
+            + tuple(int(g) for g in rng.integers(1, 301, size=half))
+            for _ in range(12)
+        ]
+        for m in (1, 3, 75):
+            _assert_rows_are_layouts(gaps, m, float(rng.uniform(1e-4, 0.1)))
+    for name in ("fig4-c1", "fig4-c2"):
+        config = preset(name)
+        gaps = [_sweep_spacings(config, gamma)
+                for gamma in range(config.gamma_start, config.gamma_stop + 1)]
+        _assert_rows_are_layouts(gaps, config.subarray_size, config.pitch)
 
 
 def test_all_ones_gaps_give_uniform_line():

@@ -188,12 +188,22 @@ def test_run_layout_sweep_splits_the_gap_budget():
     assert [rec.sweep_value for rec in records[::4]] == [1.0, 2.0, 3.0]
 
 
-def test_run_layout_sweep_validates_shape_and_budget():
+def test_run_layout_sweep_validates_shape_and_budget(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return crb_module._crb_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "_crb_batch", counting)
     with pytest.raises(InvalidConfigurationError):
         run_layout_sweep(preset("fig3"))  # K = 3
     bad = dataclasses.replace(preset("fig4-c1"), gamma_stop=100)
     with pytest.raises(InvalidConfigurationError):
-        run_layout_sweep(bad)  # outer gap would hit 0
+        run_layout_sweep(bad)  # the last outer gap would hit 0
+    assert calls == []  # every gamma is checked before any evaluation
+    run_layout_sweep(dataclasses.replace(preset("fig4-c1"), gamma_stop=3))
+    assert len(calls) == 4  # one chunk per model
 
 
 def _pointwise_records(config, layout_sweep):
@@ -228,6 +238,7 @@ _SWEEP_CASES = {
     "fig4-c2": ("fig4-c2", {}, True, None),
     "fig3-endfire+": ("fig3", dict(theta_deg=90.0), False, ("swm", FLAG_ENDFIRE)),
     "fig3-endfire-": ("fig3", dict(theta_deg=-90.0), False, ("hspm-dist", FLAG_ENDFIRE)),
+    "fig4-c1-endfire": ("fig4-c1", dict(theta_deg=90.0), True, ("hspm-shared", FLAG_ENDFIRE)),
     "single-antenna": (
         "fig3", dict(num_subarrays=1, subarray_size=1, spacings=(0,)), False,
         ("swm", FLAG_DEGENERATE)),
@@ -542,6 +553,22 @@ def test_cli_wavelength_that_is_not_finite_or_overflows(argv, code, message, cap
     assert message in err
     if code == 4:
         assert "wavelength" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["crb", "--preset", "fig3", "--pitch-m", "1e150"],
+    ["crb", "--preset", "fig3", "--pitch-m", "1e300"],
+    ["sweep-range", "--preset", "fig3", "--pitch-m", "1e150"],
+    ["sweep-layout", "--preset", "fig4-c1", "--pitch-m", "1e300"],
+])
+def test_cli_pitch_that_overflows(argv, capsys):
+    # the overflow names the pitch, and no numpy warning or bound row escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert "numeric error" in err and "pitch" in err
+    assert out == ""
 
 
 def test_cli_verify_exit_contract(capsys):
