@@ -35,6 +35,7 @@ __all__ = [
     "radial_terms",
     "arrival_sine_terms",
     "radial_shift",
+    "arrival_sine_shift",
 ]
 
 
@@ -467,22 +468,21 @@ def radial_shift(
     dr: float | np.ndarray = 0.0,
     dtheta: float | np.ndarray = 0.0,
 ) -> dict[str, np.ndarray]:
-    """Increments of rng - r and sin_a under a small polar shift of the target.
+    """Increment of rng - r under a small polar shift of the target.
 
     For a shift (r, theta) -> (r + dr, theta + dtheta) this returns, per
-    abscissa, the exact-algebra increments d_excess of rng - r (the range
-    increment less the reference path's dr) and d_sin of sin_a. Rather than
-    subtracting two O(r) ranges,
+    abscissa, the exact-algebra increment d_excess of rng - r (the range
+    increment less the reference path's dr). Rather than subtracting two
+    O(r) ranges,
 
         d_excess = -[dr ((rng0 - w0) + (rng1 - w1)) + x d_s (r0 + r1)]
                    / (rng0 + rng1)
 
     with w = r - x sin, rng - w = (x cos)^2 / (rng + w) and d_s the sine
     increment by sum-to-product: every term is O(dr, dtheta) and carries a
-    factor x, so x = 0 gets exact zeros; d_sin is rearranged on top of it
-    the same way. No derivative formulas are involved, so finite
-    differences built on these increments remain an independent check of
-    the analytic derivatives.
+    factor x, so x = 0 gets exact zeros. No derivative formulas are
+    involved, so finite differences built on these increments remain an
+    independent check of the analytic derivatives.
 
     The shifts may be arrays broadcasting against x, e.g. (P, 1) for P
     shifts against x of shape (K,). The arithmetic is elementwise, so row i
@@ -499,8 +499,10 @@ def radial_shift(
             against x.
 
     Returns:
-        Dict of arrays of the broadcast shape of x, dr and dtheta, keyed by
-        the names above.
+        Dict of arrays: d_excess and the shifted range rng1, of the
+        broadcast shape of x, dr and dtheta, and the base range rng0 and
+        its rng0 - w0 as gap0, of the shape of x. arrival_sine_shift reads
+        the last three.
     """
     x = np.asarray(x, dtype=float)
     hr = np.asarray(dr, dtype=float)
@@ -518,7 +520,44 @@ def radial_shift(
     gap0 = _rng_minus_w(w0, xc0, rng0)
     gap1 = _rng_minus_w(w1, xc1, rng1)
     d_excess = -(hr * (gap0 + gap1) + x * d_s * (r + r1)) / (rng0 + rng1)
-    # sin_a1 - sin_a0 over rng0 rng1; with r0 - rng0 = x s0 - gap0 the
-    # numerator's dr term is x c0^2 + s0 gap0, again zero at x = 0.
-    d_num = d_s * rng0 * r1 + hr * (xc0 * c0 + s0 * gap0) - (r * s0 - x) * d_excess
-    return {"d_excess": d_excess, "d_sin": d_num / (rng0 * rng1)}
+    return {"d_excess": d_excess, "rng0": rng0, "rng1": rng1, "gap0": gap0}
+
+
+def arrival_sine_shift(
+    x: np.ndarray,
+    r: float,
+    theta: float,
+    dr: float | np.ndarray,
+    dtheta: float | np.ndarray,
+    shift: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Increment of the arrival sine sin_a under a small polar shift.
+
+    Only the distinct-arrival-angle model reads it. sin_a1 - sin_a0 is
+    formed over rng0 rng1 from the terms of shift = radial_shift(x, r,
+    theta, dr, dtheta); with r - rng0 = x sin - gap0 the numerator's dr
+    term is x cos^2 + sin gap0, so like d_excess every term is
+    O(dr, dtheta) and x = 0 gets exact zeros.
+
+    Args:
+        x: Reference abscissas, meters, as passed to radial_shift.
+        r: Base target range, meters, as passed to radial_shift.
+        theta: Base target angle, radians, as passed to radial_shift.
+        dr: Range shift, meters, as passed to radial_shift.
+        dtheta: Angle shift, radians, as passed to radial_shift.
+        shift: radial_shift(x, r, theta, dr, dtheta).
+
+    Returns:
+        Array of the broadcast shape of x, dr and dtheta.
+    """
+    x = np.asarray(x, dtype=float)
+    hr = np.asarray(dr, dtype=float)
+    s0, c0 = np.sin(theta), np.cos(theta)
+    d_s = _sine_increment(theta, dtheta)
+    rng0 = shift["rng0"]
+    d_num = (
+        d_s * rng0 * (r + hr)
+        + hr * (x * c0 * c0 + s0 * shift["gap0"])
+        - (r * s0 - x) * shift["d_excess"]
+    )
+    return d_num / (rng0 * shift["rng1"])

@@ -7,10 +7,13 @@ rows of the whole grid and derives every abscissa from them in one integer
 pass (geometry._grid_abscissas, the formula build_layout uses for one row).
 Each model's closed form runs once per chunk of grid points, a chunk
 holding at most _CHUNK_ELEMENTS abscissas (points times the model's
-subarrays or antennas per point), which bounds the memory of one call
-whatever the grid and array sizes. The arithmetic is elementwise, so every
-record has the bits the scalar API (crb_bounds) gives for its point, and
-two runs of the same config produce byte-identical files.
+subarrays or antennas per point), or one point where a point alone holds
+more. Whatever the grid size, every float64 temporary of a kernel call
+then stays within 64 KiB (or one point's worth), which lets the allocator
+reuse the memory of one call for the next instead of returning it to the
+operating system and faulting it back in. The arithmetic is elementwise,
+so every record has the bits the scalar API (crb_bounds) gives for its
+point, and two runs of the same config produce byte-identical files.
 
 The CSV format is fixed: header
 ``sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags``, UTF-8, LF
@@ -20,6 +23,7 @@ the literal ``inf``, and flags joined by ';' within their cell.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -49,11 +53,19 @@ __all__ = [
 CSV_HEADER = "sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags"
 
 # Most abscissas one closed-form call evaluates: a chunk's grid points times
-# the model's abscissas per point. Peak memory grows with it. Over five
-# 56-point range sweeps at K=7, M=1001 (7007 antennas), 2**14 peaked at
-# 30.1 MB of RSS against 29.6 MB for one point per call; 2**16 peaked at
-# 33.3 MB and the whole grid in one call at 51.1 MB (x86_64, numpy 2.4).
-_CHUNK_ELEMENTS = 1 << 14
+# the model's abscissas per point, at least one point. The rule: no float64
+# temporary of a kernel call exceeds 64 KiB. Larger ones free more than
+# glibc's 128 KiB trim threshold at the top of the heap after each call, so
+# the heap shrinks and the next call faults the same pages back in. Minor
+# faults per warm benchmark op and peak RSS (2-vCPU x86_64, glibc, numpy 2.4):
+#   budget  large-array (K=7, M=1001)   presets (fig3, fig4-c1, fig4-c2)
+#   2**12   32, 37.0 MB                 214, 34.9 MB
+#   2**13   32, 37.0 MB                 306, 35.1 MB
+#   2**14   4495, 37.4 MB               1094, 35.6 MB
+# The large-array op_ms_p50 falls from 19.3 ms at 2**14 to 12.4 ms at 2**13,
+# where N = 7007 gives one point per call as 2**12 does; on presets 2**12
+# took 15.2 ms against 14.1 ms for 2**13, with twice the calls.
+_CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -185,12 +197,6 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     return _records("gamma", [float(gamma) for gamma in gammas], models, columns)
 
 
-def _format_float(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
-
-
 def _parse_float(cell: str) -> float:
     if cell == "inf":
         return math.inf
@@ -200,22 +206,25 @@ def _parse_float(cell: str) -> float:
 
 
 def write_csv(records: list[SweepRecord], path: str) -> None:
-    """Write records as CSV with the fixed header and 17-digit floats."""
+    """Write records as CSV with the fixed header and 17-digit floats.
+
+    "%.17g" spells infinities "inf" and "-inf". Consecutive records of one
+    grid point share their sweep value object, so its cell is formatted
+    once per point; an equal but distinct value (0.0 after -0.0) is
+    formatted anew.
+    """
     if not records:
         raise InvalidConfigurationError("no records to write")
     lines = [CSV_HEADER]
+    value = object()  # is no record's sweep value
     for rec in records:
+        if rec.sweep_value is not value:
+            value = rec.sweep_value
+            cell = "%.17g" % value
         lines.append(
-            ",".join(
-                (
-                    rec.sweep_var,
-                    _format_float(rec.sweep_value),
-                    rec.model,
-                    _format_float(rec.crb_r_m2),
-                    _format_float(rec.crb_theta_rad2),
-                    ";".join(rec.flags),
-                )
-            )
+            "%s,%s,%s,%.17g,%.17g,%s"
+            % (rec.sweep_var, cell, rec.model, rec.crb_r_m2, rec.crb_theta_rad2,
+               ";".join(rec.flags))
         )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -256,31 +265,49 @@ def _json_value(value) -> str:
     return json.dumps(value)
 
 
+def _json_flags(flags: tuple[str, ...]) -> str:
+    """A flags tuple as json.dump(..., indent=2) writes it inside a record."""
+    if not flags:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(json.dumps, flags)) + "\n    ]"
+
+
+_JSON_RECORD = (
+    "  {\n"
+    '    "sweep_var": %s,\n'
+    '    "sweep_value": %s,\n'
+    '    "model": %s,\n'
+    '    "crb_r_m2": %s,\n'
+    '    "crb_theta_rad2": %s,\n'
+    '    "flags": %s\n'
+    "  }"
+)
+
+
 def write_json(records: list[SweepRecord], path: str) -> None:
     """Write records as a JSON array; infinities become the string "inf".
 
     The bytes are those of json.dump(payload, indent=2) plus a newline,
     where payload holds one dict per record. The fixed record shape is
     formatted directly, because json's fast C encoder is not used when an
-    indent is set.
+    indent is set. The few distinct names and flag sets are encoded once
+    per call, and a sweep value once per run of records sharing it, as in
+    write_csv.
     """
     if not records:
         raise InvalidConfigurationError("no records to write")
+    quote = functools.lru_cache(maxsize=None)(json.dumps)
+    flag_list = functools.lru_cache(maxsize=None)(_json_flags)
     items = []
+    value = object()  # is no record's sweep value
     for rec in records:
-        if rec.flags:
-            flags = "[\n      " + ",\n      ".join(map(json.dumps, rec.flags)) + "\n    ]"
-        else:
-            flags = "[]"
+        if rec.sweep_value is not value:
+            value = rec.sweep_value
+            cell = _json_value(value)
         items.append(
-            "  {\n"
-            f'    "sweep_var": {json.dumps(rec.sweep_var)},\n'
-            f'    "sweep_value": {_json_value(rec.sweep_value)},\n'
-            f'    "model": {json.dumps(rec.model)},\n'
-            f'    "crb_r_m2": {_json_value(rec.crb_r_m2)},\n'
-            f'    "crb_theta_rad2": {_json_value(rec.crb_theta_rad2)},\n'
-            f'    "flags": {flags}\n'
-            "  }"
+            _JSON_RECORD
+            % (quote(rec.sweep_var), cell, quote(rec.model), _json_value(rec.crb_r_m2),
+               _json_value(rec.crb_theta_rad2), flag_list(rec.flags))
         )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("[\n" + ",\n".join(items) + "\n]\n")

@@ -29,6 +29,7 @@ from .geometry import (
     _require_wavelength,
     _shifted_range,
     _sine_increment,
+    arrival_sine_shift,
     arrival_sine_terms,
     radial_shift,
     radial_terms,
@@ -222,11 +223,11 @@ def phase_increment(
     from the array center, for every model with range, and psi under PWM.
     Subtracting two phase evaluations would lose the increment under the
     rounding of phases near 2 pi r / lambda; the exact-algebra increments of
-    radial_shift keep it accurate relative to its own O(dr, dtheta) size,
-    and exactly zero where the phase cannot move (the center subarray under
-    a range shift). Only the phase definitions are used, never their
-    derivatives, so finite differences of exp(-1j * increment) remain an
-    independent derivative check.
+    radial_shift and arrival_sine_shift keep it accurate relative to its own
+    O(dr, dtheta) size, and exactly zero where the phase cannot move (the
+    center subarray under a range shift). Only the phase definitions are
+    used, never their derivatives, so finite differences of
+    exp(-1j * increment) remain an independent derivative check.
 
     Several shifts evaluate in one call: dr and dtheta may be arrays, which
     broadcast against each other to a shape S and then against a trailing
@@ -266,7 +267,7 @@ def phase_increment(
     shift = radial_shift(layout.subarray_x, target.r, target.theta, hr, ht)
     m_off = layout.element_offsets * layout.pitch
     if model is WavefrontModel.HSPM_DIST:
-        d_sin = shift["d_sin"]
+        d_sin = arrival_sine_shift(layout.subarray_x, target.r, target.theta, hr, ht, shift)
     else:
         d_sin = _sine_increment(target.theta, ht)
     dpsi = k2 * (shift["d_excess"][..., :, None] + m_off * d_sin[..., :, None])

@@ -8,6 +8,7 @@ import pytest
 from modcrb import (
     InvalidConfigurationError,
     TargetPolar,
+    arrival_sine_shift,
     arrival_sine_terms,
     build_layout,
     element_range,
@@ -291,9 +292,8 @@ def test_radial_shift_matches_direct_differences():
         )
         base_sin = arrival_sine_terms(lay.subarray_x, r, theta, base)["sin_a"]
         moved_sin = arrival_sine_terms(lay.subarray_x, r + dr, theta + dtheta, moved)["sin_a"]
-        np.testing.assert_allclose(
-            shift["d_sin"], moved_sin - base_sin, rtol=1e-8, atol=1e-15
-        )
+        d_sin = arrival_sine_shift(lay.subarray_x, r, theta, dr, dtheta, shift)
+        np.testing.assert_allclose(d_sin, moved_sin - base_sin, rtol=1e-8, atol=1e-15)
 
 
 # Shifts of either float width evaluate in float64, the one precision.
@@ -305,12 +305,15 @@ def test_radial_shift_stacked_shifts_match_scalar_calls(dtype):
     dtheta = np.array([0.0, 0.0, 1e-4, -1e-4, -2e-3], dtype=dtype)
     for theta in (0.0, 0.6, -1.2):
         batch = radial_shift(x, 8.0, theta, dr[:, None], dtheta[:, None])
+        batch["d_sin"] = arrival_sine_shift(x, 8.0, theta, dr[:, None], dtheta[:, None], batch)
         for i in range(len(dr)):
             single = radial_shift(x, 8.0, theta, dr[i], dtheta[i])
-            assert single.keys() == batch.keys() == {"d_excess", "d_sin"}
+            single["d_sin"] = arrival_sine_shift(x, 8.0, theta, dr[i], dtheta[i], single)
+            assert single.keys() == batch.keys() == {"d_excess", "rng0", "rng1", "gap0", "d_sin"}
             for name, values in single.items():
                 assert values.dtype == np.float64 and values.shape == x.shape
-                assert np.array_equal(batch[name][i], values), (name, i, theta)
+                row = np.broadcast_to(batch[name], (len(dr), x.size))[i]
+                assert np.array_equal(row, values), (name, i, theta)
 
 
 def test_radial_shift_is_exact_at_the_center_abscissa():
@@ -321,8 +324,9 @@ def test_radial_shift_is_exact_at_the_center_abscissa():
     dtheta = np.array([[0.0], [0.0], [1e-4], [-2e-3]])
     for theta in (0.0, 0.6, -1.2):
         shift = radial_shift(x, 8.0, theta, dr, dtheta)
+        d_sin = arrival_sine_shift(x, 8.0, theta, dr, dtheta, shift)
         assert np.all(shift["d_excess"][:, 0] == 0.0)
-        assert np.all(shift["d_sin"][:2, 0] == 0.0)
+        assert np.all(d_sin[:2, 0] == 0.0)
         assert np.all(shift["d_excess"][:, 1] != 0.0)
 
 

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -245,11 +246,16 @@ _SWEEP_CASES = {
     # inside the 812 m Rayleigh distance the range information is small,
     # O((A / r)^4), but well conditioned: no record may be flagged
     "fig4-c1-r300": ("fig4-c1", dict(theta_deg=60.0, r_m=300.0), True, None),
-    # swm evaluates two points per chunk at N = 7007, so 7 points end on a
-    # partial chunk
+    # swm evaluates one point per call at N = 7007, a point alone holding
+    # more abscissas than a chunk
     "large-array": ("fig3", dict(num_subarrays=7, subarray_size=1001,
                                  spacings=(100, 100, 100, 0, 100, 100, 100),
                                  r_count=7, r_start_m=2.0, r_stop_m=50.0), False, None),
+    # swm evaluates three points per chunk at N = 2107, so 7 points end on a
+    # partial chunk
+    "mid-array": ("fig3", dict(num_subarrays=7, subarray_size=301,
+                               spacings=(100, 100, 100, 0, 100, 100, 100),
+                               r_count=7, r_start_m=2.0, r_stop_m=50.0), False, None),
 }
 
 
@@ -265,9 +271,12 @@ def test_sweeps_match_pointwise_closed_forms(case):
     else:
         model, flag = flagged
         assert any(rec.model == model and flag in rec.flags for rec in records)
+    sizes = [part.stop - part.start
+             for part in sweeps._chunks(config.r_count, config.layout().num_elements)]
     if case == "large-array":
-        per_chunk = sweeps._CHUNK_ELEMENTS // config.layout().num_elements
-        assert per_chunk > 1 and config.r_count % per_chunk != 0
+        assert sizes == [1] * config.r_count
+    if case == "mid-array":
+        assert sizes[0] > 1 and sizes[-1] < sizes[0]
 
 
 def test_csv_round_trip_is_lossless(tmp_path):
@@ -312,6 +321,26 @@ def test_large_array_csv_matches_its_digest(tmp_path):
     path = tmp_path / "large-array.csv"
     write_csv(run_range_sweep(config), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _LARGE_ARRAY_CSV_SHA256
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap trimming this guards against is glibc's",
+)
+def test_large_range_sweep_does_not_page_fault():
+    # Kernel temporaries above the chunk budget's 64 KiB make glibc hand the
+    # freed top of its heap back to the operating system after each call and
+    # fault it in again on the next: about 4800 minor faults per sweep.
+    import resource  # POSIX only, like the condition above
+
+    _, overrides, _, _ = _SWEEP_CASES["large-array"]
+    config = dataclasses.replace(preset("fig3"), **dict(overrides, r_count=56))
+    run_range_sweep(config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        run_range_sweep(config)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+    assert faults < 1000
 
 
 # Names the benchmark harness reads from the package. The harness takes
@@ -384,14 +413,45 @@ def test_json_emission_spells_out_infinities(tmp_path):
     assert payload[0]["flags"] == []
 
 
-def test_json_bytes_match_the_json_module(tmp_path):
-    records = run_range_sweep(small_sweep_config()) + [
+def _writer_records():
+    """A sweep plus records with unusual values, flags and sweep values.
+
+    The writers format a sweep value once per run of records holding the
+    same object, so equal but distinct values (-0.0 then 0.0, 30 then 30.0)
+    and a shared NaN follow each other here.
+    """
+    return run_range_sweep(small_sweep_config()) + [
         SweepRecord("r_m", 2.5, "swm", math.inf, -math.inf, (FLAG_DEGENERATE,)),
         SweepRecord("gamma", 7.0, "hspm-dist", 1e-300, math.inf,
                     (FLAG_DEGENERATE, FLAG_ENDFIRE)),
         SweepRecord("r_m", 0.1, "pwm", -math.inf, 0.1 + 0.2, (FLAG_ENDFIRE,)),
         SweepRecord("r_m", 30, "swm", math.nan, np.float64(2.5e-7)),
+        SweepRecord("r_m", 30.0, "pwm", 1.0, 2.0),
+        SweepRecord("r_m", np.float64(0.1 + 0.2), "swm", 1.0, 2.0),
+        SweepRecord("r_m", -0.0, "swm", 1.0, 2.0),
+        SweepRecord("r_m", 0.0, "pwm", 1.0, 2.0),
+        SweepRecord("r_m", math.nan, "swm", 1.0, 2.0),
+        SweepRecord("r_m", math.nan, "pwm", 1.0, 2.0),
+        SweepRecord("r_m", math.inf, "swm", 1.0, 2.0),
     ]
+
+
+def test_csv_bytes_match_per_cell_formatting(tmp_path):
+    records = _writer_records()
+    lines = [CSV_HEADER] + [
+        ",".join((rec.sweep_var, format(rec.sweep_value, ".17g"), rec.model,
+                  format(rec.crb_r_m2, ".17g"), format(rec.crb_theta_rad2, ".17g"),
+                  ";".join(rec.flags)))
+        for rec in records
+    ]
+    path = tmp_path / "records.csv"
+    write_csv(records, str(path))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert b"\nr_m,-0,swm," in path.read_bytes()
+
+
+def test_json_bytes_match_the_json_module(tmp_path):
+    records = _writer_records()
     payload = [
         {
             "sweep_var": rec.sweep_var,
