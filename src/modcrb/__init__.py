@@ -22,7 +22,6 @@ from .crb import (
     FLAG_DEGENERATE,
     FLAG_ENDFIRE,
     CrbPair,
-    HspmIntermediates,
     SensingSnr,
     crb_boresight,
     crb_boresight_far,
@@ -31,7 +30,6 @@ from .crb import (
     crb_hspm_shared,
     crb_pwm,
     crb_swm,
-    intermediates_hspm,
 )
 from .errors import InvalidConfigurationError, NumericDomainError, SingularGeometryError
 from .geometry import (
@@ -41,12 +39,9 @@ from .geometry import (
     arrival_sine_shift,
     arrival_sine_terms,
     build_layout,
-    element_range,
     field_regions,
     radial_shift,
     radial_terms,
-    subarray_range,
-    subarray_sine,
 )
 from .oracle import (
     ValidationReport,
@@ -91,7 +86,6 @@ __all__ = [
     "FLAG_DEGENERATE",
     "FLAG_ENDFIRE",
     "FieldRegions",
-    "HspmIntermediates",
     "InvalidConfigurationError",
     "MODEL_ORDER",
     "ModularLayout",
@@ -119,12 +113,10 @@ __all__ = [
     "crb_pwm",
     "crb_swm",
     "cross_validate",
-    "element_range",
     "emit_outputs",
     "fd_derivatives",
     "fd_rebased",
     "field_regions",
-    "intermediates_hspm",
     "load_config",
     "oracle_dtype",
     "parse_config",
@@ -142,8 +134,6 @@ __all__ = [
     "serialize_config",
     "steering",
     "steering_derivatives",
-    "subarray_range",
-    "subarray_sine",
     "verify_batch",
     "write_csv",
     "write_json",

@@ -66,8 +66,6 @@ from .wavefront import WavefrontModel
 __all__ = [
     "SensingSnr",
     "CrbPair",
-    "HspmIntermediates",
-    "intermediates_hspm",
     "crb_hspm_dist",
     "crb_hspm_shared",
     "crb_pwm",
@@ -138,37 +136,6 @@ class CrbPair:
 
     def __post_init__(self) -> None:
         _require_positive(self.crb_r, self.crb_theta, InvalidConfigurationError)
-
-
-@dataclass(frozen=True)
-class HspmIntermediates:
-    """Raw subarray-level sums of the distinct-arrival-angle model.
-
-    The bounds do not read these sums: _hspm_kernel builds the range terms
-    from the centered d r_k / d r - 1, because K q - p^2 loses digits to
-    cancellation as every d r_k / d r approaches 1 far from the array. The
-    sums are reported for inspection, e.g. of the cross sums that vanish at
-    boresight. p/q families aggregate range derivatives of the subarray
-    ranges, z families aggregate derivatives of the subarray arrival sines:
-
-        p       sum_k d r_k / d r
-        p_tilde sum_k d r_k / d theta
-        q       sum_k (d r_k / d r)^2
-        q_tilde sum_k (d r_k / d theta)^2
-        q_hat   sum_k (d r_k / d r)(d r_k / d theta)
-        z       sum_k (d sin_k / d r)^2
-        z_tilde sum_k (d sin_k / d theta)^2
-        z_hat   sum_k (d sin_k / d r)(d sin_k / d theta)
-    """
-
-    p: float
-    p_tilde: float
-    q: float
-    q_tilde: float
-    q_hat: float
-    z: float
-    z_tilde: float
-    z_hat: float
 
 
 def _num_scale(wavelength: float, snr: SensingSnr) -> float:
@@ -364,33 +331,6 @@ def _bound_pair(
             crb_t = num_i / d_t
         points.append((crb_r, crb_t, _FLAG_SETS[degenerate, endfire], det2))
     return _Bounds(model, quad, points)
-
-
-def intermediates_hspm(layout: ModularLayout, target: TargetPolar) -> HspmIntermediates:
-    """Subarray-level sums for the distinct-arrival-angle model.
-
-    Args:
-        layout: Array layout.
-        target: Target position.
-
-    Returns:
-        HspmIntermediates of the eight sums over subarrays.
-    """
-    x, r, theta = layout.subarray_x, target.r, target.theta
-    terms = radial_terms(x, r, theta)
-    sines = arrival_sine_terms(x, r, theta, terms)
-    a, at = terms["w"] / terms["rng"], terms["dr_dt"]
-    sr, st = sines["ds_dr"], sines["ds_dt"]
-    return HspmIntermediates(
-        p=float(a.sum()),
-        p_tilde=float(at.sum()),
-        q=float((a * a).sum()),
-        q_tilde=float((at * at).sum()),
-        q_hat=float((a * at).sum()),
-        z=float((sr * sr).sum()),
-        z_tilde=float((st * st).sum()),
-        z_hat=float((sr * st).sum()),
-    )
 
 
 # Kernels: (layout, x, r, theta) -> (numerator factor, _Quadratic), where x

@@ -28,10 +28,6 @@ __all__ = [
     "FieldRegions",
     "build_layout",
     "field_regions",
-    "subarray_range",
-    "subarray_sine",
-    "element_range",
-    "distance_to",
     "radial_terms",
     "arrival_sine_terms",
     "radial_shift",
@@ -271,77 +267,6 @@ def field_regions(layout: ModularLayout, wavelength: float) -> FieldRegions:
         subarray_farfield_bound=2.0 * sub_span**2 / wavelength,
         array_rayleigh=2.0 * layout.aperture**2 / wavelength,
     )
-
-
-def _check_subarray_index(layout: ModularLayout, k: int) -> int:
-    half = (layout.num_subarrays - 1) // 2
-    if not -half <= k <= half:
-        raise InvalidConfigurationError(
-            f"subarray index {k} outside +-{half}"
-        )
-    return k + half
-
-
-def _check_element_offset(layout: ModularLayout, m: int) -> int:
-    half = (layout.subarray_size - 1) // 2
-    if not -half <= m <= half:
-        raise InvalidConfigurationError(
-            f"element offset {m} outside +-{half}"
-        )
-    return m + half
-
-
-def distance_to(x: float, target: TargetPolar) -> float:
-    """Euclidean distance from the point (x, 0) to the target."""
-    s = math.sin(target.theta)
-    c = math.cos(target.theta)
-    # hypot form of sqrt(r^2 - 2 r x sin(theta) + x^2); exact at x = 0.
-    return math.hypot(target.r - x * s, x * c)
-
-
-def subarray_range(layout: ModularLayout, target: TargetPolar, k: int) -> float:
-    """Distance from subarray k's reference antenna to the target.
-
-    Args:
-        layout: Array layout.
-        target: Target position.
-        k: Symmetric subarray index.
-
-    Returns:
-        sqrt(r^2 - 2 r x_k sin(theta) + x_k^2), meters.
-    """
-    idx = _check_subarray_index(layout, k)
-    return distance_to(float(layout.subarray_x[idx]), target)
-
-
-def subarray_sine(layout: ModularLayout, target: TargetPolar, k: int) -> float:
-    """Sine of the arrival angle seen by subarray k.
-
-    Args:
-        layout: Array layout.
-        target: Target position.
-        k: Symmetric subarray index.
-
-    Returns:
-        (r sin(theta) - x_k) / r_k, clipped to [-1, 1].
-    """
-    idx = _check_subarray_index(layout, k)
-    x = float(layout.subarray_x[idx])
-    rk = distance_to(x, target)
-    if rk == 0.0:
-        raise SingularGeometryError(
-            f"target coincides with subarray {k} reference antenna"
-        )
-    value = (target.r * math.sin(target.theta) - x) / rk
-    return min(1.0, max(-1.0, value))
-
-
-def element_range(layout: ModularLayout, target: TargetPolar, k: int, m: int) -> float:
-    """Distance from antenna (k, m) to the target, meters."""
-    ki = _check_subarray_index(layout, k)
-    mi = _check_element_offset(layout, m)
-    x = float(layout.element_x[ki * layout.subarray_size + mi])
-    return distance_to(x, target)
 
 
 def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str, np.ndarray]:

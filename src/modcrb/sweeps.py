@@ -116,18 +116,7 @@ def run_point(config: ExperimentConfig) -> list[SweepRecord]:
         One record per model, in the config's model order, with the
         target range as the sweep value.
     """
-    layout = config.layout()
-    target = config.target()
-    snr = config.snr()
-    models = config.model_list()
-    columns = [
-        _crb_batch(
-            model, layout, _abscissas(model, layout), target.r, target.theta,
-            config.wavelength, snr,
-        ).rows()
-        for model in models
-    ]
-    return _records("r_m", [config.r_m], models, columns)
+    return _range_records(config, (config.r_m,))
 
 
 def run_range_sweep(config: ExperimentConfig) -> list[SweepRecord]:
@@ -136,11 +125,15 @@ def run_range_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     The returned records are ordered by grid position first and model
     order second.
     """
+    return _range_records(config, config.range_grid())
+
+
+def _range_records(config: ExperimentConfig, grid: tuple[float, ...]) -> list[SweepRecord]:
+    """Records of the configured models at the config's angle and the given ranges."""
     layout = config.layout()
     snr = config.snr()
     models = config.model_list()
     theta = config.target().theta
-    grid = config.range_grid()
     # Validate every grid point before spending time on any evaluation.
     ranges = np.array([TargetPolar(r, theta).r for r in grid])[:, None]
     columns = []
@@ -197,14 +190,6 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     return _records("gamma", [float(gamma) for gamma in gammas], models, columns)
 
 
-def _parse_float(cell: str) -> float:
-    if cell == "inf":
-        return math.inf
-    if cell == "-inf":
-        return -math.inf
-    return float(cell)
-
-
 def write_csv(records: list[SweepRecord], path: str) -> None:
     """Write records as CSV with the fixed header and 17-digit floats.
 
@@ -246,10 +231,10 @@ def read_csv(path: str) -> list[SweepRecord]:
         records.append(
             SweepRecord(
                 sweep_var=cells[0],
-                sweep_value=_parse_float(cells[1]),
+                sweep_value=float(cells[1]),
                 model=cells[2],
-                crb_r_m2=_parse_float(cells[3]),
-                crb_theta_rad2=_parse_float(cells[4]),
+                crb_r_m2=float(cells[3]),
+                crb_theta_rad2=float(cells[4]),
                 flags=tuple(cells[5].split(";")) if cells[5] else (),
             )
         )

@@ -11,6 +11,11 @@ differ in how the propagation phase of antenna (k, m) is approximated:
                   arrival angle
     PWM           fully planar wave from the global arrival angle
 
+Antenna (k, m) sits at x_k + m d, so the HSPM models give it the range
+r_k - m d sin_k, the first-order expansion of its exact range, where r_k
+is subarray k's range and sin_k its arrival sine (sin theta under
+HSPM_SHARED); the phase is 2 pi / lambda times that range, as under SWM.
+
 PWM carries no range dependence at all, so its steering vector is constant
 in r and its range derivative vanishes identically.
 """
@@ -134,9 +139,9 @@ def _phase_terms(
         dsin_dr = np.zeros(k)
         dsin_dt = np.full(k, np.cos(theta))
 
-    psi = k2 * (terms["rng"][:, None] + m_off[None, :] * sin_sub[:, None])
-    dpsi_r = k2 * (terms["dr_dr_m1"][:, None] + m_off[None, :] * dsin_dr[:, None])
-    dpsi_t = k2 * (terms["dr_dt"][:, None] + m_off[None, :] * dsin_dt[:, None])
+    psi = k2 * (terms["rng"][:, None] - m_off[None, :] * sin_sub[:, None])
+    dpsi_r = k2 * (terms["dr_dr_m1"][:, None] - m_off[None, :] * dsin_dr[:, None])
+    dpsi_t = k2 * (terms["dr_dt"][:, None] - m_off[None, :] * dsin_dt[:, None])
     return psi.ravel(), dpsi_r.ravel(), dpsi_t.ravel()
 
 
@@ -270,5 +275,5 @@ def phase_increment(
         d_sin = arrival_sine_shift(layout.subarray_x, target.r, target.theta, hr, ht, shift)
     else:
         d_sin = _sine_increment(target.theta, ht)
-    dpsi = k2 * (shift["d_excess"][..., :, None] + m_off * d_sin[..., :, None])
+    dpsi = k2 * (shift["d_excess"][..., :, None] - m_off * d_sin[..., :, None])
     return dpsi.reshape(dpsi.shape[:-2] + (-1,))

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from geometry_reference import hspm_sums
 from modcrb import (
     TargetPolar,
     WavefrontModel,
@@ -18,7 +19,6 @@ from modcrb import (
     crb_boresight_far,
     crb_hspm_dist,
     fd_derivatives,
-    intermediates_hspm,
     preset,
     radial_terms,
     read_csv,
@@ -127,7 +127,7 @@ def test_criterion_3_boresight_cross_sums_vanish(acceptance_line):
     for _ in range(100):
         lay = _symmetric_layout(rng, min_subarrays=3)
         tgt = TargetPolar(float(rng.uniform(2.0, 80.0)), 0.0)
-        inter = intermediates_hspm(lay, tgt)
+        inter = hspm_sums(lay, tgt)
         scale_p = float(np.sum(np.abs(
             radial_terms(lay.subarray_x, tgt.r, tgt.theta)["dr_dt"])))
         worst = max(

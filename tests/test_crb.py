@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from geometry_reference import hspm_sums
 from modcrb import (
     FLAG_DEGENERATE,
     FLAG_ENDFIRE,
@@ -21,10 +22,7 @@ from modcrb import (
     crb_hspm_shared,
     crb_pwm,
     crb_swm,
-    intermediates_hspm,
     radial_terms,
-    subarray_range,
-    subarray_sine,
 )
 from modcrb.crb import _bound_pair, _hspm_kernel, _Quadratic
 
@@ -113,7 +111,7 @@ def test_shared_angle_freezes_sine_derivatives():
     )
     assert math.isclose(quad.info_cross, 12.0 * k * (da * dt).sum(), rel_tol=1e-12)
     # the distinct-angle model must not collapse the same sums
-    dist_inter = intermediates_hspm(FIG3, TGT)
+    dist_inter = hspm_sums(FIG3, TGT)
     assert dist_inter.z > 0.0
     assert abs(dist_inter.z_tilde - 3.0 * math.cos(TGT.theta) ** 2) > 1e-6
 
@@ -202,47 +200,6 @@ def test_single_antenna_is_fully_degenerate():
         assert math.isinf(pair.crb_r)
         assert math.isinf(pair.crb_theta)
         assert FLAG_DEGENERATE in pair.flags
-
-
-def test_intermediates_satisfy_cauchy_schwarz():
-    rng = np.random.default_rng(43)
-    for _ in range(40):
-        k = int(rng.choice([3, 5, 7]))
-        m = int(rng.integers(1, 30)) * 2 + 1
-        lay = build_layout(k, m, int(rng.integers(1, 150)), PITCH)
-        tgt = TargetPolar(float(rng.uniform(1.0, 150.0)), float(rng.uniform(-1.4, 1.4)))
-        hspm = intermediates_hspm(lay, tgt)
-        kk = lay.num_subarrays
-        assert kk * hspm.q >= hspm.p**2 * (1.0 - 1e-12)
-        assert kk * hspm.q_tilde >= hspm.p_tilde**2 * (1.0 - 1e-12)
-        assert hspm.q * hspm.q_tilde >= hspm.q_hat**2 * (1.0 - 1e-12)
-        assert hspm.z * hspm.z_tilde >= hspm.z_hat**2 * (1.0 - 1e-12)
-
-
-def test_intermediates_match_finite_differences_of_geometry():
-    h = 1e-6
-    hspm = intermediates_hspm(FIG3, TGT)
-    r, theta = TGT.r, TGT.theta
-    dr_dr, dr_dt, ds_dr, ds_dt = [], [], [], []
-    for k in (-1, 0, 1):
-        dr_dr.append((subarray_range(FIG3, TargetPolar(r + h, theta), k)
-                      - subarray_range(FIG3, TargetPolar(r - h, theta), k)) / (2 * h))
-        dr_dt.append((subarray_range(FIG3, TargetPolar(r, theta + h), k)
-                      - subarray_range(FIG3, TargetPolar(r, theta - h), k)) / (2 * h))
-        ds_dr.append((subarray_sine(FIG3, TargetPolar(r + h, theta), k)
-                      - subarray_sine(FIG3, TargetPolar(r - h, theta), k)) / (2 * h))
-        ds_dt.append((subarray_sine(FIG3, TargetPolar(r, theta + h), k)
-                      - subarray_sine(FIG3, TargetPolar(r, theta - h), k)) / (2 * h))
-    dr_dr, dr_dt = np.array(dr_dr), np.array(dr_dt)
-    ds_dr, ds_dt = np.array(ds_dr), np.array(ds_dt)
-    assert math.isclose(hspm.p, dr_dr.sum(), rel_tol=1e-7)
-    assert math.isclose(hspm.p_tilde, dr_dt.sum(), rel_tol=1e-6)
-    assert math.isclose(hspm.q, (dr_dr**2).sum(), rel_tol=1e-7)
-    assert math.isclose(hspm.q_tilde, (dr_dt**2).sum(), rel_tol=1e-6)
-    assert math.isclose(hspm.q_hat, (dr_dr * dr_dt).sum(), rel_tol=1e-6)
-    assert math.isclose(hspm.z, (ds_dr**2).sum(), rel_tol=1e-5)
-    assert math.isclose(hspm.z_tilde, (ds_dt**2).sum(), rel_tol=1e-6)
-    assert math.isclose(hspm.z_hat, (ds_dr * ds_dt).sum(), rel_tol=1e-5)
 
 
 def test_boresight_form_matches_general_form():

@@ -5,19 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from geometry_reference import element_range, subarray_range, subarray_sine
 from modcrb import (
     InvalidConfigurationError,
     TargetPolar,
     arrival_sine_shift,
     arrival_sine_terms,
     build_layout,
-    element_range,
     field_regions,
     preset,
     radial_shift,
     radial_terms,
-    subarray_range,
-    subarray_sine,
 )
 from modcrb.geometry import _grid_abscissas
 from modcrb.sweeps import _sweep_spacings

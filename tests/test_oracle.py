@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from geometry_reference import hspm_sums
 from modcrb import (
     InvalidConfigurationError,
     FLAG_DEGENERATE,
@@ -23,7 +24,6 @@ from modcrb import (
     cross_validate,
     fd_derivatives,
     fd_rebased,
-    intermediates_hspm,
     phase_increment,
     relative_error,
     sample_case,
@@ -56,7 +56,7 @@ def test_fim_norm_terms_match_subarray_sums():
     k2 = 2.0 * math.pi / LAMBDA
     m = FIG3.subarray_size
     md = (m**3 - m) * PITCH**2
-    inter = intermediates_hspm(FIG3, TGT)
+    inter = hspm_sums(FIG3, TGT)
     dg = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
     ip_gr_gtheta = np.vdot(dg.d_r, dg.d_theta)
     expected_rr = k2**2 * (md * inter.z + 12.0 * m * inter.q) / 12.0
@@ -73,7 +73,7 @@ def test_fim_cross_terms_reduce_to_range_rate_sums():
     # dg_u^H g keeps only the per-subarray range rates: j k2 M p_u
     k2 = 2.0 * math.pi / LAMBDA
     m = FIG3.subarray_size
-    inter = intermediates_hspm(FIG3, TGT)
+    inter = hspm_sums(FIG3, TGT)
     g = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA).values
     dg = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
     scale_r = k2 * m * (3.0 + abs(inter.p))

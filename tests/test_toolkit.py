@@ -21,6 +21,7 @@ from modcrb import (
     FLAG_ENDFIRE,
     ExperimentConfig,
     InvalidConfigurationError,
+    MODEL_ORDER,
     PRESET_NAMES,
     SPEED_OF_LIGHT,
     SingularGeometryError,
@@ -207,11 +208,12 @@ def test_run_layout_sweep_validates_shape_and_budget(monkeypatch):
     assert len(calls) == 4  # one chunk per model
 
 
-def _pointwise_records(config, layout_sweep):
-    """The sweep's records from one crb_bounds call per (grid point, model)."""
+def _pointwise_records(config, kind):
+    """The records of a range sweep, layout sweep or run_point (kind "range",
+    "layout" or "point") from one crb_bounds call per (grid point, model)."""
     snr = config.snr()
     target = config.target()
-    if layout_sweep:
+    if kind == "layout":
         points = [
             ("gamma", float(gamma), build_layout(
                 config.num_subarrays, config.subarray_size,
@@ -221,7 +223,8 @@ def _pointwise_records(config, layout_sweep):
         ]
     else:
         layout = config.layout()
-        points = [("r_m", r, layout, TargetPolar(r, target.theta)) for r in config.range_grid()]
+        grid = (config.r_m,) if kind == "point" else config.range_grid()
+        points = [("r_m", r, layout, TargetPolar(r, target.theta)) for r in grid]
     records = []
     for sweep_var, value, layout, point in points:
         for model in config.model_list():
@@ -265,7 +268,8 @@ def test_sweeps_match_pointwise_closed_forms(case):
     config = dataclasses.replace(preset(name), **overrides)
     sweep = run_layout_sweep if layout_sweep else run_range_sweep
     records = sweep(config)
-    assert records == _pointwise_records(config, layout_sweep)
+    assert records == _pointwise_records(config, "layout" if layout_sweep else "range")
+    assert run_point(config) == _pointwise_records(config, "point")
     if flagged is None:
         assert not any(rec.flags for rec in records)
     else:
@@ -289,6 +293,18 @@ def test_csv_round_trip_is_lossless(tmp_path):
     assert ",inf," in text  # the planar model's range bound
     back = read_csv(str(path))
     assert back == records
+    # +-inf, -0.0 and 1e-300 read back as written; repr tells -0.0 from 0.0
+    # and lets NaN compare equal to itself
+    records = _writer_records()
+    write_csv(records, str(path))
+    back = read_csv(str(path))
+
+    def cells(rec):
+        numbers = (rec.sweep_value, rec.crb_r_m2, rec.crb_theta_rad2)
+        return (rec.sweep_var, rec.model, rec.flags) + tuple(repr(float(v)) for v in numbers)
+
+    assert [cells(rec) for rec in back] == [cells(rec) for rec in records]
+    assert {"inf", "-inf", "-0.0", "1e-300"} <= {c for rec in back for c in cells(rec)[3:]}
 
 
 def test_csv_writes_are_byte_identical(tmp_path):
@@ -345,24 +361,41 @@ def test_large_range_sweep_does_not_page_fault():
 
 # Names the benchmark harness reads from the package. The harness takes
 # about 40 s to self-test, so a refactor that drops one of them would
-# otherwise surface only as failed benchmark operations. The radial_terms
-# entries are the tracer's probes: it skips a missing probe silently, which
-# would zero the geometry.radial_terms metrics and fail nothing.
+# otherwise surface only as failed benchmark operations. Most entries are
+# the tracer's probes, the module attributes it wraps to time a layer: it
+# skips a missing probe silently, which would zero that layer's metrics
+# and fail nothing.
 _BENCH_NAMES = (
     ("modcrb", "__version__"),
     ("modcrb", "oracle_dtype"),
     ("modcrb.cli", "_resolve_config"),
     ("modcrb.cli", "build_parser"),
+    ("modcrb.cli", "preset"),
+    ("modcrb.config", "build_layout"),
+    ("modcrb.crb", "crb_hspm_dist"),
+    ("modcrb.crb", "crb_hspm_shared"),
+    ("modcrb.crb", "crb_pwm"),
+    ("modcrb.crb", "crb_swm"),
     ("modcrb.crb", "radial_terms"),
     ("modcrb.geometry", "TargetPolar"),
     ("modcrb.geometry", "build_layout"),
+    ("modcrb.oracle", "build_layout"),
+    ("modcrb.oracle", "crb_bounds"),
+    ("modcrb.oracle", "crb_from_steering"),
     ("modcrb.oracle", "cross_validate"),
+    ("modcrb.oracle", "fd_rebased"),
+    ("modcrb.oracle", "phase_increment"),
+    ("modcrb.oracle", "sample_case"),
+    ("modcrb.oracle", "steering"),
     ("modcrb.oracle", "verify_batch"),
     ("modcrb.sweeps", "_sweep_spacings"),
+    ("modcrb.sweeps", "build_layout"),
     ("modcrb.sweeps", "emit_outputs"),
     ("modcrb.sweeps", "read_csv"),
     ("modcrb.sweeps", "run_layout_sweep"),
     ("modcrb.sweeps", "run_range_sweep"),
+    ("modcrb.sweeps", "write_csv"),
+    ("modcrb.sweeps", "write_json"),
     ("modcrb.wavefront", "WavefrontModel"),
     ("modcrb.wavefront", "radial_terms"),
 )
@@ -375,6 +408,27 @@ def test_benchmark_reads_existing_names():
     assert np.finfo(importlib.import_module("modcrb").oracle_dtype()).eps == np.finfo(float).eps
     args = build_parser().parse_args(["verify"])
     assert (args.tol_analytic, args.tol_fd) == (1e-9, 1e-4)
+
+
+def test_crb_bounds_reaches_the_module_level_closed_forms(monkeypatch):
+    # the tracer times crb.<model> by wrapping these module attributes, so
+    # crb_bounds must look them up at call time
+    calls = []
+    for model in MODEL_ORDER:
+        name = "crb_" + model.value.replace("-", "_")
+        original = getattr(crb_module, name)
+
+        def traced(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(crb_module, name, traced)
+    config = preset("fig3")
+    for model in MODEL_ORDER:
+        pair = crb_bounds(model, config.layout(), config.target(), config.wavelength,
+                          config.snr())
+        assert pair.model is model
+    assert calls == ["crb_hspm_dist", "crb_hspm_shared", "crb_pwm", "crb_swm"]
 
 
 def test_readme_python_api_runs_and_names_public_symbols(capsys):
