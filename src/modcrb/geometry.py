@@ -269,11 +269,13 @@ def field_regions(layout: ModularLayout, wavelength: float) -> FieldRegions:
     )
 
 
-def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str, np.ndarray]:
+def radial_terms(
+    x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray
+) -> dict[str, np.ndarray]:
     """Per-point ranges and their derivatives.
 
-    For reference abscissas x and target ranges r, broadcast against each
-    other, and one target angle theta this evaluates, elementwise:
+    For reference abscissas x, target ranges r and target angles theta,
+    broadcast against each other, this evaluates, elementwise:
 
         w        r - x sin
         xc       x cos
@@ -299,7 +301,8 @@ def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str
             layout or (P, K) for P layouts.
         r: Target range, meters: a scalar, or an array broadcasting
             against x, e.g. (P, 1) for P ranges against x of shape (1, K).
-        theta: Target angle, radians.
+        theta: Target angle, radians: a scalar, or an array broadcasting
+            against x, e.g. one angle per abscissa.
 
     Returns:
         Dict of arrays keyed by the names above, of the broadcast shape of
@@ -327,7 +330,10 @@ def radial_terms(x: np.ndarray, r: float | np.ndarray, theta: float) -> dict[str
 
 
 def arrival_sine_terms(
-    x: np.ndarray, r: float | np.ndarray, theta: float, ranges: dict[str, np.ndarray]
+    x: np.ndarray,
+    r: float | np.ndarray,
+    theta: float | np.ndarray,
+    ranges: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Per-point arrival sines and their derivatives.
 
@@ -364,7 +370,7 @@ def arrival_sine_terms(
     }
 
 
-def _sine_increment(theta: float, dtheta: float | np.ndarray) -> np.ndarray:
+def _sine_increment(theta: float | np.ndarray, dtheta: float | np.ndarray) -> np.ndarray:
     """sin(theta + dtheta) - sin(theta) by sum-to-product, free of cancellation."""
     half = np.asarray(dtheta, dtype=float) / 2.0
     return 2.0 * np.cos(theta + half) * np.sin(half)
@@ -388,8 +394,8 @@ def _rng_minus_w(w: np.ndarray, xc: np.ndarray, rng: np.ndarray) -> np.ndarray:
 
 def radial_shift(
     x: np.ndarray,
-    r: float,
-    theta: float,
+    r: float | np.ndarray,
+    theta: float | np.ndarray,
     dr: float | np.ndarray = 0.0,
     dtheta: float | np.ndarray = 0.0,
 ) -> dict[str, np.ndarray]:
@@ -416,8 +422,9 @@ def radial_shift(
 
     Args:
         x: Reference abscissas, meters.
-        r: Base target range, meters.
-        theta: Base target angle, radians.
+        r: Base target range, meters: a scalar, or an array broadcasting
+            against x, e.g. one range per abscissa.
+        theta: Base target angle, radians, shaped like r.
         dr: Range shift, meters: a scalar, or an array broadcasting against
             x (every r + dr must stay positive).
         dtheta: Angle shift, radians: a scalar, or an array broadcasting
@@ -425,19 +432,37 @@ def radial_shift(
 
     Returns:
         Dict of arrays: d_excess and the shifted range rng1, of the
-        broadcast shape of x, dr and dtheta, and the base range rng0 and
-        its rng0 - w0 as gap0, of the shape of x. arrival_sine_shift reads
-        the last three.
+        broadcast shape of x, r, dr and dtheta, and the base range rng0
+        and its rng0 - w0 as gap0, of the broadcast shape of x and r.
+        arrival_sine_shift reads the last three.
+    """
+    return _radial_shift(x, r, dr, _angle_terms(theta, dtheta))
+
+
+def _angle_terms(theta: float | np.ndarray, dtheta: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """sin and cos of theta and of theta + dtheta, and the sine increment between them."""
+    ht = np.asarray(dtheta, dtype=float)
+    shifted = theta + ht
+    return (np.sin(theta), np.cos(theta), np.sin(shifted), np.cos(shifted),
+            _sine_increment(theta, ht))
+
+
+def _radial_shift(
+    x: np.ndarray, r: float | np.ndarray, dr: float | np.ndarray, angles: tuple[np.ndarray, ...]
+) -> dict[str, np.ndarray]:
+    """radial_shift from the _angle_terms of its angles.
+
+    The angle terms depend on the angles alone, so a caller whose
+    abscissas share a few angles evaluates them once per angle and passes
+    them gathered to the abscissas; the elementwise arithmetic gives the
+    same bits either way.
     """
     x = np.asarray(x, dtype=float)
     hr = np.asarray(dr, dtype=float)
-    ht = np.asarray(dtheta, dtype=float)
+    s0, c0, s1, c1, d_s = angles
     r1 = _shifted_range(r, hr)
-    s0, c0 = np.sin(theta), np.cos(theta)
-    s1 = np.sin(theta + ht)
-    d_s = _sine_increment(theta, ht)
     w0, xc0 = r - x * s0, x * c0
-    w1, xc1 = r1 - x * s1, x * np.cos(theta + ht)
+    w1, xc1 = r1 - x * s1, x * c1
     rng0 = np.hypot(w0, xc0)
     rng1 = np.hypot(w1, xc1)
     if np.any(rng0 == 0) or np.any(rng1 == 0):
@@ -450,8 +475,8 @@ def radial_shift(
 
 def arrival_sine_shift(
     x: np.ndarray,
-    r: float,
-    theta: float,
+    r: float | np.ndarray,
+    theta: float | np.ndarray,
     dr: float | np.ndarray,
     dtheta: float | np.ndarray,
     shift: dict[str, np.ndarray],

@@ -19,12 +19,19 @@ array center. That adds a multiple of g to dg_r, which the projection
 removes exactly, and keeps the rates' digits (and a meaningful degeneracy
 scale |dg_r|^2) where the range information is O((A / r)^4).
 
-cross_validate makes one phase pass per leg: the analytic leg takes the
-steering vector and its derivatives from one phase evaluation and one
-complex exponential, and the finite-difference leg stacks its four shifts
-(+-h_r, +-h_theta) into one phase_increment call and one exponential.
-Both do the arithmetic of separate passes in the same order, so every
-report keeps the bits it would have with separate passes.
+The oracle checks a group of cases at once. verify_batch draws its cases
+first and then evaluates consecutive runs of them holding at most
+_GROUP_ELEMENTS antennas; cross_validate is a group of one. The antennas of
+a group's cases go side by side in flat arrays (wavefront._Antennas), each
+entry carrying its case's r, theta and 2 pi / lambda. Per model, the
+analytic leg takes the steering vectors and their derivatives of the whole
+group from one phase pass and one complex exponential; the
+finite-difference leg stacks its four shifts (+-h_r, +-h_theta) of every
+case into one phase_increment pass and one exponential; each leg makes one
+projection, and one _bound_pair call inverts the information of every
+model, leg and case. The arithmetic is elementwise and each sum runs
+over one case's contiguous columns, so every report keeps the bits it has
+when its case is checked alone, with separate passes.
 """
 
 from __future__ import annotations
@@ -32,12 +39,21 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
-from .crb import CrbPair, SensingSnr, _bound_pair, _Quadratic, crb_bounds
+from .crb import (
+    CrbPair,
+    SensingSnr,
+    _abscissas,
+    _bound_pair,
+    _crb_batch,
+    _Quadratic,
+    crb_bounds,  # noqa: F401 - bench/tracing.py wraps the name on this module
+)
 from .errors import InvalidConfigurationError
 from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
 from .wavefront import (
@@ -45,8 +61,12 @@ from .wavefront import (
     SteeringDerivatives,
     SteeringVector,
     WavefrontModel,
+    _antennas,
+    _Antennas,
+    _one,
+    _phase_increment,
     _wavefront,
-    phase_increment,
+    phase_increment,  # noqa: F401 - bench/tracing.py wraps the name on this module
     steering,
 )
 
@@ -69,16 +89,38 @@ def oracle_dtype():
     return np.float64
 
 
-def _projected(g: np.ndarray, d_r: np.ndarray, d_theta: np.ndarray):
-    """A_rr, A_thetatheta, A_rtheta via explicit residuals."""
+def _projected(
+    g: np.ndarray, d_r: np.ndarray, d_t: np.ndarray, starts: np.ndarray, case: np.ndarray
+) -> np.ndarray:
+    """Per case A_rr, A_thetatheta, A_rtheta via explicit residuals, and the scales.
+
+    g, d_r and d_t hold the steering vectors and derivatives of C cases side
+    by side: case c owns entries starts[c]:starts[c + 1], and case[i] is the
+    case of entry i. Returns a (5, C) array: the three projected terms and
+    |dg_r|^2, |dg_theta|^2 of each case. Every sum runs over one case's
+    contiguous entries alone, so it has the bits of the same sum over that
+    case on its own.
+    """
+    cols = [slice(a, b) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
     g_conj = np.conj(g)
-    n2_g = (g_conj * g).real.sum()
-    e_r = d_r - ((g_conj * d_r).sum() / n2_g) * g
-    e_t = d_theta - ((g_conj * d_theta).sum() / n2_g) * g
-    a_rr = (np.conj(e_r) * e_r).real.sum()
-    a_tt = (np.conj(e_t) * e_t).real.sum()
-    a_rt = (np.conj(e_r) * e_t).real.sum()
-    return a_rr, a_tt, a_rt
+    prod = g_conj * g
+    n2_g = np.array([prod.real[col].sum() for col in cols])
+    dots = np.empty((2, len(g)), dtype=complex)
+    np.multiply(g_conj, d_r, out=dots[0])
+    np.multiply(g_conj, d_t, out=dots[1])
+    coef = np.array([dots[:, col].sum(axis=-1) for col in cols]).T / n2_g
+    # The residuals overwrite the products they were projected with.
+    e_r, e_t = dots
+    np.multiply(coef[0][case], g, out=prod)
+    np.subtract(d_r, prod, out=e_r)
+    np.multiply(coef[1][case], g, out=prod)
+    np.subtract(d_t, prod, out=e_t)
+    terms = np.empty((5, len(g)))
+    for row, (a, b) in zip(terms, ((e_r, e_r), (e_t, e_t), (e_r, e_t), (d_r, d_r), (d_t, d_t))):
+        np.conjugate(a, out=g_conj)
+        np.multiply(g_conj, b, out=prod)
+        row[...] = prod.real
+    return np.array([terms[:, col].sum(axis=-1) for col in cols]).T
 
 
 def crb_from_steering(
@@ -107,12 +149,13 @@ def crb_from_steering(
         forms.
     """
     gv, d_r, d_t = g.values, dg.d_r, dg.d_theta
-    if gv.shape != d_r.shape or gv.shape != d_t.shape:
-        raise InvalidConfigurationError("steering vector and derivatives disagree in shape")
-    a_rr, a_tt, a_rt = _projected(gv, d_r, d_t)
-    scale_r = (np.conj(d_r) * d_r).real.sum()
-    scale_t = (np.conj(d_t) * d_t).real.sum()
-    quad = _Quadratic(a_rr, a_tt, a_rt, scale_r, scale_t)
+    if gv.ndim != 1 or gv.shape != d_r.shape or gv.shape != d_t.shape:
+        raise InvalidConfigurationError(
+            "steering vector and derivatives must be 1-D arrays of one shape"
+        )
+    n = len(gv)
+    sums = _projected(gv, d_r, d_t, np.array([0, n]), np.zeros(n, dtype=np.int64))
+    quad = _Quadratic(*sums[:, 0])
     return _bound_pair(model, 0.5 / snr.gamma, quad, cos_theta).pair()
 
 
@@ -206,18 +249,33 @@ def fd_rebased(
         ValueError: If a step is not positive or the range step is too
             large (r - h_r <= 0).
     """
-    if h_r <= 0 or h_theta <= 0:
-        raise ValueError(f"steps must be positive, got h_r={h_r}, h_theta={h_theta}")
-    if target.r - h_r <= 0:
-        raise ValueError(f"range step {h_r} too large for target range {target.r}")
-
-    # Rows: +h_r, -h_r, +h_theta, -h_theta, in one phase pass and one exp.
-    dr = np.array([h_r, -h_r, 0.0, 0.0])
-    dtheta = np.array([0.0, 0.0, h_theta, -h_theta])
-    g = np.exp(-1j * phase_increment(model, layout, target, wavelength, dr, dtheta))
-    d_r = (g[0] - g[1]) / (2.0 * h_r)
-    d_t = (g[2] - g[3]) / (2.0 * h_theta)
+    ants = _one(layout, target, wavelength)
+    d_r, d_t = _fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]))
     return SteeringDerivatives(d_r=d_r, d_theta=d_t)
+
+
+def _fd_rebased(
+    model: WavefrontModel, ants: _Antennas, h_r: np.ndarray, h_theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """fd_rebased over a group of cases, with steps h_r, h_theta per case.
+
+    Rows +h_r, -h_r, +h_theta, -h_theta of every case go through one
+    phase pass and one complex exponential over a (4, N) array. Each
+    column has the bits of the scalar call for its shift, so the result
+    equals differences of separate evaluations exactly.
+    """
+    for r, hr, ht in zip(ants.r.tolist(), h_r.tolist(), h_theta.tolist()):
+        if hr <= 0 or ht <= 0:
+            raise ValueError(f"steps must be positive, got h_r={hr}, h_theta={ht}")
+        if r - hr <= 0:
+            raise ValueError(f"range step {hr} too large for target range {r}")
+    zero = np.zeros_like(h_r)
+    dr = np.array((h_r, -h_r, zero, zero))
+    dtheta = np.array((zero, zero, h_theta, -h_theta))
+    g = -1j * _phase_increment(model, ants, dr, dtheta)
+    np.exp(g, out=g)
+    c = ants.case
+    return (g[0] - g[1]) / (2.0 * h_r)[c], (g[2] - g[3]) / (2.0 * h_theta)[c]
 
 
 def relative_error(a: float, b: float) -> float:
@@ -234,18 +292,6 @@ def relative_error(a: float, b: float) -> float:
     if scale == 0.0:
         return 0.0
     return abs(a - b) / scale
-
-
-def _pair_error(reference: CrbPair, other: CrbPair) -> float:
-    """Worst relative deviation across the two bounds of a pair."""
-    return max(
-        relative_error(reference.crb_r, other.crb_r),
-        relative_error(reference.crb_theta, other.crb_theta),
-    )
-
-
-def _pair_dict(pair: CrbPair) -> dict[str, float]:
-    return {"crb_r_m2": pair.crb_r, "crb_theta_rad2": pair.crb_theta}
 
 
 @dataclass(frozen=True)
@@ -289,21 +335,19 @@ class ValidationReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _fd_steps(dg: SteeringDerivatives, target: TargetPolar) -> tuple[float, float]:
+def _fd_steps(rate_r: float, rate_t: float, r: float) -> tuple[float, float]:
     """Phase-aware steps keeping central-difference truncation near 1e-8.
 
     A unit-modulus entry exp(-1j psi(u)) differenced at step h picks up a
     multiplicative sin(w h)/(w h) ~ 1 - (w h)^2/6 attenuation at phase rate
-    w = dpsi/du, so the step is sized against the largest entry rate. The
-    range rates are rebased (see _wavefront) and can be tiny, but they vary
-    on the scale of r, so h_r also stays below 1e-5 r, a truncation of about
-    (h_r / r)^2. The rates only size the steps; the finite differences
-    never reuse the analytic values.
+    w = dpsi/du, so the step is sized against the largest entry rates
+    rate_r and rate_t. The range rates are rebased (see _wavefront) and can
+    be tiny, but they vary on the scale of the target range r, so h_r also
+    stays below 1e-5 r, a truncation of about (h_r / r)^2. The rates only
+    size the steps; the finite differences never reuse the analytic values.
     """
     eta = 1.4e-4  # (w h) giving (w h)^2 / 6 ~ 3e-9
-    rate_r = float(np.abs(dg.d_r).max())
-    rate_t = float(np.abs(dg.d_theta).max())
-    h_r = min(1e-5 * target.r, eta / rate_r) if rate_r else 1e-5 * target.r
+    h_r = min(1e-5 * r, eta / rate_r) if rate_r else 1e-5 * r
     h_theta = min(1e-4, eta / rate_t) if rate_t else 1e-4
     return h_r, h_theta
 
@@ -323,7 +367,7 @@ def cross_validate(
     the module docstring). The finite-difference leg uses fd_rebased with
     phase-aware steps (recorded in the report) so that it stays meaningful
     even where the closed forms are themselves heavily
-    cancellation-protected.
+    cancellation-protected. The check is verify_batch's, on a group of one.
 
     Args:
         model: Wavefront model under test.
@@ -337,28 +381,86 @@ def cross_validate(
     Returns:
         ValidationReport with both relative errors.
     """
-    closed = crb_bounds(model, layout, target, wavelength, snr)
-    g, dg = _wavefront(model, layout, target, wavelength)
-    cos_t = math.cos(target.theta)
-    analytic = crb_from_steering(g, dg, snr, model=model, cos_theta=cos_t)
+    (report,) = _validate((model,), [(layout, target, snr, wavelength)], h_r, h_theta)
+    return report
 
-    auto_r, auto_t = _fd_steps(dg, target)
-    h_r = h_r if h_r is not None else auto_r
-    h_theta = h_theta if h_theta is not None else auto_t
-    dg_fd = fd_rebased(model, layout, target, wavelength, h_r, h_theta)
-    g_ones = SteeringVector(values=np.ones_like(dg_fd.d_r))
-    fd = crb_from_steering(g_ones, dg_fd, snr, model=model, cos_theta=cos_t)
 
-    return ValidationReport(
-        model=model.value,
-        point={"layout": layout.digest, "r": target.r, "theta": target.theta},
-        closed_form=_pair_dict(closed),
-        generic_analytic=_pair_dict(analytic),
-        generic_fd=_pair_dict(fd),
-        rel_err_analytic=_pair_error(closed, analytic),
-        rel_err_fd=_pair_error(closed, fd),
-        fd_step_used={"h_r": h_r, "h_theta": h_theta},
-    )
+def _validate(
+    models: Sequence[WavefrontModel],
+    cases: Sequence[tuple[ModularLayout, TargetPolar, SensingSnr, float]],
+    h_r: float | None = None,
+    h_theta: float | None = None,
+) -> list[ValidationReport]:
+    """cross_validate every model at every (layout, target, snr, wavelength) case.
+
+    The cases' antennas go side by side (see wavefront._Antennas), so per
+    model each leg makes one phase pass, one complex exponential and one
+    projection for the whole group, and one _bound_pair call inverts the
+    information of every leg, model and case. Each case keeps the bits it
+    gets alone: the arithmetic is elementwise and every sum runs over one
+    case's columns. The closed forms run per case and model, as
+    crb_bounds runs them.
+
+    Args:
+        models: Wavefront models under test.
+        cases: Points to check, each as sample_case returns it.
+        h_r: Optional explicit range step for every case.
+        h_theta: Optional explicit angle step for every case.
+
+    Returns:
+        One ValidationReport per case and model, case-major.
+    """
+    ants = _antennas([(layout, target, wavelength) for layout, target, _, wavelength in cases])
+    closed = [
+        _crb_batch(model, layout, _abscissas(model, layout), target.r, target.theta,
+                   wavelength, snr).rows()[0]
+        for layout, target, snr, wavelength in cases
+        for model in models
+    ]
+    starts, case = ants.starts, ants.case
+    ones = np.ones(len(case), dtype=complex)
+    sums, used = [], []
+    for model in models:
+        g, d_r, d_t = _wavefront(model, ants)
+        rates = zip(np.maximum.reduceat(np.abs(d_r), starts[:-1]).tolist(),
+                    np.maximum.reduceat(np.abs(d_t), starts[:-1]).tolist(), ants.r.tolist())
+        steps = [
+            (auto_r if h_r is None else h_r, auto_t if h_theta is None else h_theta)
+            for auto_r, auto_t in (_fd_steps(*rate) for rate in rates)
+        ]
+        used.append(steps)
+        sums.append(_projected(g, d_r, d_t, starts, case))
+        # Free the analytic leg before the finite differences reach their peak.
+        del g, d_r, d_t
+        f_r, f_t = _fd_rebased(model, ants, *np.array(steps, dtype=float).T)
+        sums.append(_projected(ones, f_r, f_t, starts, case))
+
+    # Points ordered (model, leg, case).
+    n = len(cases)
+    nums = np.array([0.5 / snr.gamma for _, _, snr, _ in cases])
+    cos_t = np.array([math.cos(target.theta) for _, target, _, _ in cases])
+    legs = 2 * len(models)
+    quad = _Quadratic(*np.concatenate(sums, axis=1))
+    rows = _bound_pair(None, np.tile(nums, legs), quad, np.tile(cos_t, legs)).rows()
+
+    reports = []
+    for c, (layout, target, _, _) in enumerate(cases):
+        for i, model in enumerate(models):
+            crb_r, crb_t, _ = closed[c * len(models) + i]
+            an_r, an_t, _ = rows[2 * i * n + c]
+            fd_r, fd_t, _ = rows[(2 * i + 1) * n + c]
+            step_r, step_t = used[i][c]
+            reports.append(ValidationReport(
+                model=model.value,
+                point={"layout": layout.digest, "r": target.r, "theta": target.theta},
+                closed_form={"crb_r_m2": crb_r, "crb_theta_rad2": crb_t},
+                generic_analytic={"crb_r_m2": an_r, "crb_theta_rad2": an_t},
+                generic_fd={"crb_r_m2": fd_r, "crb_theta_rad2": fd_t},
+                rel_err_analytic=max(relative_error(crb_r, an_r), relative_error(crb_t, an_t)),
+                rel_err_fd=max(relative_error(crb_r, fd_r), relative_error(crb_t, fd_t)),
+                fd_step_used={"h_r": step_r, "h_theta": step_t},
+            ))
+    return reports
 
 
 def sample_case(rng: np.random.Generator):
@@ -443,6 +545,30 @@ class VerificationSummary:
         return "\n".join(lines)
 
 
+#: Most antennas in one group of verify_batch. Larger groups spread the
+#: per-group dispatch over more cases but hold more memory at once: a
+#: group's temporaries peak near 600 bytes per antenna.
+_GROUP_ELEMENTS = 2048
+
+
+def _groups(cases: list) -> Iterator[list]:
+    """Consecutive runs of cases with at most _GROUP_ELEMENTS antennas in all.
+
+    A case with more antennas than that forms a group of its own.
+    """
+    group: list = []
+    size = 0
+    for case in cases:
+        n = case[0].num_elements
+        if group and size + n > _GROUP_ELEMENTS:
+            yield group
+            group, size = [], 0
+        group.append(case)
+        size += n
+    if group:
+        yield group
+
+
 def verify_batch(
     num_cases: int = 500,
     seed: int = 7,
@@ -467,11 +593,10 @@ def verify_batch(
     max_fd = {model.value: 0.0 for model in MODEL_ORDER}
     failures: list[ValidationReport] = []
     start = time.perf_counter()
-    for _ in range(num_cases):
-        layout, target, snr, wavelength = sample_case(rng)
-        for model in MODEL_ORDER:
-            report = cross_validate(model, layout, target, wavelength, snr)
-            token = model.value
+    cases = [sample_case(rng) for _ in range(num_cases)]
+    for group in _groups(cases):
+        for report in _validate(MODEL_ORDER, group):
+            token = report.model
             max_an[token] = max(max_an[token], report.rel_err_analytic)
             max_fd[token] = max(max_fd[token], report.rel_err_fd)
             if report.rel_err_analytic > tol_analytic or report.rel_err_fd > tol_fd:

@@ -133,7 +133,9 @@ def _range_records(config: ExperimentConfig, grid: tuple[float, ...]) -> list[Sw
     layout = config.layout()
     snr = config.snr()
     models = config.model_list()
-    theta = config.target().theta
+    # The config's own range is not a grid point, so config.target() would
+    # check a value the sweep never reads.
+    theta = math.radians(config.theta_deg)
     # Validate every grid point before spending time on any evaluation.
     ranges = np.array([TargetPolar(r, theta).r for r in grid])[:, None]
     columns = []

@@ -22,8 +22,10 @@ in r and its range derivative vanishes identically.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +33,12 @@ from .errors import InvalidConfigurationError
 from .geometry import (
     ModularLayout,
     TargetPolar,
+    _angle_terms,
+    _radial_shift,
     _require_wavelength,
     _shifted_range,
-    _sine_increment,
     arrival_sine_shift,
     arrival_sine_terms,
-    radial_shift,
     radial_terms,
 )
 
@@ -103,46 +105,123 @@ class SteeringDerivatives:
     d_theta: np.ndarray = field(compare=False, repr=False)
 
 
+class _Antennas(NamedTuple):
+    """The antennas of one or more cases side by side, case-major.
+
+    Cases may differ in K and M, so the layout is ragged: case c owns
+    columns starts[c]:starts[c + 1] of every per-antenna array, in its own
+    subarray-major order. Each antenna and each subarray carries the index
+    of its case, whose target range and angle r[c], theta[c] it reads; k2
+    holds 2 pi / lambda per antenna. The geometry is elementwise, so one
+    pass over the group gives every entry the bits it gets in a group of
+    its case alone.
+
+    Attributes:
+        starts: (C + 1,) column bounds of the cases.
+        r: (C,) target range of each case, meters.
+        theta: (C,) target angle of each case, radians.
+        case: (N,) case of each antenna.
+        x: (N,) abscissa of each antenna, meters.
+        k2: (N,) 2 pi / lambda of each antenna's case.
+        subarray: (N,) index into sub_x of each antenna's subarray.
+        offset: (N,) offset m d of each antenna within its subarray.
+        sub_case: (S,) case of each subarray.
+        sub_x: (S,) reference abscissa of each subarray, meters.
+    """
+
+    starts: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+    case: np.ndarray
+    x: np.ndarray
+    k2: np.ndarray
+    subarray: np.ndarray
+    offset: np.ndarray
+    sub_case: np.ndarray
+    sub_x: np.ndarray
+
+
+def _antennas(cases: Sequence[tuple[ModularLayout, TargetPolar, float]]) -> _Antennas:
+    """Concatenate the antennas of (layout, target, wavelength) cases.
+
+    Raises:
+        InvalidConfigurationError: On a wavelength that is not finite and
+            positive.
+    """
+    k2 = []
+    for _, _, wavelength in cases:
+        _require_wavelength(wavelength)
+        k2.append(2.0 * np.pi / wavelength)
+    layouts = [layout for layout, _, _ in cases]
+    ks = np.array([layout.num_subarrays for layout in layouts])
+    ms = np.array([layout.subarray_size for layout in layouts])
+    sizes = ks * ms
+    starts = np.zeros(len(cases) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    case = np.repeat(np.arange(len(cases)), sizes)
+    sub_m = np.repeat(ms, ks)
+    subarray = np.repeat(np.arange(len(sub_m)), sub_m)
+    # Label m of an antenna: its column less its subarray's first column
+    # and (M - 1) / 2; times the pitch, as in ModularLayout.element_offsets.
+    first = np.cumsum(sub_m) - sub_m
+    label = np.arange(len(subarray)) - first[subarray] - (sub_m[subarray] - 1) // 2
+    pitch = np.array([layout.pitch for layout in layouts])
+    return _Antennas(
+        starts=starts,
+        r=np.array([target.r for _, target, _ in cases]),
+        theta=np.array([target.theta for _, target, _ in cases]),
+        case=case,
+        x=np.concatenate([layout.element_x for layout in layouts]),
+        k2=np.array(k2)[case],
+        subarray=subarray,
+        offset=label * pitch[case],
+        sub_case=np.repeat(np.arange(len(cases)), ks),
+        sub_x=np.concatenate([layout.subarray_x for layout in layouts]),
+    )
+
+
+def _one(layout: ModularLayout, target: TargetPolar, wavelength: float) -> _Antennas:
+    """The antennas of a single case."""
+    return _antennas(((layout, target, wavelength),))
+
+
 def _phase_terms(
-    model: WavefrontModel,
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
+    model: WavefrontModel, ants: _Antennas
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase psi such that g = exp(-1j psi), and rebased (r, theta) rates.
 
-    Returns three real arrays of length K*M: psi, the range rate of
-    psi - 2 pi r / lambda (of psi under PWM, which has no range), built from
-    the cancellation-free dr_dr - 1, and dpsi/dtheta.
+    Returns three real arrays with one entry per antenna of ants: psi, the
+    range rate of psi - 2 pi r / lambda (of psi under PWM, which has no
+    range), built from the cancellation-free dr_dr - 1, and dpsi/dtheta.
+    A term that depends on the case alone is evaluated once per case.
     """
-    _require_wavelength(wavelength)
-    k2 = 2.0 * np.pi / wavelength
+    k2 = ants.k2
 
     if model is WavefrontModel.SWM:
-        terms = radial_terms(layout.element_x, target.r, target.theta)
+        c = ants.case
+        terms = radial_terms(ants.x, ants.r[c], ants.theta[c])
         return k2 * terms["rng"], k2 * terms["dr_dr_m1"], k2 * terms["dr_dt"]
 
     if model is WavefrontModel.PWM:
-        x = layout.element_x
-        zero = np.zeros_like(x)
-        return -k2 * x * np.sin(target.theta), zero, -k2 * x * np.cos(target.theta)
+        c, x = ants.case, ants.x
+        sin_t, cos_t = np.sin(ants.theta)[c], np.cos(ants.theta)[c]
+        return -k2 * x * sin_t, np.zeros_like(x), -k2 * x * cos_t
 
-    x, r, theta = layout.subarray_x, target.r, target.theta
+    sc, x = ants.sub_case, ants.sub_x
+    r, theta = ants.r[sc], ants.theta[sc]
     terms = radial_terms(x, r, theta)
-    m_off = layout.element_offsets * layout.pitch
     if model is WavefrontModel.HSPM_DIST:
         sines = arrival_sine_terms(x, r, theta, terms)
         sin_sub, dsin_dr, dsin_dt = sines["sin_a"], sines["ds_dr"], sines["ds_dt"]
     else:
-        k = layout.num_subarrays
-        sin_sub = np.full(k, np.sin(theta))
-        dsin_dr = np.zeros(k)
-        dsin_dt = np.full(k, np.cos(theta))
+        sin_sub, dsin_dt = np.sin(ants.theta)[sc], np.cos(ants.theta)[sc]
+        dsin_dr = np.zeros_like(x)
 
-    psi = k2 * (terms["rng"][:, None] - m_off[None, :] * sin_sub[:, None])
-    dpsi_r = k2 * (terms["dr_dr_m1"][:, None] - m_off[None, :] * dsin_dr[:, None])
-    dpsi_t = k2 * (terms["dr_dt"][:, None] - m_off[None, :] * dsin_dt[:, None])
-    return psi.ravel(), dpsi_r.ravel(), dpsi_t.ravel()
+    sub, off = ants.subarray, ants.offset
+    psi = k2 * (terms["rng"][sub] - off * sin_sub[sub])
+    dpsi_r = k2 * (terms["dr_dr_m1"][sub] - off * dsin_dr[sub])
+    dpsi_t = k2 * (terms["dr_dt"][sub] - off * dsin_dt[sub])
+    return psi, dpsi_r, dpsi_t
 
 
 def steering(
@@ -162,7 +241,7 @@ def steering(
     Returns:
         SteeringVector of length K*M, unit modulus per entry.
     """
-    psi, _, _ = _phase_terms(model, layout, target, wavelength)
+    psi, _, _ = _phase_terms(model, _one(layout, target, wavelength))
     return SteeringVector(values=np.exp(-1j * psi))
 
 
@@ -186,32 +265,27 @@ def steering_derivatives(
     Returns:
         SteeringDerivatives with d_r and d_theta arrays of length K*M.
     """
-    g, dg = _wavefront(model, layout, target, wavelength)
-    if model is WavefrontModel.PWM:
-        return dg
-    # Put back the reference path's rate that _phase_terms leaves out.
-    d_r = dg.d_r - 1j * (2.0 * np.pi / wavelength) * g.values
-    return SteeringDerivatives(d_r=d_r, d_theta=dg.d_theta)
+    g, d_r, d_theta = _wavefront(model, _one(layout, target, wavelength))
+    if model is not WavefrontModel.PWM:
+        # Put back the reference path's rate that _phase_terms leaves out.
+        d_r = d_r - 1j * (2.0 * np.pi / wavelength) * g
+    return SteeringDerivatives(d_r=d_r, d_theta=d_theta)
 
 
 def _wavefront(
-    model: WavefrontModel,
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-) -> tuple[SteeringVector, SteeringDerivatives]:
-    """Steering vector and its rebased derivatives from one phase pass.
+    model: WavefrontModel, ants: _Antennas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steering vectors and their rebased derivatives from one phase pass.
 
-    The range derivative is that of g * exp(2j pi r / lambda). It differs
-    from steering_derivatives' by a multiple of g, which the projection onto
-    the nuisance gain removes exactly, but it no longer sits on 2 pi / lambda.
+    Returns g, dg/dr and dg/dtheta with one entry per antenna of ants. The
+    range derivative is that of g * exp(2j pi r / lambda). It differs from
+    steering_derivatives' by a multiple of g, which the projection onto
+    the nuisance gain removes exactly, but it no longer sits on
+    2 pi / lambda.
     """
-    psi, dpsi_r, dpsi_t = _phase_terms(model, layout, target, wavelength)
+    psi, dpsi_r, dpsi_t = _phase_terms(model, ants)
     g = np.exp(-1j * psi)
-    return (
-        SteeringVector(values=g),
-        SteeringDerivatives(d_r=-1j * dpsi_r * g, d_theta=-1j * dpsi_t * g),
-    )
+    return g, -1j * dpsi_r * g, -1j * dpsi_t * g
 
 
 def phase_increment(
@@ -256,24 +330,46 @@ def phase_increment(
         InvalidConfigurationError: On a wavelength that is not finite and
             positive, or a non-positive shifted range.
     """
-    _require_wavelength(wavelength)
-    k2 = 2.0 * np.pi / wavelength
+    ants = _one(layout, target, wavelength)
     hr, ht = np.broadcast_arrays(np.asarray(dr, dtype=float), np.asarray(dtheta, dtype=float))
-    hr, ht = hr[..., None], ht[..., None]
-    _shifted_range(target.r, hr)
+    return _phase_increment(model, ants, hr[..., None], ht[..., None])
+
+
+def _phase_increment(
+    model: WavefrontModel, ants: _Antennas, hr: np.ndarray, ht: np.ndarray
+) -> np.ndarray:
+    """phase_increment over a group of cases.
+
+    hr and ht hold shifts per case, of a common shape S + (C,) for C cases;
+    the result has shape S + (N,), one column per antenna of ants, each
+    shifted by its case's column.
+    """
+    _shifted_range(ants.r, hr)
+    k2 = ants.k2
+    # The angle terms depend on the case alone: evaluate them per case.
+    angles = _angle_terms(ants.theta, ht)
 
     if model is WavefrontModel.SWM:
-        shift = radial_shift(layout.element_x, target.r, target.theta, hr, ht)
+        c = ants.case
+        shift = _radial_shift(ants.x, ants.r[c], _take(hr, c), [_take(a, c) for a in angles])
         return k2 * shift["d_excess"]
 
     if model is WavefrontModel.PWM:
-        return -k2 * layout.element_x * _sine_increment(target.theta, ht)
+        return -k2 * ants.x * _take(angles[4], ants.case)
 
-    shift = radial_shift(layout.subarray_x, target.r, target.theta, hr, ht)
-    m_off = layout.element_offsets * layout.pitch
+    sc, x = ants.sub_case, ants.sub_x
+    r, theta = ants.r[sc], ants.theta[sc]
+    hr, ht = _take(hr, sc), _take(ht, sc)
+    angles = [_take(a, sc) for a in angles]
+    shift = _radial_shift(x, r, hr, angles)
     if model is WavefrontModel.HSPM_DIST:
-        d_sin = arrival_sine_shift(layout.subarray_x, target.r, target.theta, hr, ht, shift)
+        d_sin = arrival_sine_shift(x, r, theta, hr, ht, shift)
     else:
-        d_sin = _sine_increment(target.theta, ht)
-    dpsi = k2 * (shift["d_excess"][..., :, None] - m_off * d_sin[..., :, None])
-    return dpsi.reshape(dpsi.shape[:-2] + (-1,))
+        d_sin = angles[4]
+    sub = ants.subarray
+    return k2 * (_take(shift["d_excess"], sub) - ants.offset * _take(d_sin, sub))
+
+
+def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values gathered along the last axis."""
+    return np.take(values, index, axis=-1)

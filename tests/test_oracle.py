@@ -31,7 +31,8 @@ from modcrb import (
     steering_derivatives,
     verify_batch,
 )
-from modcrb.wavefront import _phase_terms, _wavefront
+from modcrb.oracle import ValidationReport, _fd_steps, _groups, _validate
+from modcrb.wavefront import _antennas, _phase_terms, _wavefront
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -40,10 +41,16 @@ TGT = TargetPolar(30.0, math.pi / 3)
 SNR = SensingSnr(1.0)
 
 
+def rebased(model, layout, target, lam):
+    """Steering vector and rebased derivatives of one case, from one phase pass."""
+    g, d_r, d_t = _wavefront(model, _antennas([(layout, target, lam)]))
+    return SteeringVector(values=g), SteeringDerivatives(d_r=d_r, d_theta=d_t)
+
+
 def test_closed_forms_match_generic_route():
     for model in MODEL_ORDER:
         closed = crb_bounds(model, FIG3, TGT, LAMBDA, SNR)
-        g, dg = _wavefront(model, FIG3, TGT, LAMBDA)
+        g, dg = rebased(model, FIG3, TGT, LAMBDA)
         generic = crb_from_steering(g, dg, SNR, model=model,
                                     cos_theta=math.cos(TGT.theta))
         assert relative_error(closed.crb_r, generic.crb_r) <= 1e-9
@@ -120,7 +127,7 @@ def test_endfire_is_flagged_by_every_closed_form_and_the_oracle(theta):
     tgt = TargetPolar(30.0, theta)
     for model in MODEL_ORDER:
         closed = crb_bounds(model, FIG3, tgt, LAMBDA, SNR)
-        g, dg = _wavefront(model, FIG3, tgt, LAMBDA)
+        g, dg = rebased(model, FIG3, tgt, LAMBDA)
         generic = crb_from_steering(g, dg, SNR, model=model, cos_theta=math.cos(theta))
         for pair in (closed, generic):
             assert pair.crb_theta == math.inf, (model, pair)
@@ -250,48 +257,73 @@ def test_cross_validate_degenerate_pair_counts_as_exact():
     assert report.closed_form["crb_r_m2"] == math.inf
 
 
+def separate_passes(model, layout, target, snr, lam):
+    """The report cross_validate gives, from separate single-case passes."""
+    cos_t = math.cos(target.theta)
+    g = steering(model, layout, target, lam)
+    _, rate_r, rate_t = _phase_terms(model, _antennas([(layout, target, lam)]))
+    dg = SteeringDerivatives(d_r=-1j * rate_r * g.values, d_theta=-1j * rate_t * g.values)
+    analytic = crb_from_steering(g, dg, snr, model=model, cos_theta=cos_t)
+    h_r, h_t = _fd_steps(np.abs(dg.d_r).max(), np.abs(dg.d_theta).max(), target.r)
+
+    def shifted(dr, dtheta):
+        return np.exp(-1j * phase_increment(model, layout, target, lam, dr, dtheta))
+
+    dg_fd = SteeringDerivatives(
+        d_r=(shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (2.0 * h_r),
+        d_theta=(shifted(0.0, h_t) - shifted(0.0, -h_t)) / (2.0 * h_t),
+    )
+    ones = SteeringVector(values=np.ones_like(dg_fd.d_r))
+    fd = crb_from_steering(ones, dg_fd, snr, model=model, cos_theta=cos_t)
+    closed = crb_bounds(model, layout, target, lam, snr)
+
+    def error(other):
+        return max(relative_error(closed.crb_r, other.crb_r),
+                   relative_error(closed.crb_theta, other.crb_theta))
+
+    return ValidationReport(
+        model=model.value,
+        point={"layout": layout.digest, "r": target.r, "theta": target.theta},
+        closed_form={"crb_r_m2": closed.crb_r, "crb_theta_rad2": closed.crb_theta},
+        generic_analytic={"crb_r_m2": analytic.crb_r, "crb_theta_rad2": analytic.crb_theta},
+        generic_fd={"crb_r_m2": fd.crb_r, "crb_theta_rad2": fd.crb_theta},
+        rel_err_analytic=error(analytic),
+        rel_err_fd=error(fd),
+        fd_step_used={"h_r": h_r, "h_theta": h_t},
+    )
+
+
 def test_cross_validate_equals_a_reference_built_from_separate_passes():
-    # the oracle evaluates the phase once per leg and stacks its four
-    # finite-difference shifts; neither may move a single bit of a report.
-    # The reference builds the analytic leg from a separate steering pass
-    # and a separate pass of the rebased phase rates.
+    # the oracle evaluates the phase once per leg for a whole group of cases
+    # of different K * M side by side, and stacks its four finite-difference
+    # shifts; none of it may move a single bit of a report. The reference
+    # builds each case alone, the analytic leg from a separate steering pass
+    # and a separate pass of the rebased phase rates. to_json writes every
+    # float by repr, so equal texts are equal bits (-0.0 included).
     rng = np.random.default_rng(11)
-    for _ in range(6):
-        layout, target, snr, lam = sample_case(rng)
-        cos_t = math.cos(target.theta)
-        for model in MODEL_ORDER:
-            report = cross_validate(model, layout, target, lam, snr)
-            g = steering(model, layout, target, lam)
-            _, rate_r, rate_t = _phase_terms(model, layout, target, lam)
-            dg = SteeringDerivatives(d_r=-1j * rate_r * g.values,
-                                     d_theta=-1j * rate_t * g.values)
-            analytic = crb_from_steering(g, dg, snr, model=model, cos_theta=cos_t)
-            h_r, h_t = report.fd_step_used["h_r"], report.fd_step_used["h_theta"]
-
-            def shifted(dr, dtheta):
-                dpsi = phase_increment(model, layout, target, lam, dr, dtheta)
-                return np.exp(-1j * dpsi)
-
-            dg_fd = SteeringDerivatives(
-                d_r=(shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (2.0 * h_r),
-                d_theta=(shifted(0.0, h_t) - shifted(0.0, -h_t)) / (2.0 * h_t),
-            )
-            ones = SteeringVector(values=np.ones_like(dg_fd.d_r))
-            fd = crb_from_steering(ones, dg_fd, snr, model=model, cos_theta=cos_t)
-            closed = crb_bounds(model, layout, target, lam, snr)
-            assert report.closed_form == {"crb_r_m2": closed.crb_r,
-                                          "crb_theta_rad2": closed.crb_theta}
-            assert report.generic_analytic == {"crb_r_m2": analytic.crb_r,
-                                               "crb_theta_rad2": analytic.crb_theta}
-            assert report.generic_fd == {"crb_r_m2": fd.crb_r, "crb_theta_rad2": fd.crb_theta}
-            assert report.rel_err_analytic == max(
-                relative_error(closed.crb_r, analytic.crb_r),
-                relative_error(closed.crb_theta, analytic.crb_theta),
-            )
-            assert report.rel_err_fd == max(
-                relative_error(closed.crb_r, fd.crb_r),
-                relative_error(closed.crb_theta, fd.crb_theta),
-            )
+    drawn = [sample_case(rng) for _ in range(6)]
+    built = []
+    for i, (k, m, lam) in enumerate([(7, 125, 0.005), (1, 1, 0.005), (3, 5, 0.01),
+                                     (5, 125, 0.005), (1, 125, 0.0025), (3, 63, 0.005),
+                                     (7, 3, 0.02), (5, 1, 0.005)]):
+        half = (k - 1) // 2
+        gaps = tuple(range(1 + i, 1 + i + half)) + (0,) + tuple(range(7 * i + 2, 7 * i + 2 + half))
+        layout = build_layout(k, m, gaps, lam / 2.0)
+        theta = (-1.0) ** i * (0.1 + 0.17 * i)
+        r = 2.0 + 3.0 * i + 2.0 * layout.aperture
+        built.append((layout, TargetPolar(r, theta), SensingSnr(0.3 + i), lam))
+    group = [case for pair in zip(drawn + drawn[:2], built) for case in pair]
+    assert len({case[0].num_elements for case in group}) > 8
+    reports = _validate(MODEL_ORDER, group)
+    assert len(reports) == len(group) * len(MODEL_ORDER)
+    for c, (layout, target, snr, lam) in enumerate(group):
+        for i, model in enumerate(MODEL_ORDER):
+            report = reports[c * len(MODEL_ORDER) + i]
+            expected = separate_passes(model, layout, target, snr, lam)
+            assert report.to_json() == expected.to_json(), (c, model)
+            # a group of one is the same path
+            alone = cross_validate(model, layout, target, lam, snr)
+            assert alone.to_json() == expected.to_json(), (c, model)
 
 
 def test_only_structural_degeneracy_is_flagged():
@@ -349,3 +381,69 @@ def test_verify_batch_small_run_passes_and_is_reproducible():
     assert "PASS" in one.describe()
     with pytest.raises(InvalidConfigurationError):
         verify_batch(num_cases=0)
+
+
+def _bounds(reports):
+    """(closed, analytic, fd) x (crb_r, crb_theta) of each report."""
+    return [
+        [(pair["crb_r_m2"], pair["crb_theta_rad2"])
+         for pair in (rep.closed_form, rep.generic_analytic, rep.generic_fd)]
+        for rep in reports
+    ]
+
+
+def _verify_reports(cases):
+    """Reports of every model at every case, grouped as verify_batch groups them."""
+    return [rep for group in _groups(cases) for rep in _validate(MODEL_ORDER, group)]
+
+
+@pytest.fixture(scope="module")
+def invariance_cases():
+    rng = np.random.default_rng(2024)
+    cases = [sample_case(rng) for _ in range(100)]
+    return cases, _bounds(_verify_reports(cases))
+
+
+def test_scaling_every_length_by_two_scales_the_range_bound_by_four_exactly(invariance_cases):
+    # lambda, the pitch and r doubled leave every phase alone and halve every
+    # range rate: crb_r gains exactly 4, crb_theta keeps its bits, for the
+    # closed forms and both oracle legs (the phase-aware range step doubles)
+    cases, base = invariance_cases
+    scaled = [
+        (build_layout(lay.num_subarrays, lay.subarray_size, lay.spacings, 2.0 * lay.pitch),
+         TargetPolar(2.0 * tgt.r, tgt.theta), snr, 2.0 * lam)
+        for lay, tgt, snr, lam in cases
+    ]
+    # interleaved with the originals, so a case-index slip between
+    # neighbours in a group shows
+    mixed = _bounds(_verify_reports([case for pair in zip(cases, scaled) for case in pair]))
+    for i, legs in enumerate(base):
+        c, m = divmod(i, len(MODEL_ORDER))
+        assert mixed[2 * c * len(MODEL_ORDER) + m] == legs
+        for (crb_r, crb_t), (big_r, big_t) in zip(legs, mixed[(2 * c + 1) * len(MODEL_ORDER) + m]):
+            assert big_r == 4.0 * crb_r, (c, m)
+            assert big_t == crb_t, (c, m)
+
+
+def test_doubling_the_snr_halves_every_bound_exactly(invariance_cases):
+    cases, base = invariance_cases
+    louder = [(lay, tgt, SensingSnr(2.0 * snr.gamma), lam) for lay, tgt, snr, lam in cases]
+    for i, legs in enumerate(_bounds(_verify_reports(louder))):
+        for (crb_r, crb_t), (half_r, half_t) in zip(base[i], legs):
+            assert half_r == 0.5 * crb_r, i
+            assert half_t == 0.5 * crb_t, i
+
+
+def test_mirroring_the_target_and_the_layout_keeps_every_bound(invariance_cases):
+    # theta -> -theta over the reversed gap vector is the same geometry seen
+    # in a mirror; only the rounding of mirrored abscissas may differ
+    cases, base = invariance_cases
+    mirrored = [
+        (build_layout(lay.num_subarrays, lay.subarray_size, lay.spacings[::-1], lay.pitch),
+         TargetPolar(tgt.r, -tgt.theta), snr, lam)
+        for lay, tgt, snr, lam in cases
+    ]
+    for i, legs in enumerate(_bounds(_verify_reports(mirrored))):
+        for pair, mirror in zip(base[i], legs):
+            for a, b in zip(pair, mirror):
+                assert relative_error(a, b) <= 1e-13, (i, pair, mirror)

@@ -724,6 +724,18 @@ def test_cli_sweep_range_with_inline_overrides(tmp_path):
     assert {rec.model for rec in records} == {"swm"}
 
 
+def test_cli_range_sweep_ignores_the_point_range(tmp_path, capsys):
+    # a range sweep reads its grid, never --r; a point evaluation still checks it
+    plain, zero = tmp_path / "plain.csv", tmp_path / "zero.csv"
+    argv = ["sweep-range", "--preset", "fig3", "--r-count", "2"]
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--r", "0", "--out", str(zero)]) == 0
+    assert zero.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    assert main(["crb", "--preset", "fig3", "--r", "0"]) == 2
+    assert "target range must be finite and positive" in capsys.readouterr().err
+
+
 def test_cli_config_file_matches_preset(tmp_path, capsys):
     path = tmp_path / "fig3.cfg"
     path.write_text(serialize_config(preset("fig3")), encoding="utf-8")
