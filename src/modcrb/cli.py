@@ -8,12 +8,13 @@ Subcommands:
     verify        randomized cross-validation of closed forms vs oracle
     regions       report the field-region boundaries of a layout
 
-Every subcommand accepts --config <path> and/or --preset <name>, with any
-inline flag (--K, --M, --spacings, --freq-ghz, --snr-db, --r, --theta-deg,
---models, --out, ...) overriding the file value. Exit codes: 0 success,
-1 verification failure, 2 configuration error, 3 degenerate information
-in `crb --strict`, 4 numeric error (a computed bound that is NaN or not
-positive, a target that coincides with an antenna, or an overflow).
+Every subcommand accepts --config <path> and/or --preset <name>. Every
+config-file key is also an inline flag (--K, --spacings, --r-start for
+r_start, ...) that overrides the file value and parses as the file's value
+does. Exit codes: 0 success, 1 verification failure, 2 configuration
+error, 3 degenerate information in `crb --strict`, 4 numeric error (a
+computed bound that is NaN or not positive, a target that coincides with
+an antenna, or an overflow).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import PRESET_NAMES, ExperimentConfig, load_config, parse_models, preset
+from .config import _KEY_FIELDS, PRESET_NAMES, ExperimentConfig, _parse_value, load_config, preset
 from .crb import FLAG_DEGENERATE
 from .errors import InvalidConfigurationError, NumericDomainError, SingularGeometryError
 from .geometry import field_regions
@@ -37,29 +38,6 @@ _EXIT_CONFIG = 2
 _EXIT_DEGENERATE = 3
 _EXIT_NUMERIC = 4
 
-# (flag, config field, type) for inline overrides shared by all subcommands.
-_OVERRIDES = (
-    ("--K", "num_subarrays", int),
-    ("--M", "subarray_size", int),
-    ("--spacings", "spacings", str),
-    ("--freq-ghz", "freq_ghz", float),
-    ("--lambda-m", "lambda_m", float),
-    ("--pitch-m", "pitch_m", float),
-    ("--snr-db", "snr_db", float),
-    ("--r", "r_m", float),
-    ("--theta-deg", "theta_deg", float),
-    ("--models", "models", str),
-    ("--r-start", "r_start_m", float),
-    ("--r-stop", "r_stop_m", float),
-    ("--r-count", "r_count", int),
-    ("--gamma-start", "gamma_start", int),
-    ("--gamma-stop", "gamma_stop", int),
-    ("--gap-budget", "gap_budget", int),
-    ("--out", "out", str),
-    ("--json-out", "json_out", str),
-    ("--plot-out", "plot_out", str),
-)
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file to start from")
@@ -68,8 +46,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         choices=PRESET_NAMES,
         help="packaged preset to start from (overridden by --config values)",
     )
-    for flag, field, kind in _OVERRIDES:
-        parser.add_argument(flag, dest=f"cfg_{field}", type=kind, metavar=field.upper())
+    # One inline flag per config-file key, --r-start for r_start; values are
+    # kept as text and parsed as the file's are.
+    for key, (field, _) in _KEY_FIELDS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}",
+                            metavar=field.upper())
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -83,16 +64,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         config = preset(args.preset)
     if args.config:
         config = load_config(args.config)
-    overrides = {}
-    for _, field, _ in _OVERRIDES:
-        value = getattr(args, f"cfg_{field}")
-        if value is None:
-            continue
-        if field == "spacings":
-            value = tuple(int(p) for p in value.split(","))
-        elif field == "models":
-            value = parse_models(value)
-        overrides[field] = value
+    texts = {key: getattr(args, f"cfg_{key}") for key in _KEY_FIELDS}
+    overrides = dict(_parse_value(key, text) for key, text in texts.items() if text is not None)
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config

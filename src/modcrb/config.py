@@ -195,6 +195,23 @@ _KEY_FIELDS = {
 _FIELD_KEYS = {field: key for key, (field, _) in _KEY_FIELDS.items()}
 
 
+def _parse_value(key: str, text: str) -> tuple[str, object]:
+    """The field that config key `key` sets, and its value parsed from text.
+
+    Config files and the CLI's inline flags both parse through here.
+
+    Raises:
+        InvalidConfigurationError: On a value the key's parser rejects.
+    """
+    field, convert = _KEY_FIELDS[key]
+    try:
+        return field, convert(text)
+    except InvalidConfigurationError:
+        raise
+    except ValueError:
+        raise InvalidConfigurationError(f"bad value {text!r} for key {key!r}") from None
+
+
 def parse_models(value: str) -> tuple[str, ...]:
     """Parse a comma-separated model list; "all" expands to every model."""
     tokens = tuple(t.strip() for t in value.split(",") if t.strip())
@@ -238,15 +255,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                 f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})"
             )
         seen[key] = lineno
-        field, convert = _KEY_FIELDS[key]
         try:
-            values[field] = convert(value)
+            field, parsed = _parse_value(key, value)
         except InvalidConfigurationError as exc:
             raise InvalidConfigurationError(f"{source}:{lineno}: {exc}") from None
-        except ValueError:
-            raise InvalidConfigurationError(
-                f"{source}:{lineno}: bad value {value!r} for key {key!r}"
-            ) from None
+        values[field] = parsed
     try:
         return ExperimentConfig(**values)
     except InvalidConfigurationError as exc:

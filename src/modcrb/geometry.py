@@ -376,14 +376,13 @@ def _sine_increment(theta: float | np.ndarray, dtheta: float | np.ndarray) -> np
     return 2.0 * np.cos(theta + half) * np.sin(half)
 
 
-def _shifted_range(r: float, dr: float | np.ndarray) -> np.ndarray:
-    """r + dr; InvalidConfigurationError unless every one is positive."""
+def _require_shifted_range(r: float | np.ndarray, dr: float | np.ndarray) -> None:
+    """InvalidConfigurationError unless every shifted range r + dr is positive."""
     r1 = r + np.asarray(dr, dtype=float)
     if np.any(r1 <= 0):
         raise InvalidConfigurationError(
             f"shifted range {float(np.min(r1))} must stay positive"
         )
-    return r1
 
 
 def _rng_minus_w(w: np.ndarray, xc: np.ndarray, rng: np.ndarray) -> np.ndarray:
@@ -435,7 +434,11 @@ def radial_shift(
         broadcast shape of x, r, dr and dtheta, and the base range rng0
         and its rng0 - w0 as gap0, of the broadcast shape of x and r.
         arrival_sine_shift reads the last three.
+
+    Raises:
+        InvalidConfigurationError: If some r + dr is not positive.
     """
+    _require_shifted_range(r, dr)
     return _radial_shift(x, r, dr, _angle_terms(theta, dtheta))
 
 
@@ -455,12 +458,13 @@ def _radial_shift(
     The angle terms depend on the angles alone, so a caller whose
     abscissas share a few angles evaluates them once per angle and passes
     them gathered to the abscissas; the elementwise arithmetic gives the
-    same bits either way.
+    same bits either way. The caller has checked that every r + dr is
+    positive.
     """
     x = np.asarray(x, dtype=float)
     hr = np.asarray(dr, dtype=float)
     s0, c0, s1, c1, d_s = angles
-    r1 = _shifted_range(r, hr)
+    r1 = r + hr
     w0, xc0 = r - x * s0, x * c0
     w1, xc1 = r1 - x * s1, x * c1
     rng0 = np.hypot(w0, xc0)

@@ -31,29 +31,22 @@ case into one phase_increment pass and one exponential; each leg makes one
 projection, and one _bound_pair call inverts the information of every
 model, leg and case. The arithmetic is elementwise and each sum runs
 over one case's contiguous columns, so every report keeps the bits it has
-when its case is checked alone, with separate passes.
+when its case is checked alone, with separate passes. The closed forms
+under test come from crb_bounds, once per case and model, as any other
+caller gets them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
-from .crb import (
-    CrbPair,
-    SensingSnr,
-    _abscissas,
-    _bound_pair,
-    _crb_batch,
-    _Quadratic,
-    crb_bounds,  # noqa: F401 - bench/tracing.py wraps the name on this module
-)
+from .crb import CrbPair, SensingSnr, _bound_pair, _Quadratic, crb_bounds
 from .errors import InvalidConfigurationError
 from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
 from .wavefront import (
@@ -246,9 +239,13 @@ def fd_rebased(
         SteeringDerivatives in the rebased frame.
 
     Raises:
-        ValueError: If a step is not positive or the range step is too
-            large (r - h_r <= 0).
+        ValueError: If a step is not positive.
+        InvalidConfigurationError: If the range step is too large
+            (r - h_r <= 0): "shifted range ... must stay positive", from
+            phase_increment's check.
     """
+    if h_r <= 0 or h_theta <= 0:
+        raise ValueError(f"steps must be positive, got h_r={h_r}, h_theta={h_theta}")
     ants = _one(layout, target, wavelength)
     d_r, d_t = _fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]))
     return SteeringDerivatives(d_r=d_r, d_theta=d_t)
@@ -262,13 +259,9 @@ def _fd_rebased(
     Rows +h_r, -h_r, +h_theta, -h_theta of every case go through one
     phase pass and one complex exponential over a (4, N) array. Each
     column has the bits of the scalar call for its shift, so the result
-    equals differences of separate evaluations exactly.
+    equals differences of separate evaluations exactly. The steps must be
+    positive; _phase_increment checks that every r - h_r stays positive.
     """
-    for r, hr, ht in zip(ants.r.tolist(), h_r.tolist(), h_theta.tolist()):
-        if hr <= 0 or ht <= 0:
-            raise ValueError(f"steps must be positive, got h_r={hr}, h_theta={ht}")
-        if r - hr <= 0:
-            raise ValueError(f"range step {hr} too large for target range {r}")
     zero = np.zeros_like(h_r)
     dr = np.array((h_r, -h_r, zero, zero))
     dtheta = np.array((zero, zero, h_theta, -h_theta))
@@ -358,16 +351,15 @@ def cross_validate(
     target: TargetPolar,
     wavelength: float,
     snr: SensingSnr,
-    h_r: float | None = None,
-    h_theta: float | None = None,
 ) -> ValidationReport:
     """Check one closed form against the generic route at one point.
 
     Both legs of the generic route work in the reference-path frame (see
     the module docstring). The finite-difference leg uses fd_rebased with
-    phase-aware steps (recorded in the report) so that it stays meaningful
-    even where the closed forms are themselves heavily
-    cancellation-protected. The check is verify_batch's, on a group of one.
+    the phase-aware steps of _fd_steps (recorded in the report) so that it
+    stays meaningful even where the closed forms are themselves heavily
+    cancellation-protected; the closed form comes from crb_bounds. The
+    check is verify_batch's, on a group of one.
 
     Args:
         model: Wavefront model under test.
@@ -375,21 +367,17 @@ def cross_validate(
         target: Target position.
         wavelength: Carrier wavelength, meters.
         snr: Sensing SNR.
-        h_r: Optional explicit range step.
-        h_theta: Optional explicit angle step.
 
     Returns:
         ValidationReport with both relative errors.
     """
-    (report,) = _validate((model,), [(layout, target, snr, wavelength)], h_r, h_theta)
+    (report,) = _validate((model,), [(layout, target, snr, wavelength)])
     return report
 
 
 def _validate(
     models: Sequence[WavefrontModel],
     cases: Sequence[tuple[ModularLayout, TargetPolar, SensingSnr, float]],
-    h_r: float | None = None,
-    h_theta: float | None = None,
 ) -> list[ValidationReport]:
     """cross_validate every model at every (layout, target, snr, wavelength) case.
 
@@ -398,22 +386,19 @@ def _validate(
     projection for the whole group, and one _bound_pair call inverts the
     information of every leg, model and case. Each case keeps the bits it
     gets alone: the arithmetic is elementwise and every sum runs over one
-    case's columns. The closed forms run per case and model, as
-    crb_bounds runs them.
+    case's columns. The closed forms run per case and model, through
+    crb_bounds.
 
     Args:
         models: Wavefront models under test.
         cases: Points to check, each as sample_case returns it.
-        h_r: Optional explicit range step for every case.
-        h_theta: Optional explicit angle step for every case.
 
     Returns:
         One ValidationReport per case and model, case-major.
     """
     ants = _antennas([(layout, target, wavelength) for layout, target, _, wavelength in cases])
     closed = [
-        _crb_batch(model, layout, _abscissas(model, layout), target.r, target.theta,
-                   wavelength, snr).rows()[0]
+        crb_bounds(model, layout, target, wavelength, snr)
         for layout, target, snr, wavelength in cases
         for model in models
     ]
@@ -424,10 +409,7 @@ def _validate(
         g, d_r, d_t = _wavefront(model, ants)
         rates = zip(np.maximum.reduceat(np.abs(d_r), starts[:-1]).tolist(),
                     np.maximum.reduceat(np.abs(d_t), starts[:-1]).tolist(), ants.r.tolist())
-        steps = [
-            (auto_r if h_r is None else h_r, auto_t if h_theta is None else h_theta)
-            for auto_r, auto_t in (_fd_steps(*rate) for rate in rates)
-        ]
+        steps = [_fd_steps(*rate) for rate in rates]
         used.append(steps)
         sums.append(_projected(g, d_r, d_t, starts, case))
         # Free the analytic leg before the finite differences reach their peak.
@@ -446,7 +428,8 @@ def _validate(
     reports = []
     for c, (layout, target, _, _) in enumerate(cases):
         for i, model in enumerate(models):
-            crb_r, crb_t, _ = closed[c * len(models) + i]
+            pair = closed[c * len(models) + i]
+            crb_r, crb_t = pair.crb_r, pair.crb_theta
             an_r, an_t, _ = rows[2 * i * n + c]
             fd_r, fd_t, _ = rows[(2 * i + 1) * n + c]
             step_r, step_t = used[i][c]
@@ -511,7 +494,6 @@ class VerificationSummary:
         max_rel_err_analytic: Worst analytic deviation per model token.
         max_rel_err_fd: Worst finite-difference deviation per model token.
         failures: Reports that exceeded a threshold.
-        elapsed_s: Wall-clock time of the batch.
     """
 
     num_cases: int
@@ -521,7 +503,6 @@ class VerificationSummary:
     max_rel_err_analytic: dict[str, float]
     max_rel_err_fd: dict[str, float]
     failures: tuple[ValidationReport, ...]
-    elapsed_s: float
 
     @property
     def passed(self) -> bool:
@@ -592,7 +573,6 @@ def verify_batch(
     max_an = {model.value: 0.0 for model in MODEL_ORDER}
     max_fd = {model.value: 0.0 for model in MODEL_ORDER}
     failures: list[ValidationReport] = []
-    start = time.perf_counter()
     cases = [sample_case(rng) for _ in range(num_cases)]
     for group in _groups(cases):
         for report in _validate(MODEL_ORDER, group):
@@ -601,7 +581,6 @@ def verify_batch(
             max_fd[token] = max(max_fd[token], report.rel_err_fd)
             if report.rel_err_analytic > tol_analytic or report.rel_err_fd > tol_fd:
                 failures.append(report)
-    elapsed = time.perf_counter() - start
     return VerificationSummary(
         num_cases=num_cases,
         seed=seed,
@@ -610,5 +589,4 @@ def verify_batch(
         max_rel_err_analytic=max_an,
         max_rel_err_fd=max_fd,
         failures=tuple(failures),
-        elapsed_s=elapsed,
     )

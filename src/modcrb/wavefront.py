@@ -35,8 +35,8 @@ from .geometry import (
     TargetPolar,
     _angle_terms,
     _radial_shift,
+    _require_shifted_range,
     _require_wavelength,
-    _shifted_range,
     arrival_sine_shift,
     arrival_sine_terms,
     radial_terms,
@@ -160,12 +160,8 @@ def _antennas(cases: Sequence[tuple[ModularLayout, TargetPolar, float]]) -> _Ant
     np.cumsum(sizes, out=starts[1:])
     case = np.repeat(np.arange(len(cases)), sizes)
     sub_m = np.repeat(ms, ks)
-    subarray = np.repeat(np.arange(len(sub_m)), sub_m)
-    # Label m of an antenna: its column less its subarray's first column
-    # and (M - 1) / 2; times the pitch, as in ModularLayout.element_offsets.
-    first = np.cumsum(sub_m) - sub_m
-    label = np.arange(len(subarray)) - first[subarray] - (sub_m[subarray] - 1) // 2
-    pitch = np.array([layout.pitch for layout in layouts])
+    offsets = [np.tile(layout.element_offsets * layout.pitch, layout.num_subarrays)
+               for layout in layouts]
     return _Antennas(
         starts=starts,
         r=np.array([target.r for _, target, _ in cases]),
@@ -173,8 +169,8 @@ def _antennas(cases: Sequence[tuple[ModularLayout, TargetPolar, float]]) -> _Ant
         case=case,
         x=np.concatenate([layout.element_x for layout in layouts]),
         k2=np.array(k2)[case],
-        subarray=subarray,
-        offset=label * pitch[case],
+        subarray=np.repeat(np.arange(len(sub_m)), sub_m),
+        offset=np.concatenate(offsets),
         sub_case=np.repeat(np.arange(len(cases)), ks),
         sub_x=np.concatenate([layout.subarray_x for layout in layouts]),
     )
@@ -342,9 +338,10 @@ def _phase_increment(
 
     hr and ht hold shifts per case, of a common shape S + (C,) for C cases;
     the result has shape S + (N,), one column per antenna of ants, each
-    shifted by its case's column.
+    shifted by its case's column. Every shifted range is checked here,
+    once for the whole group, and not again in geometry._radial_shift.
     """
-    _shifted_range(ants.r, hr)
+    _require_shifted_range(ants.r, hr)
     k2 = ants.k2
     # The angle terms depend on the case alone: evaluate them per case.
     angles = _angle_terms(ants.theta, ht)

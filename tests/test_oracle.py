@@ -31,6 +31,7 @@ from modcrb import (
     steering_derivatives,
     verify_batch,
 )
+from modcrb import oracle
 from modcrb.oracle import ValidationReport, _fd_steps, _groups, _validate
 from modcrb.wavefront import _antennas, _phase_terms, _wavefront
 
@@ -185,9 +186,10 @@ def test_fd_step_validation():
         fd_derivatives(WavefrontModel.SWM, FIG3, TGT, LAMBDA, h_r=-1e-4)
     with pytest.raises(ValueError):
         fd_derivatives(WavefrontModel.SWM, FIG3, TargetPolar(5e-5, 0.0), LAMBDA)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="steps must be positive"):
         fd_rebased(WavefrontModel.SWM, FIG3, TGT, LAMBDA, h_r=0.0, h_theta=1e-4)
-    with pytest.raises(ValueError):
+    # a range step past the target is phase_increment's shifted-range error
+    with pytest.raises(InvalidConfigurationError, match="must stay positive"):
         fd_rebased(WavefrontModel.SWM, FIG3, TargetPolar(5e-5, 0.0), LAMBDA,
                    h_r=1e-4, h_theta=1e-4)
 
@@ -376,11 +378,24 @@ def test_verify_batch_small_run_passes_and_is_reproducible():
     one = verify_batch(num_cases=20, seed=11)
     two = verify_batch(num_cases=20, seed=11)
     assert one.passed
-    assert one.max_rel_err_analytic == two.max_rel_err_analytic
-    assert one.max_rel_err_fd == two.max_rel_err_fd
+    assert one == two
     assert "PASS" in one.describe()
     with pytest.raises(InvalidConfigurationError):
         verify_batch(num_cases=0)
+
+
+def test_verify_batch_takes_the_closed_forms_from_crb_bounds(monkeypatch):
+    # one crb_bounds call per case and model, through the module attribute
+    # that the benchmark's tracer wraps
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return crb_bounds(*args)
+
+    monkeypatch.setattr(oracle, "crb_bounds", counting)
+    assert verify_batch(num_cases=3, seed=5).passed
+    assert calls == list(MODEL_ORDER) * 3
 
 
 def _bounds(reports):

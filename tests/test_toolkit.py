@@ -8,6 +8,7 @@ import math
 import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -46,7 +47,7 @@ from modcrb import (
 )
 from modcrb import crb as crb_module
 from modcrb import sweeps
-from modcrb.cli import build_parser, main
+from modcrb.cli import _resolve_config, build_parser, main
 
 MODEL_TOKENS = ("hspm-dist", "hspm-shared", "pwm", "swm")
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -445,6 +446,23 @@ def test_readme_python_api_runs_and_names_public_symbols(capsys):
     assert [name for name in names if name not in public] == []
 
 
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    # every modcrb line of the README's CLI block; the plot script needs matplotlib
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("modcrb ")]
+    assert len(commands) == 5
+    assert [line for line in lines if line and not line.startswith("modcrb ")] == [
+        "python plot_sweep.py"
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+
+
 def test_csv_reader_rejects_malformed_input(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n", encoding="utf-8")
@@ -596,6 +614,32 @@ def test_cli_exit_codes():
         main(["crb", "--bogus-flag", "1"])
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--spacings", "1,x,1", "bad value '1,x,1' for key 'spacings'"),
+    ("--K", "x", "bad value 'x' for key 'K'"),
+    ("--r", "abc", "bad value 'abc' for key 'r'"),
+    ("--models", "foo", "unknown wavefront model 'foo'"),
+])
+def test_cli_bad_inline_values_are_configuration_errors(flag, value, message, capsys):
+    # an inline value parses as its config-file key does: exit 2, one line
+    assert main(["crb", "--preset", "fig3", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+
+
+def test_cli_flags_set_every_config_key():
+    # --r-start for r_start: each serialized key = value pair, given inline,
+    # rebuilds the config
+    config = dataclasses.replace(preset("fig3"), lambda_m=0.004, pitch_m=0.002,
+                                 out="a.csv", json_out="a.json", plot_out="a.py")
+    argv = ["crb"]
+    for line in serialize_config(config).splitlines():
+        key, _, value = line.partition(" = ")
+        argv += ["--" + key.replace("_", "-"), value]
+    assert len(argv) == 1 + 2 * len(dataclasses.fields(config))
+    assert _resolve_config(build_parser().parse_args(argv)) == config
 
 
 def test_cli_rejects_oversized_grids_before_building_them(tmp_path, monkeypatch, capsys):
