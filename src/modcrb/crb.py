@@ -15,16 +15,19 @@ planar model has no range information at all, and at boresight over a
 symmetric layout info_cross vanishes.
 
 Each wavefront model has one kernel that builds its information terms for
-a batch of points at once: stacked abscissas against broadcast ranges, with
-the sums taken over the last axis. Sweeps call the kernels once per chunk
-of grid points (see sweeps.py); crb_hspm_dist, crb_hspm_shared, crb_pwm,
-crb_swm and crb_bounds run a batch of one. A kernel computes only the
-geometry it reads: swm and hspm-shared read d r_k / d r - 1 and
-d r_k / d theta from geometry.radial_terms, hspm-dist adds the arrival-sine
-derivatives of geometry.arrival_sine_terms, and pwm reads the abscissas
-alone. Every bound then goes through _bound_pair, which alone turns
-information into bounds, point by point (the oracle and the boresight
-forms use it too):
+a batch of points at once, in one of two shapes (see _Cases). Sweeps pass
+rows: stacked abscissas against broadcast ranges, the sums taken over the
+last axis, one call per chunk of grid points (see sweeps.py); crb_bounds
+and the four crb_<model> functions pass a batch of one. The oracle's
+verify passes a ragged group: the abscissas of cases of different K and M
+side by side, as wavefront._antennas lays them out, each case summed over
+its own contiguous slice, so a group costs one pass per model and every
+case keeps the bits it gets alone. A kernel computes only the geometry it
+reads: swm and hspm-shared read d r_k / d r - 1 and d r_k / d theta from
+geometry.radial_terms, hspm-dist adds the arrival-sine derivatives of
+geometry.arrival_sine_terms, and pwm reads the abscissas alone. Every bound
+then goes through _bound_pair, which alone turns information into bounds,
+point by point (the oracle and the boresight forms use it too):
 
 - an information term below 1e-12 of its positive-part scale, or a
   determinant below 1e-12 of info_r info_theta, marks a singular Fisher
@@ -47,6 +50,7 @@ Units: range bounds in meters squared, angle bounds in radians squared.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, NamedTuple
@@ -61,7 +65,7 @@ from .geometry import (
     arrival_sine_terms,
     radial_terms,
 )
-from .wavefront import WavefrontModel
+from .wavefront import WavefrontModel, _Antennas
 
 __all__ = [
     "SensingSnr",
@@ -138,13 +142,29 @@ class CrbPair:
         _require_positive(self.crb_r, self.crb_theta, InvalidConfigurationError)
 
 
-def _num_scale(wavelength: float, snr: SensingSnr) -> float:
-    """Common numerator factor (wavelength / 2 pi)^2 / gamma.
+class _Batch(NamedTuple):
+    """What the kernels read beside the abscissas and the targets.
+
+    Each field is one value shared by every point of a batch of rows, or an
+    array with one value per case of a ragged group.
+    """
+
+    k: int | np.ndarray  # subarrays K
+    m: int | np.ndarray  # antennas per subarray M
+    pitch: float | np.ndarray  # meters
+    cm: float | np.ndarray  # (M^2 - 1) pitch^2
+    cos_t: float | np.ndarray  # cos theta
+    scale: float | np.ndarray  # numerator scale (wavelength / 2 pi)^2 / gamma
+
+
+def _rows(layout: ModularLayout, theta: float, wavelength: float, snr: SensingSnr) -> _Batch:
+    """The _Batch of points sharing the K, M and pitch of layout, one angle, wavelength and SNR.
 
     Raises:
         InvalidConfigurationError: On a wavelength that is not finite and
             positive.
-        NumericDomainError: If the factor overflows.
+        NumericDomainError: If the numerator scale or (M^2 - 1) pitch^2
+            overflows; either fails here, before any array arithmetic.
     """
     _require_wavelength(wavelength)
     try:
@@ -155,18 +175,14 @@ def _num_scale(wavelength: float, snr: SensingSnr) -> float:
         raise NumericDomainError(
             f"wavelength {wavelength} m at snr gamma {snr.gamma} overflows the bound numerator"
         )
-    return scale
-
-
-def _subarray_moment(layout: ModularLayout) -> float:
-    """(M^2 - 1) d^2 of the subarray-wise information; NumericDomainError on overflow."""
     try:
         cm = (layout.subarray_size**2 - 1) * layout.pitch**2
     except OverflowError:
         cm = math.inf
     if math.isinf(cm):
         raise NumericDomainError(f"pitch {layout.pitch} m overflows (M^2 - 1) pitch^2")
-    return cm
+    return _Batch(layout.num_subarrays, layout.subarray_size, layout.pitch, cm,
+                  math.cos(theta), scale)
 
 
 @dataclass(frozen=True)
@@ -187,15 +203,50 @@ class _Quadratic:
     scale_theta: float
 
 
-def _centered(values: np.ndarray) -> np.ndarray:
-    """Deviations from the mean, over the last axis."""
-    return values - values.mean(axis=-1, keepdims=True)
+class _Cases:
+    """Where the per-case sums and means of a batch run, over its last axis.
+
+    _Cases() is rows: every point of the batch owns the last axis of its
+    row, as in a sweep chunk or a single point. _Cases(case) is a ragged
+    group laid out as wavefront._antennas lays it out: case[i] is the case
+    of entry i, and each case owns one contiguous run of entries, in case
+    order. Each case is summed over its own slice, so every sum has the
+    bits of the same sum over that case alone (np.add.reduceat adds in
+    another order).
+    """
+
+    def __init__(self, case: np.ndarray | None = None):
+        self.case = case
+        if case is not None:
+            self.counts = np.bincount(case)
+            bounds = [0, *np.cumsum(self.counts).tolist()]
+            self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-case sums of an array of one or two axes; the cases replace the last."""
+        if self.case is None:
+            return values.sum(axis=-1)
+        add = np.add.reduce  # what .sum calls, without its Python wrapper
+        return np.array([add(values[..., col], axis=-1) for col in self.cols]).T
+
+    def centered(self, values: np.ndarray) -> np.ndarray:
+        """Deviations from each case's mean."""
+        if self.case is None:
+            return values - values.mean(axis=-1, keepdims=True)
+        return values - self.spread(self.sum(values) / self.counts)
+
+    def spread(self, per_case):
+        """Values with one entry per case, repeated over each case's entries."""
+        return per_case if self.case is None else per_case[..., self.case]
 
 
-def _centered_power(values: np.ndarray) -> np.ndarray:
-    """Sum of squared deviations from the mean, over the last axis."""
-    delta = _centered(values)
-    return (delta * delta).sum(axis=-1)
+_ROWS = _Cases()
+
+
+def _centered_power(values: np.ndarray, cases: _Cases = _ROWS) -> np.ndarray:
+    """Per-case sum of squared deviations from the case's mean."""
+    delta = cases.centered(values)
+    return cases.sum(delta * delta)
 
 
 _FLAG_SETS = {
@@ -333,20 +384,21 @@ def _bound_pair(
     return _Bounds(model, quad, points)
 
 
-# Kernels: (layout, x, r, theta) -> (numerator factor, _Quadratic), where x
-# stacks the model's abscissas as (..., n), r broadcasts against x, and the
-# information terms reduce over the last axis. layout supplies only K, M and
-# the pitch, which every point of a batch shares. The numerator is the
-# factor times (wavelength / 2 pi)^2 / gamma.
+# Kernels: (x, r, theta, batch, cases) -> (numerator factor, _Quadratic),
+# where x holds the model's abscissas along its last axis, r and theta
+# broadcast against x, and cases reduces the information terms over that
+# axis: a (..., n) stack of rows (_ROWS), or a ragged group with one entry
+# per abscissa of every case. The numerator is the factor times batch.scale.
 
 
 def _hspm_kernel(
-    layout: ModularLayout,
     x: np.ndarray,
     r: float | np.ndarray,
-    theta: float,
+    theta: float | np.ndarray,
+    batch: _Batch,
+    cases: _Cases,
     shared_angle: bool,
-) -> tuple[float, _Quadratic]:
+) -> tuple[float | np.ndarray, _Quadratic]:
     """Subarray-wise information pieces.
 
     The raw form of the range information is
@@ -358,69 +410,64 @@ def _hspm_kernel(
     rate cos(theta), so z = z_hat = 0 and z_tilde = K cos^2(theta); only
     the distinct-angle model reads the per-subarray arrival sines.
     """
-    k = layout.num_subarrays
-    m = layout.subarray_size
-    cm = _subarray_moment(layout)
+    k, cm = batch.k, batch.cm
     terms = radial_terms(x, r, theta)
     a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
 
     if shared_angle:
-        cos_t = math.cos(theta)
         z = z_hat = 0.0
         # Summed term by term like the distinct-angle z_tilde; K cos^2 would
         # round differently.
-        z_tilde = np.full(at.shape, cos_t * cos_t).sum(axis=-1)
+        z_tilde = cases.sum(np.full(at.shape, cases.spread(batch.cos_t * batch.cos_t)))
     else:
         sines = arrival_sine_terms(x, r, theta, terms)
         sr, st = sines["ds_dr"], sines["ds_dt"]
-        z = (sr * sr).sum(axis=-1)
-        z_tilde = (st * st).sum(axis=-1)
-        z_hat = (sr * st).sum(axis=-1)
-    q_tilde = (at * at).sum(axis=-1)
+        z = cases.sum(sr * sr)
+        z_tilde = cases.sum(st * st)
+        z_hat = cases.sum(sr * st)
+    q_tilde = cases.sum(at * at)
 
-    da, dt = _centered(a_m1), _centered(at)
-    info_r = k * cm * z + 12.0 * k * (da * da).sum(axis=-1)
-    info_t = k * cm * z_tilde + 12.0 * k * (dt * dt).sum(axis=-1)
-    info_c = k * cm * z_hat + 12.0 * k * (da * dt).sum(axis=-1)
-    scale_r = k * cm * z + 12.0 * k * (a_m1 * a_m1).sum(axis=-1)
+    da, dt = cases.centered(a_m1), cases.centered(at)
+    info_r = k * cm * z + 12.0 * k * cases.sum(da * da)
+    info_t = k * cm * z_tilde + 12.0 * k * cases.sum(dt * dt)
+    info_c = k * cm * z_hat + 12.0 * k * cases.sum(da * dt)
+    scale_r = k * cm * z + 12.0 * k * cases.sum(a_m1 * a_m1)
     scale_t = k * cm * z_tilde + 12.0 * k * q_tilde
-    return 6.0 * k / m, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
+    return 6.0 * k / batch.m, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
 
 def _pwm_kernel(
-    layout: ModularLayout, x: np.ndarray, r: float | np.ndarray, theta: float
-) -> tuple[float, _Quadratic]:
+    x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray, batch: _Batch, cases: _Cases
+) -> tuple[float | np.ndarray, _Quadratic]:
     """Planar information: angle only, independent of the range."""
-    k = layout.num_subarrays
-    m = layout.subarray_size
-    cm = _subarray_moment(layout)
-    cos_t = math.cos(theta)
+    k, m, cm = batch.k, batch.m, batch.cm
 
     # 12 K M sum(x^2) + K^2 M (M^2-1) d^2 - 12 M sum(x)^2, in centered form;
     # the same for every range, so spread over the batch shape.
-    shape = np.broadcast_shapes(x.shape, np.shape(r))[:-1]
-    info = np.broadcast_to(k * k * m * cm + 12.0 * m * k * _centered_power(x), shape)
-    scale = np.broadcast_to(k * k * m * cm + 12.0 * m * k * (x * x).sum(axis=-1), shape)
+    info = k * k * m * cm + 12.0 * m * k * _centered_power(x, cases)
+    scale = k * k * m * cm + 12.0 * m * k * cases.sum(x * x)
+    shape = np.broadcast_shapes(np.shape(info), np.broadcast_shapes(x.shape, np.shape(r))[:-1])
+    info, scale = np.broadcast_to(info, shape), np.broadcast_to(scale, shape)
     quad = _Quadratic(
         info_r=None, info_theta=info, info_cross=0.0, scale_r=0.0, scale_theta=scale
     )
-    return 6.0 * k / (cos_t * cos_t), quad
+    return 6.0 * k / (batch.cos_t * batch.cos_t), quad
 
 
 def _swm_kernel(
-    layout: ModularLayout, x: np.ndarray, r: float | np.ndarray, theta: float
-) -> tuple[float, _Quadratic]:
+    x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray, batch: _Batch, cases: _Cases
+) -> tuple[float | np.ndarray, _Quadratic]:
     """Spherical-wave information: sums over every antenna."""
     terms = radial_terms(x, r, theta)
-    n = layout.num_elements
+    n = batch.k * batch.m
     a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
 
-    da, dt = _centered(a_m1), _centered(at)
-    info_r = n * (da * da).sum(axis=-1)
-    info_t = n * (dt * dt).sum(axis=-1)
-    info_c = n * (da * dt).sum(axis=-1)
-    scale_r = n * (a_m1 * a_m1).sum(axis=-1)
-    scale_t = n * (at * at).sum(axis=-1)
+    da, dt = cases.centered(a_m1), cases.centered(at)
+    info_r = n * cases.sum(da * da)
+    info_t = n * cases.sum(dt * dt)
+    info_c = n * cases.sum(da * dt)
+    scale_r = n * cases.sum(a_m1 * a_m1)
+    scale_t = n * cases.sum(at * at)
     return 0.5 * n, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
 
@@ -444,50 +491,44 @@ def _abscissas(model: WavefrontModel, layout) -> np.ndarray:
 
 def _crb_batch(
     model: WavefrontModel,
-    layout: ModularLayout,
     x: np.ndarray,
     r: float | np.ndarray,
-    theta: float,
-    wavelength: float,
-    snr: SensingSnr,
+    theta: float | np.ndarray,
+    batch: _Batch,
+    cases: _Cases = _ROWS,
 ) -> _Bounds:
-    """Bounds of one model over a batch of points with a shared angle.
+    """Bounds of one model over a batch of points, one per row or per case.
 
-    Args:
-        model: Wavefront model.
-        layout: Layout supplying K, M and the pitch of every point.
-        x: The model's abscissas (see _abscissas), stacked as (..., n):
-            one row per layout, or one row shared by every range.
-        r: Target ranges broadcasting against x, e.g. (P, 1), or a scalar.
-        theta: Target angle, radians.
-        wavelength: Carrier wavelength, meters.
-        snr: Sensing SNR.
-
-    Returns:
-        _Bounds over the broadcast shape of x and r without its last axis.
+    x holds the model's abscissas (see _abscissas) as the kernels take them:
+    a (..., n) stack of rows, one per layout or one shared by every range
+    (e.g. (P, 1) ranges), or the abscissas of every case of a group.
     """
-    # An overflowing wavelength fails here, before any array arithmetic.
-    scale = _num_scale(wavelength, snr)
     try:
         with np.errstate(over="raise"):
-            factor, quad = _KERNELS[model][1](layout, x, r, theta)
+            factor, quad = _KERNELS[model][1](x, r, theta, batch, cases)
     except FloatingPointError as exc:
-        raise NumericDomainError(f"{model.value} information overflows at pitch {layout.pitch}"
+        pitch = np.max(batch.pitch)
+        raise NumericDomainError(f"{model.value} information overflows at pitch {pitch}"
                                  f" m and ranges up to {np.max(r)} m") from exc
-    num = factor * scale
-    return _bound_pair(model, num, quad, math.cos(theta))
+    return _bound_pair(model, factor * batch.scale, quad, batch.cos_t)
 
 
-def _crb_point(
-    model: WavefrontModel,
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    snr: SensingSnr,
-) -> CrbPair:
-    """One model at one target: a batch of one."""
-    x = _abscissas(model, layout)
-    return _crb_batch(model, layout, x, target.r, target.theta, wavelength, snr).pair()
+def _group(cases: Iterable[tuple[ModularLayout, float, float, SensingSnr]]) -> _Batch:
+    """The _Batch of a ragged group from the _rows of each (layout, theta, wavelength, snr)."""
+    return _Batch(*map(np.array, zip(*(_rows(*case) for case in cases))))
+
+
+def _crb_group(model: WavefrontModel, ants: _Antennas, batch: _Batch) -> _Bounds:
+    """Bounds of one model at every case of a ragged group, in one kernel pass.
+
+    The model's abscissas are the group's antennas or its subarrays, each
+    carrying its case's range and angle; batch is the group's (_group).
+    """
+    if _KERNELS[model][0] == "element_x":
+        x, case = ants.x, ants.case
+    else:
+        x, case = ants.sub_x, ants.sub_case
+    return _crb_batch(model, x, ants.r[case], ants.theta[case], batch, _Cases(case))
 
 
 def crb_hspm_dist(
@@ -508,7 +549,7 @@ def crb_hspm_dist(
         CrbPair; crb_r is +inf when the range information degenerates
         (e.g. a single subarray).
     """
-    return _crb_point(WavefrontModel.HSPM_DIST, layout, target, wavelength, snr)
+    return crb_bounds(WavefrontModel.HSPM_DIST, layout, target, wavelength, snr)
 
 
 def crb_hspm_shared(
@@ -523,7 +564,7 @@ def crb_hspm_shared(
     derivatives are replaced by those of the global angle: the sine varies
     only through theta, at rate cos(theta), for every subarray.
     """
-    return _crb_point(WavefrontModel.HSPM_SHARED, layout, target, wavelength, snr)
+    return crb_bounds(WavefrontModel.HSPM_SHARED, layout, target, wavelength, snr)
 
 
 def crb_pwm(
@@ -539,7 +580,7 @@ def crb_pwm(
     endfire provided the layout has angle information (more than one
     antenna).
     """
-    return _crb_point(WavefrontModel.PWM, layout, target, wavelength, snr)
+    return crb_bounds(WavefrontModel.PWM, layout, target, wavelength, snr)
 
 
 def crb_swm(
@@ -553,7 +594,7 @@ def crb_swm(
     The information terms sum over every antenna rather than every
     subarray; no small-subarray expansion is involved.
     """
-    return _crb_point(WavefrontModel.SWM, layout, target, wavelength, snr)
+    return crb_bounds(WavefrontModel.SWM, layout, target, wavelength, snr)
 
 
 def crb_bounds(
@@ -563,14 +604,10 @@ def crb_bounds(
     wavelength: float,
     snr: SensingSnr,
 ) -> CrbPair:
-    """Dispatch to the closed form matching a wavefront model."""
-    fn = {
-        WavefrontModel.HSPM_DIST: crb_hspm_dist,
-        WavefrontModel.HSPM_SHARED: crb_hspm_shared,
-        WavefrontModel.PWM: crb_pwm,
-        WavefrontModel.SWM: crb_swm,
-    }[model]
-    return fn(layout, target, wavelength, snr)
+    """The closed form of a wavefront model at one target: a batch of one."""
+    batch = _rows(layout, target.theta, wavelength, snr)
+    x = _abscissas(model, layout)
+    return _crb_batch(model, x, target.r, target.theta, batch).pair()
 
 
 def _require_boresight_symmetric(layout: ModularLayout, target: TargetPolar) -> None:
@@ -610,9 +647,7 @@ def crb_boresight(
             centro-symmetric.
     """
     _require_boresight_symmetric(layout, target)
-    k = layout.num_subarrays
-    m = layout.subarray_size
-    cm = _subarray_moment(layout)
+    k, m, _, cm, cos_t, scale = _rows(layout, target.theta, wavelength, snr)
     r = target.r
     x = layout.subarray_x
     rk = np.hypot(np.full_like(x, r), x)
@@ -630,8 +665,8 @@ def crb_boresight(
     info_t = k * cm * zt_p + 12.0 * k * qt_p
     quad = _Quadratic(info_r, info_t, 0.0, scale_r, info_t)
 
-    num = 6.0 * k / m * _num_scale(wavelength, snr)
-    return _bound_pair(WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta)).pair()
+    num = 6.0 * k / m * scale
+    return _bound_pair(WavefrontModel.HSPM_DIST, num, quad, cos_t).pair()
 
 
 def _far_range_information(k: int, cm: float, x: np.ndarray, r: float) -> tuple[float, float]:
@@ -676,9 +711,7 @@ def crb_boresight_far(
     0.28 (aperture / r)^2.
     """
     _require_boresight_symmetric(layout, target)
-    k = layout.num_subarrays
-    m = layout.subarray_size
-    cm = _subarray_moment(layout)
+    k, m, _, cm, cos_t, scale = _rows(layout, target.theta, wavelength, snr)
     r = target.r
     x = layout.subarray_x
     spread = float((x * x).sum())
@@ -690,12 +723,10 @@ def crb_boresight_far(
     scale_t = k * (k * cm + 12.0 * spread + correction / r**2)
     quad = _Quadratic(info_r, info_t, 0.0, scale_r, scale_t)
 
-    num = 6.0 * k / m * _num_scale(wavelength, snr)
+    num = 6.0 * k / m * scale
     diagnostics = {
         "offset_spread": spread,
         "offset_fourth_moment": fourth,
         "regime_ratio": layout.aperture / r,
     }
-    return _bound_pair(
-        WavefrontModel.HSPM_DIST, num, quad, math.cos(target.theta)
-    ).pair(diagnostics)
+    return _bound_pair(WavefrontModel.HSPM_DIST, num, quad, cos_t).pair(diagnostics)

@@ -35,6 +35,14 @@ __all__ = [
 ]
 
 
+# Most antennas K * M one layout may have. A closed-form evaluation holds
+# about 8 float64 temporaries per antenna and point (a crb run at the cap
+# peaks near 110 MB), and the oracle about 600 bytes per antenna (a
+# cross_validate of one case at the cap peaks near 550 MB); both stay well
+# within a 2 GB address space. The largest benchmark layout has 7007.
+_MAX_ELEMENTS = 1 << 20
+
+
 @dataclass(frozen=True)
 class ModularLayout:
     """Immutable description of a modular linear array.
@@ -167,8 +175,9 @@ def build_layout(
         The populated ModularLayout.
 
     Raises:
-        InvalidConfigurationError: On even or non-positive counts, malformed
-            gap sequences, or non-positive pitch.
+        InvalidConfigurationError: On even or non-positive counts, more than
+            _MAX_ELEMENTS antennas in all, malformed gap sequences, or
+            non-positive pitch.
     """
     if not isinstance(num_subarrays, (int, np.integer)) or num_subarrays < 1 or num_subarrays % 2 == 0:
         raise InvalidConfigurationError(
@@ -178,6 +187,9 @@ def build_layout(
         raise InvalidConfigurationError(
             f"subarray_size must be a positive odd integer, got {subarray_size}"
         )
+    if num_subarrays * subarray_size > _MAX_ELEMENTS:
+        raise InvalidConfigurationError(f"K * M = {num_subarrays} * {subarray_size}"
+                                        f" antennas exceeds the limit of {_MAX_ELEMENTS}")
     if not (math.isfinite(pitch) and pitch > 0):
         raise InvalidConfigurationError(f"pitch must be positive, got {pitch}")
 

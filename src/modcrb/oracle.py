@@ -20,33 +20,34 @@ removes exactly, and keeps the rates' digits (and a meaningful degeneracy
 scale |dg_r|^2) where the range information is O((A / r)^4).
 
 The oracle checks a group of cases at once. verify_batch draws its cases
-first and then evaluates consecutive runs of them holding at most
-_GROUP_ELEMENTS antennas; cross_validate is a group of one. The antennas of
-a group's cases go side by side in flat arrays (wavefront._Antennas), each
-entry carrying its case's r, theta and 2 pi / lambda. Per model, the
-analytic leg takes the steering vectors and their derivatives of the whole
-group from one phase pass and one complex exponential; the
-finite-difference leg stacks its four shifts (+-h_r, +-h_theta) of every
-case into one phase_increment pass and one exponential; each leg makes one
-projection, and one _bound_pair call inverts the information of every
-model, leg and case. The arithmetic is elementwise and each sum runs
-over one case's contiguous columns, so every report keeps the bits it has
-when its case is checked alone, with separate passes. The closed forms
-under test come from crb_bounds, once per case and model, as any other
-caller gets them.
+one group at a time, a group being a run of consecutive draws holding at
+most _GROUP_ELEMENTS antennas; cross_validate is a group of one. The
+antennas of a group's cases go side by side in flat arrays
+(wavefront._Antennas), each entry carrying its case's r, theta and
+2 pi / lambda. Per model, the closed form under test makes one kernel pass
+over the whole group (crb._crb_group); the analytic leg takes the steering
+vectors and their derivatives of the whole group from one phase pass and
+one complex exponential; the finite-difference leg stacks its four shifts
+(+-h_r, +-h_theta) of every case into one phase_increment pass and one
+exponential; each leg makes one projection, and one _bound_pair call
+inverts the information of every model, leg and case. The arithmetic is
+elementwise and each sum runs over one case's contiguous columns (through
+crb._Cases, as the closed forms' sums do), so every report keeps the bits
+it has when its case is checked alone, with separate passes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
-from .crb import CrbPair, SensingSnr, _bound_pair, _Quadratic, crb_bounds
+from .crb import CrbPair, SensingSnr, _bound_pair, _Cases, _crb_group, _group, _Quadratic
+from .crb import crb_bounds  # noqa: F401 - bench/tracing.py wraps the name on this module
 from .errors import InvalidConfigurationError
 from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
 from .wavefront import (
@@ -82,38 +83,32 @@ def oracle_dtype():
     return np.float64
 
 
-def _projected(
-    g: np.ndarray, d_r: np.ndarray, d_t: np.ndarray, starts: np.ndarray, case: np.ndarray
-) -> np.ndarray:
+def _projected(g: np.ndarray, d_r: np.ndarray, d_t: np.ndarray, cases: _Cases) -> np.ndarray:
     """Per case A_rr, A_thetatheta, A_rtheta via explicit residuals, and the scales.
 
     g, d_r and d_t hold the steering vectors and derivatives of C cases side
-    by side: case c owns entries starts[c]:starts[c + 1], and case[i] is the
-    case of entry i. Returns a (5, C) array: the three projected terms and
-    |dg_r|^2, |dg_theta|^2 of each case. Every sum runs over one case's
-    contiguous entries alone, so it has the bits of the same sum over that
-    case on its own.
+    by side, as the ragged cases lay them out. Returns a (5, C) array: the
+    three projected terms and |dg_r|^2, |dg_theta|^2 of each case.
     """
-    cols = [slice(a, b) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
     g_conj = np.conj(g)
     prod = g_conj * g
-    n2_g = np.array([prod.real[col].sum() for col in cols])
+    n2_g = cases.sum(prod.real)
     dots = np.empty((2, len(g)), dtype=complex)
     np.multiply(g_conj, d_r, out=dots[0])
     np.multiply(g_conj, d_t, out=dots[1])
-    coef = np.array([dots[:, col].sum(axis=-1) for col in cols]).T / n2_g
+    coef = cases.sum(dots) / n2_g
     # The residuals overwrite the products they were projected with.
     e_r, e_t = dots
-    np.multiply(coef[0][case], g, out=prod)
+    np.multiply(cases.spread(coef[0]), g, out=prod)
     np.subtract(d_r, prod, out=e_r)
-    np.multiply(coef[1][case], g, out=prod)
+    np.multiply(cases.spread(coef[1]), g, out=prod)
     np.subtract(d_t, prod, out=e_t)
     terms = np.empty((5, len(g)))
     for row, (a, b) in zip(terms, ((e_r, e_r), (e_t, e_t), (e_r, e_t), (d_r, d_r), (d_t, d_t))):
         np.conjugate(a, out=g_conj)
         np.multiply(g_conj, b, out=prod)
         row[...] = prod.real
-    return np.array([terms[:, col].sum(axis=-1) for col in cols]).T
+    return cases.sum(terms)
 
 
 def crb_from_steering(
@@ -147,7 +142,7 @@ def crb_from_steering(
             "steering vector and derivatives must be 1-D arrays of one shape"
         )
     n = len(gv)
-    sums = _projected(gv, d_r, d_t, np.array([0, n]), np.zeros(n, dtype=np.int64))
+    sums = _projected(gv, d_r, d_t, _Cases(np.zeros(n, dtype=np.int64)))
     quad = _Quadratic(*sums[:, 0])
     return _bound_pair(model, 0.5 / snr.gamma, quad, cos_theta).pair()
 
@@ -358,8 +353,7 @@ def cross_validate(
     the module docstring). The finite-difference leg uses fd_rebased with
     the phase-aware steps of _fd_steps (recorded in the report) so that it
     stays meaningful even where the closed forms are themselves heavily
-    cancellation-protected; the closed form comes from crb_bounds. The
-    check is verify_batch's, on a group of one.
+    cancellation-protected. The check is verify_batch's, on a group of one.
 
     Args:
         model: Wavefront model under test.
@@ -382,12 +376,11 @@ def _validate(
     """cross_validate every model at every (layout, target, snr, wavelength) case.
 
     The cases' antennas go side by side (see wavefront._Antennas), so per
-    model each leg makes one phase pass, one complex exponential and one
-    projection for the whole group, and one _bound_pair call inverts the
-    information of every leg, model and case. Each case keeps the bits it
-    gets alone: the arithmetic is elementwise and every sum runs over one
-    case's columns. The closed forms run per case and model, through
-    crb_bounds.
+    model the closed form makes one kernel pass, each leg one phase pass,
+    one complex exponential and one projection for the whole group, and one
+    _bound_pair call inverts the information of every leg, model and case.
+    Each case keeps the bits it gets alone: the arithmetic is elementwise
+    and every sum runs over one case's columns.
 
     Args:
         models: Wavefront models under test.
@@ -397,13 +390,12 @@ def _validate(
         One ValidationReport per case and model, case-major.
     """
     ants = _antennas([(layout, target, wavelength) for layout, target, _, wavelength in cases])
-    closed = [
-        crb_bounds(model, layout, target, wavelength, snr)
-        for layout, target, snr, wavelength in cases
-        for model in models
-    ]
-    starts, case = ants.starts, ants.case
-    ones = np.ones(len(case), dtype=complex)
+    batch = _group((layout, target.theta, wavelength, snr)
+                   for layout, target, snr, wavelength in cases)
+    closed = [_crb_group(model, ants, batch).rows() for model in models]
+    starts = ants.starts
+    group = _Cases(ants.case)
+    ones = np.ones(len(ants.case), dtype=complex)
     sums, used = [], []
     for model in models:
         g, d_r, d_t = _wavefront(model, ants)
@@ -411,25 +403,23 @@ def _validate(
                     np.maximum.reduceat(np.abs(d_t), starts[:-1]).tolist(), ants.r.tolist())
         steps = [_fd_steps(*rate) for rate in rates]
         used.append(steps)
-        sums.append(_projected(g, d_r, d_t, starts, case))
+        sums.append(_projected(g, d_r, d_t, group))
         # Free the analytic leg before the finite differences reach their peak.
         del g, d_r, d_t
         f_r, f_t = _fd_rebased(model, ants, *np.array(steps, dtype=float).T)
-        sums.append(_projected(ones, f_r, f_t, starts, case))
+        sums.append(_projected(ones, f_r, f_t, group))
 
     # Points ordered (model, leg, case).
     n = len(cases)
     nums = np.array([0.5 / snr.gamma for _, _, snr, _ in cases])
-    cos_t = np.array([math.cos(target.theta) for _, target, _, _ in cases])
     legs = 2 * len(models)
     quad = _Quadratic(*np.concatenate(sums, axis=1))
-    rows = _bound_pair(None, np.tile(nums, legs), quad, np.tile(cos_t, legs)).rows()
+    rows = _bound_pair(None, np.tile(nums, legs), quad, np.tile(batch.cos_t, legs)).rows()
 
     reports = []
     for c, (layout, target, _, _) in enumerate(cases):
         for i, model in enumerate(models):
-            pair = closed[c * len(models) + i]
-            crb_r, crb_t = pair.crb_r, pair.crb_theta
+            crb_r, crb_t, _ = closed[i][c]
             an_r, an_t, _ = rows[2 * i * n + c]
             fd_r, fd_t, _ = rows[(2 * i + 1) * n + c]
             step_r, step_t = used[i][c]
@@ -532,10 +522,11 @@ class VerificationSummary:
 _GROUP_ELEMENTS = 2048
 
 
-def _groups(cases: list) -> Iterator[list]:
+def _groups(cases: Iterable) -> Iterator[list]:
     """Consecutive runs of cases with at most _GROUP_ELEMENTS antennas in all.
 
-    A case with more antennas than that forms a group of its own.
+    A case with more antennas than that forms a group of its own. A group
+    is yielded once the first case past its end has been drawn.
     """
     group: list = []
     size = 0
@@ -573,8 +564,7 @@ def verify_batch(
     max_an = {model.value: 0.0 for model in MODEL_ORDER}
     max_fd = {model.value: 0.0 for model in MODEL_ORDER}
     failures: list[ValidationReport] = []
-    cases = [sample_case(rng) for _ in range(num_cases)]
-    for group in _groups(cases):
+    for group in _groups(sample_case(rng) for _ in range(num_cases)):
         for report in _validate(MODEL_ORDER, group):
             token = report.model
             max_an[token] = max(max_an[token], report.rel_err_analytic)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .crb import _abscissas, _crb_batch
+from .crb import _abscissas, _crb_batch, _rows
 from .errors import InvalidConfigurationError
 from .geometry import TargetPolar, _grid_abscissas, build_layout
 
@@ -138,13 +138,13 @@ def _range_records(config: ExperimentConfig, grid: tuple[float, ...]) -> list[Sw
     theta = math.radians(config.theta_deg)
     # Validate every grid point before spending time on any evaluation.
     ranges = np.array([TargetPolar(r, theta).r for r in grid])[:, None]
+    batch = _rows(layout, theta, config.wavelength, snr)
     columns = []
     for model in models:
         x = _abscissas(model, layout)[None, :]
         rows = []
         for part in _chunks(len(grid), x.size):
-            bounds = _crb_batch(model, layout, x, ranges[part], theta, config.wavelength, snr)
-            rows += bounds.rows()
+            rows += _crb_batch(model, x, ranges[part], theta, batch).rows()
         columns.append(rows)
     return _records("r_m", grid, models, columns)
 
@@ -179,15 +179,13 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     gaps = np.array([_sweep_spacings(config, gamma) for gamma in gammas], dtype=np.int64)
     layout = build_layout(config.num_subarrays, config.subarray_size, gaps[0], config.pitch)
     grid = _grid_abscissas(gaps, layout.subarray_size, layout.pitch)
+    batch = _rows(layout, target.theta, config.wavelength, snr)
     columns = []
     for model in models:
         x = _abscissas(model, grid)
         rows = []
         for part in _chunks(len(gaps), x.shape[1]):
-            bounds = _crb_batch(
-                model, layout, x[part], target.r, target.theta, config.wavelength, snr
-            )
-            rows += bounds.rows()
+            rows += _crb_batch(model, x[part], target.r, target.theta, batch).rows()
         columns.append(rows)
     return _records("gamma", [float(gamma) for gamma in gammas], models, columns)
 

@@ -24,7 +24,7 @@ from modcrb import (
     crb_swm,
     radial_terms,
 )
-from modcrb.crb import _bound_pair, _hspm_kernel, _Quadratic
+from modcrb.crb import _ROWS, _bound_pair, _hspm_kernel, _Quadratic, _rows
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -103,7 +103,8 @@ def test_shared_angle_freezes_sine_derivatives():
     terms = radial_terms(FIG3.subarray_x, TGT.r, TGT.theta)
     da = terms["dr_dr_m1"] - terms["dr_dr_m1"].mean()
     dt = terms["dr_dt"] - terms["dr_dt"].mean()
-    _, quad = _hspm_kernel(FIG3, FIG3.subarray_x, TGT.r, TGT.theta, shared_angle=True)
+    batch = _rows(FIG3, TGT.theta, LAMBDA, SNR)
+    _, quad = _hspm_kernel(FIG3.subarray_x, TGT.r, TGT.theta, batch, _ROWS, shared_angle=True)
     z_tilde = k * math.cos(TGT.theta) ** 2
     assert math.isclose(quad.info_r, 12.0 * k * (da * da).sum(), rel_tol=1e-12)
     assert math.isclose(

@@ -1,6 +1,7 @@
 """Geometry layer: layouts, ranges, arrival sines, field regions, radial terms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from modcrb import (
     radial_shift,
     radial_terms,
 )
+from modcrb import geometry
 from modcrb.geometry import _grid_abscissas
 from modcrb.sweeps import _sweep_spacings
 
@@ -50,6 +52,23 @@ def test_single_gap_integer_broadcasts_to_all_sides():
     b = build_layout(5, 3, (7, 7, 0, 7, 7), PITCH)
     assert a.spacings == b.spacings
     assert np.array_equal(a.element_x, b.element_x)
+
+
+def test_layout_rejects_one_antenna_past_the_cap_before_allocating():
+    # K * M past the cap is a configuration error that names K and M, raised
+    # before any abscissa array exists
+    cap = geometry._MAX_ELEMENTS
+    assert 7 * 1001 < cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfigurationError, match=rf"K \* M = 1 \* {cap + 1} "):
+            build_layout(1, cap + 1, 0, PITCH)
+        with pytest.raises(InvalidConfigurationError, match=r"K \* M = 3 \* 349527 "):
+            build_layout(3, 349527, 1, PITCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_layout_validation_errors():

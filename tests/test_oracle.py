@@ -31,7 +31,8 @@ from modcrb import (
     steering_derivatives,
     verify_batch,
 )
-from modcrb import oracle
+from modcrb import crb as crb_module
+from modcrb import oracle, preset, run_range_sweep
 from modcrb.oracle import ValidationReport, _fd_steps, _groups, _validate
 from modcrb.wavefront import _antennas, _phase_terms, _wavefront
 
@@ -384,18 +385,61 @@ def test_verify_batch_small_run_passes_and_is_reproducible():
         verify_batch(num_cases=0)
 
 
-def test_verify_batch_takes_the_closed_forms_from_crb_bounds(monkeypatch):
-    # one crb_bounds call per case and model, through the module attribute
-    # that the benchmark's tracer wraps
+def test_verify_batch_makes_one_kernel_call_per_model_per_group(monkeypatch):
+    # the closed forms of a whole group come from one kernel pass per model
     calls = []
+    for model, (attr, kernel) in list(crb_module._KERNELS.items()):
+        def counting(*args, _model=model, _kernel=kernel, **kwargs):
+            calls.append(_model)
+            return _kernel(*args, **kwargs)
 
-    def counting(*args):
-        calls.append(args[0])
-        return crb_bounds(*args)
+        monkeypatch.setitem(crb_module._KERNELS, model, (attr, counting))
+    rng = np.random.default_rng(5)
+    groups = list(_groups(sample_case(rng) for _ in range(30)))
+    assert len(groups) > 2
+    assert verify_batch(num_cases=30, seed=5).passed
+    assert calls == list(MODEL_ORDER) * len(groups)
 
-    monkeypatch.setattr(oracle, "crb_bounds", counting)
-    assert verify_batch(num_cases=3, seed=5).passed
-    assert calls == list(MODEL_ORDER) * 3
+
+def test_verify_batch_draws_each_group_before_checking_it(monkeypatch):
+    # cases are drawn as the groups need them, not all up front: when a group
+    # is checked, at most one case past its end has been drawn
+    drawn, seen = [], []
+
+    def counting_sample(rng):
+        drawn.append(None)
+        return sample_case(rng)
+
+    def recording_validate(models, group):
+        seen.append((len(drawn), len(group)))
+        return _validate(models, group)
+
+    monkeypatch.setattr(oracle, "sample_case", counting_sample)
+    monkeypatch.setattr(oracle, "_validate", recording_validate)
+    assert verify_batch(num_cases=30, seed=5).passed
+    assert len(seen) > 2
+    checked = 0
+    for count, size in seen:
+        checked += size
+        assert count <= checked + 1, seen
+    assert checked == len(drawn) == 30
+
+
+def test_uniform_group_closed_forms_are_the_range_sweep_bits():
+    # a ragged group whose cases share one layout and angle holds the points
+    # of a range sweep; its closed forms have the bits of the sweep records
+    config = preset("fig3")
+    records = run_range_sweep(config)
+    layout, snr, theta = config.layout(), config.snr(), math.radians(config.theta_deg)
+    grid = config.range_grid()
+    cases = [(layout, TargetPolar(r, theta), snr, config.wavelength) for r in grid]
+    reports = _validate(MODEL_ORDER, cases)
+    assert len(reports) == len(records) == len(grid) * len(MODEL_ORDER)
+    for report, record in zip(reports, records):
+        assert (report.model, report.point["r"]) == (record.model, record.sweep_value)
+        closed = report.closed_form
+        assert closed["crb_r_m2"].hex() == record.crb_r_m2.hex(), report.point
+        assert closed["crb_theta_rad2"].hex() == record.crb_theta_rad2.hex(), report.point
 
 
 def _bounds(reports):

@@ -22,7 +22,6 @@ from modcrb import (
     FLAG_ENDFIRE,
     ExperimentConfig,
     InvalidConfigurationError,
-    MODEL_ORDER,
     PRESET_NAMES,
     SPEED_OF_LIGHT,
     SingularGeometryError,
@@ -411,27 +410,6 @@ def test_benchmark_reads_existing_names():
     assert (args.tol_analytic, args.tol_fd) == (1e-9, 1e-4)
 
 
-def test_crb_bounds_reaches_the_module_level_closed_forms(monkeypatch):
-    # the tracer times crb.<model> by wrapping these module attributes, so
-    # crb_bounds must look them up at call time
-    calls = []
-    for model in MODEL_ORDER:
-        name = "crb_" + model.value.replace("-", "_")
-        original = getattr(crb_module, name)
-
-        def traced(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(crb_module, name, traced)
-    config = preset("fig3")
-    for model in MODEL_ORDER:
-        pair = crb_bounds(model, config.layout(), config.target(), config.wavelength,
-                          config.snr())
-        assert pair.model is model
-    assert calls == ["crb_hspm_dist", "crb_hspm_shared", "crb_pwm", "crb_swm"]
-
-
 def test_readme_python_api_runs_and_names_public_symbols(capsys):
     with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
@@ -658,6 +636,13 @@ def test_cli_rejects_oversized_grids_before_building_them(tmp_path, monkeypatch,
     assert not csv_path.exists()
 
 
+def test_cli_rejects_an_array_past_the_antenna_cap(capsys):
+    # 3 * 349527 antennas is just past the cap: exit 2, not a memory error
+    assert main(["crb", "--preset", "fig3", "--M", "349527"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: K * M = 3 * 349527 antennas exceeds the limit of 1048576\n"
+
+
 def test_cli_rejects_non_finite_range_grid_ends(tmp_path, capsys):
     csv_path = tmp_path / "inf.csv"
     assert main(["sweep-range", "--preset", "fig3", "--r-stop", "inf",
@@ -673,8 +658,8 @@ def test_cli_rejects_non_finite_range_grid_ends(tmp_path, capsys):
 
 
 def test_cli_numeric_failures_exit_4(monkeypatch, capsys):
-    def nan_kernel(layout, x, r, theta):
-        _, quad = crb_module._pwm_kernel(layout, x, r, theta)
+    def nan_kernel(x, r, theta, batch, cases):
+        _, quad = crb_module._pwm_kernel(x, r, theta, batch, cases)
         return math.nan, quad
 
     with monkeypatch.context() as patch:
