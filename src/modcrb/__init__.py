@@ -26,10 +26,6 @@ from .crb import (
     crb_boresight,
     crb_boresight_far,
     crb_bounds,
-    crb_hspm_dist,
-    crb_hspm_shared,
-    crb_pwm,
-    crb_swm,
 )
 from .errors import InvalidConfigurationError, NumericDomainError, SingularGeometryError
 from .geometry import (
@@ -108,10 +104,6 @@ __all__ = [
     "crb_boresight_far",
     "crb_bounds",
     "crb_from_steering",
-    "crb_hspm_dist",
-    "crb_hspm_shared",
-    "crb_pwm",
-    "crb_swm",
     "cross_validate",
     "emit_outputs",
     "fd_derivatives",

@@ -18,11 +18,12 @@ Each wavefront model has one kernel that builds its information terms for
 a batch of points at once, in one of two shapes (see _Cases). Sweeps pass
 rows: stacked abscissas against broadcast ranges, the sums taken over the
 last axis, one call per chunk of grid points (see sweeps.py); crb_bounds
-and the four crb_<model> functions pass a batch of one. The oracle's
-verify passes a ragged group: the abscissas of cases of different K and M
-side by side, as wavefront._antennas lays them out, each case summed over
-its own contiguous slice, so a group costs one pass per model and every
-case keeps the bits it gets alone. A kernel computes only the geometry it
+passes a batch of one. The oracle's verify passes a ragged group: the
+abscissas of cases of different K and M side by side, as
+wavefront._antennas lays them out, each case summed over its own
+contiguous slice, so a group costs one pass per model and every case keeps
+the bits it gets alone. A sweep chunk and a verify group both hold at most
+_BATCH_ELEMENTS abscissas. A kernel computes only the geometry it
 reads: swm and hspm-shared read d r_k / d r - 1 and d r_k / d theta from
 geometry.radial_terms, hspm-dist adds the arrival-sine derivatives of
 geometry.arrival_sine_terms, and pwm reads the abscissas alone. Every bound
@@ -70,10 +71,6 @@ from .wavefront import WavefrontModel, _Antennas
 __all__ = [
     "SensingSnr",
     "CrbPair",
-    "crb_hspm_dist",
-    "crb_hspm_shared",
-    "crb_pwm",
-    "crb_swm",
     "crb_bounds",
     "crb_boresight",
     "crb_boresight_far",
@@ -87,6 +84,24 @@ ENDFIRE_TOL = 1e-12
 
 FLAG_DEGENERATE = "degenerate"
 FLAG_ENDFIRE = "endfire"
+
+# Most abscissas one kernel pass holds, whether a sweep chunk (grid points
+# times the model's abscissas per point) or a verify group (its cases'
+# antennas); a point or case larger than that goes alone. The rule: no
+# float64 temporary of a sweep's kernel call exceeds 64 KiB. Larger ones free
+# more than glibc's 128 KiB trim threshold at the top of the heap after each
+# call, so the heap shrinks and the next call faults the same pages back in.
+# Minor faults per warm benchmark op and peak RSS (2-vCPU x86_64, glibc,
+# numpy 2.4):
+#   budget  large-array (K=7, M=1001)   presets (fig3, fig4-c1, fig4-c2)
+#   2**12   32, 37.0 MB                 214, 34.9 MB
+#   2**13   32, 37.0 MB                 306, 35.1 MB
+#   2**14   4495, 37.4 MB               1094, 35.6 MB
+# The large-array op_ms_p50 falls from 19.3 ms at 2**14 to 12.4 ms at 2**13,
+# where N = 7007 gives one point per call as 2**12 does; on presets 2**12
+# took 15.2 ms against 14.1 ms for 2**13, with twice the calls. The oracle's
+# temporaries peak near 600 bytes per antenna, about 4.9 MB for a full group.
+_BATCH_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,10 @@ class SensingSnr:
     @classmethod
     def from_db(cls, snr_db: float) -> "SensingSnr":
         """Build from a decibel value."""
-        return cls(gamma=10.0 ** (snr_db / 10.0))
+        try:
+            return cls(gamma=10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            raise InvalidConfigurationError(f"snr {snr_db} dB overflows gamma") from None
 
     @property
     def db(self) -> float:
@@ -531,72 +549,6 @@ def _crb_group(model: WavefrontModel, ants: _Antennas, batch: _Batch) -> _Bounds
     return _crb_batch(model, x, ants.r[case], ants.theta[case], batch, _Cases(case))
 
 
-def crb_hspm_dist(
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    snr: SensingSnr,
-) -> CrbPair:
-    """Bounds under the subarray-wise model with distinct arrival angles.
-
-    Args:
-        layout: Array layout.
-        target: Target position.
-        wavelength: Carrier wavelength, meters.
-        snr: Sensing SNR.
-
-    Returns:
-        CrbPair; crb_r is +inf when the range information degenerates
-        (e.g. a single subarray).
-    """
-    return crb_bounds(WavefrontModel.HSPM_DIST, layout, target, wavelength, snr)
-
-
-def crb_hspm_shared(
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    snr: SensingSnr,
-) -> CrbPair:
-    """Bounds under the subarray-wise model with one shared arrival angle.
-
-    Identical to crb_hspm_dist except that the per-subarray arrival-sine
-    derivatives are replaced by those of the global angle: the sine varies
-    only through theta, at rate cos(theta), for every subarray.
-    """
-    return crb_bounds(WavefrontModel.HSPM_SHARED, layout, target, wavelength, snr)
-
-
-def crb_pwm(
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    snr: SensingSnr,
-) -> CrbPair:
-    """Bounds under the fully planar model.
-
-    Range does not enter the planar steering vector, so crb_r is +inf by
-    construction and carries no flag. The angle bound is finite away from
-    endfire provided the layout has angle information (more than one
-    antenna).
-    """
-    return crb_bounds(WavefrontModel.PWM, layout, target, wavelength, snr)
-
-
-def crb_swm(
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    snr: SensingSnr,
-) -> CrbPair:
-    """Bounds under the exact spherical-wave model.
-
-    The information terms sum over every antenna rather than every
-    subarray; no small-subarray expansion is involved.
-    """
-    return crb_bounds(WavefrontModel.SWM, layout, target, wavelength, snr)
-
-
 def crb_bounds(
     model: WavefrontModel,
     layout: ModularLayout,
@@ -604,7 +556,19 @@ def crb_bounds(
     wavelength: float,
     snr: SensingSnr,
 ) -> CrbPair:
-    """The closed form of a wavefront model at one target: a batch of one."""
+    """The closed form of a wavefront model at one target: a batch of one.
+
+    - hspm-dist: subarray-wise, each subarray with its own arrival angle;
+      crb_r is +inf flagged "degenerate" when the range information
+      vanishes (e.g. a single subarray).
+    - hspm-shared: the same, but every subarray's sine moves only through
+      theta, at rate cos(theta).
+    - pwm: range does not enter the planar steering vector, so crb_r is
+      +inf by construction and carries no flag; crb_theta is finite away
+      from endfire when the layout has more than one antenna.
+    - swm: exact spherical wave; the information sums over every antenna,
+      with no small-subarray expansion.
+    """
     batch = _rows(layout, target.theta, wavelength, snr)
     x = _abscissas(model, layout)
     return _crb_batch(model, x, target.r, target.theta, batch).pair()

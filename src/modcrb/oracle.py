@@ -21,7 +21,7 @@ scale |dg_r|^2) where the range information is O((A / r)^4).
 
 The oracle checks a group of cases at once. verify_batch draws its cases
 one group at a time, a group being a run of consecutive draws holding at
-most _GROUP_ELEMENTS antennas; cross_validate is a group of one. The
+most crb._BATCH_ELEMENTS antennas; cross_validate is a group of one. The
 antennas of a group's cases go side by side in flat arrays
 (wavefront._Antennas), each entry carrying its case's r, theta and
 2 pi / lambda. Per model, the closed form under test makes one kernel pass
@@ -46,8 +46,8 @@ from typing import Any
 
 import numpy as np
 
-from .crb import CrbPair, SensingSnr, _bound_pair, _Cases, _crb_group, _group, _Quadratic
-from .crb import crb_bounds  # noqa: F401 - bench/tracing.py wraps the name on this module
+from .crb import (_BATCH_ELEMENTS, CrbPair, SensingSnr, _bound_pair, _Cases, _crb_group, _group,
+                  _Quadratic)
 from .errors import InvalidConfigurationError
 from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
 from .wavefront import (
@@ -60,7 +60,6 @@ from .wavefront import (
     _one,
     _phase_increment,
     _wavefront,
-    phase_increment,  # noqa: F401 - bench/tracing.py wraps the name on this module
     steering,
 )
 
@@ -516,14 +515,8 @@ class VerificationSummary:
         return "\n".join(lines)
 
 
-#: Most antennas in one group of verify_batch. Larger groups spread the
-#: per-group dispatch over more cases but hold more memory at once: a
-#: group's temporaries peak near 600 bytes per antenna.
-_GROUP_ELEMENTS = 2048
-
-
 def _groups(cases: Iterable) -> Iterator[list]:
-    """Consecutive runs of cases with at most _GROUP_ELEMENTS antennas in all.
+    """Consecutive runs of cases with at most _BATCH_ELEMENTS antennas in all.
 
     A case with more antennas than that forms a group of its own. A group
     is yielded once the first case past its end has been drawn.
@@ -532,7 +525,7 @@ def _groups(cases: Iterable) -> Iterator[list]:
     size = 0
     for case in cases:
         n = case[0].num_elements
-        if group and size + n > _GROUP_ELEMENTS:
+        if group and size + n > _BATCH_ELEMENTS:
             yield group
             group, size = [], 0
         group.append(case)
@@ -557,9 +550,18 @@ def verify_batch(
 
     Returns:
         VerificationSummary; .passed is True when no case broke a threshold.
+
+    Raises:
+        InvalidConfigurationError: Before the first draw, on num_cases < 1, a seed
+            that is not an integer >= 0, or a tolerance not finite and >= 0.
     """
     if num_cases < 1:
         raise InvalidConfigurationError(f"num_cases must be >= 1, got {num_cases}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
+    for name, tol in (("tol_analytic", tol_analytic), ("tol_fd", tol_fd)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InvalidConfigurationError(f"{name} must be finite and >= 0, got {tol}")
     rng = np.random.default_rng(seed)
     max_an = {model.value: 0.0 for model in MODEL_ORDER}
     max_fd = {model.value: 0.0 for model in MODEL_ORDER}

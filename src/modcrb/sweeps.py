@@ -6,14 +6,12 @@ A layout sweep builds no layout per gap value: it stacks the validated gap
 rows of the whole grid and derives every abscissa from them in one integer
 pass (geometry._grid_abscissas, the formula build_layout uses for one row).
 Each model's closed form runs once per chunk of grid points, a chunk
-holding at most _CHUNK_ELEMENTS abscissas (points times the model's
+holding at most crb._BATCH_ELEMENTS abscissas (points times the model's
 subarrays or antennas per point), or one point where a point alone holds
-more. Whatever the grid size, every float64 temporary of a kernel call
-then stays within 64 KiB (or one point's worth), which lets the allocator
-reuse the memory of one call for the next instead of returning it to the
-operating system and faulting it back in. The arithmetic is elementwise,
-so every record has the bits the scalar API (crb_bounds) gives for its
-point, and two runs of the same config produce byte-identical files.
+more, so every float64 temporary of a kernel call stays within 64 KiB
+whatever the grid size. The arithmetic is elementwise, so every record has
+the bits crb_bounds gives for its point, and two runs of the same config
+produce byte-identical files.
 
 The CSV format is fixed: header
 ``sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags``, UTF-8, LF
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .crb import _abscissas, _crb_batch, _rows
+from .crb import _BATCH_ELEMENTS, _abscissas, _crb_batch, _rows
 from .errors import InvalidConfigurationError
 from .geometry import TargetPolar, _grid_abscissas, build_layout
 
@@ -51,21 +49,6 @@ __all__ = [
 
 #: Exact CSV header line, without the trailing newline.
 CSV_HEADER = "sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags"
-
-# Most abscissas one closed-form call evaluates: a chunk's grid points times
-# the model's abscissas per point, at least one point. The rule: no float64
-# temporary of a kernel call exceeds 64 KiB. Larger ones free more than
-# glibc's 128 KiB trim threshold at the top of the heap after each call, so
-# the heap shrinks and the next call faults the same pages back in. Minor
-# faults per warm benchmark op and peak RSS (2-vCPU x86_64, glibc, numpy 2.4):
-#   budget  large-array (K=7, M=1001)   presets (fig3, fig4-c1, fig4-c2)
-#   2**12   32, 37.0 MB                 214, 34.9 MB
-#   2**13   32, 37.0 MB                 306, 35.1 MB
-#   2**14   4495, 37.4 MB               1094, 35.6 MB
-# The large-array op_ms_p50 falls from 19.3 ms at 2**14 to 12.4 ms at 2**13,
-# where N = 7007 gives one point per call as 2**12 does; on presets 2**12
-# took 15.2 ms against 14.1 ms for 2**13, with twice the calls.
-_CHUNK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -90,8 +73,8 @@ class SweepRecord:
 
 
 def _chunks(count: int, per_point: int) -> list[slice]:
-    """Slices of a grid of count points, each within _CHUNK_ELEMENTS abscissas."""
-    step = max(1, _CHUNK_ELEMENTS // per_point)
+    """Slices of a grid of count points, each within _BATCH_ELEMENTS abscissas."""
+    step = max(1, _BATCH_ELEMENTS // per_point)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -375,8 +358,6 @@ def emit_outputs(
     Returns:
         The list of paths written.
     """
-    if not records:
-        raise InvalidConfigurationError("no records to write")
     written = [csv_path]
     write_csv(records, csv_path)
     if json_path is not None:

@@ -17,7 +17,7 @@ from modcrb import (
     build_layout,
     crb_boresight,
     crb_boresight_far,
-    crb_hspm_dist,
+    crb_bounds,
     fd_derivatives,
     preset,
     radial_terms,
@@ -86,7 +86,7 @@ def test_criterion_2_boresight_specialization(acceptance_line):
         for _ in range(3):
             tgt = TargetPolar(float(rng.uniform(2.0, 80.0)), 0.0)
             specialized = crb_boresight(lay, tgt, cfg.wavelength, snr)
-            general = crb_hspm_dist(lay, tgt, cfg.wavelength, snr)
+            general = crb_bounds(WavefrontModel.HSPM_DIST, lay, tgt, cfg.wavelength, snr)
             worst = max(worst, _pair_error(specialized, general))
 
     reference = layouts[0]

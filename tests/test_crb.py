@@ -18,10 +18,6 @@ from modcrb import (
     crb_boresight,
     crb_boresight_far,
     crb_bounds,
-    crb_hspm_dist,
-    crb_hspm_shared,
-    crb_pwm,
-    crb_swm,
     radial_terms,
 )
 from modcrb.crb import _ROWS, _bound_pair, _hspm_kernel, _Quadratic, _rows
@@ -88,8 +84,8 @@ def test_bounds_symmetric_in_angle_sign():
 
 
 def test_distinct_angles_beat_shared_angle_on_range():
-    dist = crb_hspm_dist(FIG3, TGT, LAMBDA, SNR)
-    shared = crb_hspm_shared(FIG3, TGT, LAMBDA, SNR)
+    dist = crb_bounds(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA, SNR)
+    shared = crb_bounds(WavefrontModel.HSPM_SHARED, FIG3, TGT, LAMBDA, SNR)
     assert dist.crb_r < shared.crb_r
     assert dist.crb_r > 0
     assert not dist.flags
@@ -118,7 +114,7 @@ def test_shared_angle_freezes_sine_derivatives():
 
 
 def test_pwm_has_no_range_information_and_constant_angle_bound():
-    pairs = [crb_pwm(FIG3, TargetPolar(r, TGT.theta), LAMBDA, SNR)
+    pairs = [crb_bounds(WavefrontModel.PWM, FIG3, TargetPolar(r, TGT.theta), LAMBDA, SNR)
              for r in (1.0, 5.0, 30.0, 56.0)]
     assert all(math.isinf(p.crb_r) for p in pairs)
     assert all(not p.flags for p in pairs)
@@ -127,7 +123,7 @@ def test_pwm_has_no_range_information_and_constant_angle_bound():
 
 
 def test_pwm_endfire_is_flagged():
-    pair = crb_pwm(FIG3, TargetPolar(30.0, math.pi / 2), LAMBDA, SNR)
+    pair = crb_bounds(WavefrontModel.PWM, FIG3, TargetPolar(30.0, math.pi / 2), LAMBDA, SNR)
     assert math.isinf(pair.crb_theta)
     assert FLAG_ENDFIRE in pair.flags
 
@@ -188,7 +184,7 @@ def test_bound_pair_mixed_batch_matches_batches_of_one():
 
 def test_single_subarray_loses_range_only():
     lay = build_layout(1, 125, (0,), PITCH)
-    pair = crb_hspm_dist(lay, TGT, LAMBDA, SNR)
+    pair = crb_bounds(WavefrontModel.HSPM_DIST, lay, TGT, LAMBDA, SNR)
     assert math.isinf(pair.crb_r)
     assert FLAG_DEGENERATE in pair.flags
     assert math.isfinite(pair.crb_theta) and pair.crb_theta > 0
@@ -213,7 +209,7 @@ def test_boresight_form_matches_general_form():
         lay = build_layout(k, m, tuple(right[::-1] + [0] + right), PITCH)
         tgt = TargetPolar(float(rng.uniform(2.0, 150.0)), 0.0)
         fast = crb_boresight(lay, tgt, LAMBDA, SNR)
-        general = crb_hspm_dist(lay, tgt, LAMBDA, SNR)
+        general = crb_bounds(WavefrontModel.HSPM_DIST, lay, tgt, LAMBDA, SNR)
         _assert_pair_close(fast, general, 1e-10)
 
 
@@ -234,7 +230,8 @@ def test_boresight_single_subarray_range_degenerates():
         assert FLAG_DEGENERATE in pair.flags
         # a single antenna has no angle information either
         assert math.isfinite(pair.crb_theta) == (m > 1)
-        _assert_pair_close(pair, crb_hspm_dist(lay, tgt, LAMBDA, SNR), 1e-10)
+        general = crb_bounds(WavefrontModel.HSPM_DIST, lay, tgt, LAMBDA, SNR)
+        _assert_pair_close(pair, general, 1e-10)
 
 
 def test_more_antennas_tighten_boresight_bounds():

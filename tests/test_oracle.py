@@ -20,7 +20,6 @@ from modcrb import (
     build_layout,
     crb_bounds,
     crb_from_steering,
-    crb_pwm,
     cross_validate,
     fd_derivatives,
     fd_rebased,
@@ -32,6 +31,7 @@ from modcrb import (
     verify_batch,
 )
 from modcrb import crb as crb_module
+from modcrb.cli import main
 from modcrb import oracle, preset, run_range_sweep
 from modcrb.oracle import ValidationReport, _fd_steps, _groups, _validate
 from modcrb.wavefront import _antennas, _phase_terms, _wavefront
@@ -117,7 +117,7 @@ def test_generic_route_flags_pwm_range_degeneracy():
     generic = crb_from_steering(g, dg, SNR, model=WavefrontModel.PWM,
                                 cos_theta=math.cos(TGT.theta))
     assert math.isinf(generic.crb_r)
-    closed = crb_pwm(FIG3, TGT, LAMBDA, SNR)
+    closed = crb_bounds(WavefrontModel.PWM, FIG3, TGT, LAMBDA, SNR)
     assert relative_error(closed.crb_theta, generic.crb_theta) <= 1e-9
 
 
@@ -385,6 +385,39 @@ def test_verify_batch_small_run_passes_and_is_reproducible():
         verify_batch(num_cases=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1},
+    {"seed": 1.5},
+    {"tol_analytic": math.nan},
+    {"tol_analytic": -1e-9},
+    {"tol_fd": math.nan},
+    {"tol_fd": math.inf},
+])
+def test_verify_batch_rejects_bad_inputs_before_the_first_draw(kwargs, monkeypatch):
+    # a NaN or infinite tolerance would pass every deviation (x > nan and
+    # inf > inf are False); a negative seed would fail inside numpy
+    drawn = []
+
+    def counting_sample(rng):
+        drawn.append(None)
+        return sample_case(rng)
+
+    monkeypatch.setattr(oracle, "sample_case", counting_sample)
+    with pytest.raises(InvalidConfigurationError, match=next(iter(kwargs))):
+        verify_batch(num_cases=3, **kwargs)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--tol-analytic", "inf"), ("--tol-fd", "nan"), ("--tol-fd", "-1"),
+])
+def test_cli_verify_bad_inputs_are_configuration_errors(flag, value, capsys):
+    assert main(["verify", "--cases", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_verify_batch_makes_one_kernel_call_per_model_per_group(monkeypatch):
     # the closed forms of a whole group come from one kernel pass per model
     calls = []
@@ -395,9 +428,9 @@ def test_verify_batch_makes_one_kernel_call_per_model_per_group(monkeypatch):
 
         monkeypatch.setitem(crb_module._KERNELS, model, (attr, counting))
     rng = np.random.default_rng(5)
-    groups = list(_groups(sample_case(rng) for _ in range(30)))
+    groups = list(_groups(sample_case(rng) for _ in range(120)))
     assert len(groups) > 2
-    assert verify_batch(num_cases=30, seed=5).passed
+    assert verify_batch(num_cases=120, seed=5).passed
     assert calls == list(MODEL_ORDER) * len(groups)
 
 
@@ -416,13 +449,13 @@ def test_verify_batch_draws_each_group_before_checking_it(monkeypatch):
 
     monkeypatch.setattr(oracle, "sample_case", counting_sample)
     monkeypatch.setattr(oracle, "_validate", recording_validate)
-    assert verify_batch(num_cases=30, seed=5).passed
+    assert verify_batch(num_cases=120, seed=5).passed
     assert len(seen) > 2
     checked = 0
     for count, size in seen:
         checked += size
         assert count <= checked + 1, seen
-    assert checked == len(drawn) == 30
+    assert checked == len(drawn) == 120
 
 
 def test_uniform_group_closed_forms_are_the_range_sweep_bits():

@@ -372,19 +372,13 @@ _BENCH_NAMES = (
     ("modcrb.cli", "build_parser"),
     ("modcrb.cli", "preset"),
     ("modcrb.config", "build_layout"),
-    ("modcrb.crb", "crb_hspm_dist"),
-    ("modcrb.crb", "crb_hspm_shared"),
-    ("modcrb.crb", "crb_pwm"),
-    ("modcrb.crb", "crb_swm"),
     ("modcrb.crb", "radial_terms"),
     ("modcrb.geometry", "TargetPolar"),
     ("modcrb.geometry", "build_layout"),
     ("modcrb.oracle", "build_layout"),
-    ("modcrb.oracle", "crb_bounds"),
     ("modcrb.oracle", "crb_from_steering"),
     ("modcrb.oracle", "cross_validate"),
     ("modcrb.oracle", "fd_rebased"),
-    ("modcrb.oracle", "phase_increment"),
     ("modcrb.oracle", "sample_case"),
     ("modcrb.oracle", "steering"),
     ("modcrb.oracle", "verify_batch"),
@@ -599,6 +593,7 @@ def test_cli_exit_codes():
     ("--K", "x", "bad value 'x' for key 'K'"),
     ("--r", "abc", "bad value 'abc' for key 'r'"),
     ("--models", "foo", "unknown wavefront model 'foo'"),
+    ("--snr-db", "1e6", "snr 1000000.0 dB overflows gamma"),
 ])
 def test_cli_bad_inline_values_are_configuration_errors(flag, value, message, capsys):
     # an inline value parses as its config-file key does: exit 2, one line
