@@ -17,18 +17,18 @@ symmetric layout info_cross vanishes.
 Each wavefront model has one kernel that builds its information terms for
 a batch of points at once, in one of two shapes (see _Cases). Sweeps pass
 rows: stacked abscissas against broadcast ranges, the sums taken over the
-last axis, one call per chunk of grid points (see sweeps.py); crb_bounds
-passes a batch of one. The oracle's verify passes a ragged group: the
-abscissas of cases of different K and M side by side, as
-wavefront._antennas lays them out, each case summed over its own
-contiguous slice, so a group costs one pass per model and every case keeps
-the bits it gets alone. A sweep chunk and a verify group both hold at most
-_BATCH_ELEMENTS abscissas. A kernel computes only the geometry it
-reads: swm and hspm-shared read d r_k / d r - 1 and d r_k / d theta from
-geometry.radial_terms, hspm-dist adds the arrival-sine derivatives of
-geometry.arrival_sine_terms, and pwm reads the abscissas alone. Every bound
-then goes through _bound_pair, which alone turns information into bounds,
-point by point (the oracle and the boresight forms use it too):
+last axis, one call per model for the whole grid; crb_bounds passes a
+batch of one. The oracle's verify passes a ragged group: the abscissas of
+cases of different K and M side by side, as wavefront._antennas lays them
+out, each case summed over its own contiguous slice, so a group costs one
+pass per model and every case keeps the bits it gets alone. A kernel sums
+its terms from one workspace in one call per chunk of rows (_stacked_sums)
+and computes only the geometry it reads: swm and hspm-shared read
+d r_k / d r - 1 and d r_k / d theta from geometry.radial_terms, hspm-dist
+adds the arrival-sine derivatives of geometry.arrival_sine_terms, and pwm
+reads the abscissas alone. Every bound then goes through _bound_pair, which
+alone turns information into bounds, point by point (the oracle and the
+boresight forms use it too):
 
 - an information term below 1e-12 of its positive-part scale, or a
   determinant below 1e-12 of info_r info_theta, marks a singular Fisher
@@ -51,7 +51,7 @@ Units: range bounds in meters squared, angle bounds in radians squared.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, NamedTuple
@@ -62,6 +62,7 @@ from .errors import InvalidConfigurationError, NumericDomainError
 from .geometry import (
     ModularLayout,
     TargetPolar,
+    _angle_products,
     _require_wavelength,
     arrival_sine_terms,
     radial_terms,
@@ -87,20 +88,18 @@ FLAG_ENDFIRE = "endfire"
 
 # Most abscissas one kernel pass holds, whether a sweep chunk (grid points
 # times the model's abscissas per point) or a verify group (its cases'
-# antennas); a point or case larger than that goes alone. The rule: no
-# float64 temporary of a sweep's kernel call exceeds 64 KiB. Larger ones free
-# more than glibc's 128 KiB trim threshold at the top of the heap after each
-# call, so the heap shrinks and the next call faults the same pages back in.
-# Minor faults per warm benchmark op and peak RSS (2-vCPU x86_64, glibc,
-# numpy 2.4):
+# antennas); a point or case larger than that goes alone. A kernel call
+# allocates one workspace of 5 to 8 float64 blocks of a chunk's size, once,
+# and reuses it for every chunk. Warm-op minor faults and op_ms_p50, median
+# of 6 runs (2-vCPU x86_64 pinned to one CPU, glibc 2.36, numpy 2.4):
 #   budget  large-array (K=7, M=1001)   presets (fig3, fig4-c1, fig4-c2)
-#   2**12   32, 37.0 MB                 214, 34.9 MB
-#   2**13   32, 37.0 MB                 306, 35.1 MB
-#   2**14   4495, 37.4 MB               1094, 35.6 MB
-# The large-array op_ms_p50 falls from 19.3 ms at 2**14 to 12.4 ms at 2**13,
-# where N = 7007 gives one point per call as 2**12 does; on presets 2**12
-# took 15.2 ms against 14.1 ms for 2**13, with twice the calls. The oracle's
-# temporaries peak near 600 bytes per antenna, about 4.9 MB for a full group.
+#   2**12   91-93, 13.1 ms              249-265, 17.9 ms
+#   2**13   0-93, 12.2 ms               228-288, 18.9 ms
+#   2**14   0, 11.3 ms                  0, 17.6 ms
+# glibc's trim threshold follows the largest workspace freed, so the faults
+# depend on heap placement. The times differ by less than their run-to-run
+# spread, and 2**14 would double a verify group's oracle peak, near 600
+# bytes per antenna (4.9 MB for a full group at 2**13).
 _BATCH_ELEMENTS = 1 << 13
 
 
@@ -241,30 +240,29 @@ class _Cases:
             self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-case sums of an array of one or two axes; the cases replace the last."""
-        if self.case is None:
-            return values.sum(axis=-1)
+        """Per-case sums over the last axis; the cases replace it."""
         add = np.add.reduce  # what .sum calls, without its Python wrapper
+        if self.case is None:
+            return add(values, axis=-1)
         return np.array([add(values[..., col], axis=-1) for col in self.cols]).T
 
-    def centered(self, values: np.ndarray) -> np.ndarray:
-        """Deviations from each case's mean."""
-        if self.case is None:
-            return values - values.mean(axis=-1, keepdims=True)
-        return values - self.spread(self.sum(values) / self.counts)
+    def centered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Deviations from each case's mean (sum over count, as .mean), into out if given."""
+        counts = values.shape[-1] if self.case is None else self.counts
+        return np.subtract(values, self.spread(self.sum(values) / counts), out=out)
 
     def spread(self, per_case):
         """Values with one entry per case, repeated over each case's entries."""
-        return per_case if self.case is None else per_case[..., self.case]
+        return np.asarray(per_case)[..., None] if self.case is None else per_case[..., self.case]
 
 
 _ROWS = _Cases()
 
 
-def _centered_power(values: np.ndarray, cases: _Cases = _ROWS) -> np.ndarray:
-    """Per-case sum of squared deviations from the case's mean."""
-    delta = cases.centered(values)
-    return cases.sum(delta * delta)
+def _centered_power(values: np.ndarray) -> np.ndarray:
+    """Sum of squared deviations from the mean, over the last axis."""
+    delta = _ROWS.centered(values)
+    return _ROWS.sum(delta * delta)
 
 
 _FLAG_SETS = {
@@ -309,7 +307,6 @@ class _Bounds(NamedTuple):
                 information terms.
         """
         ((crb_r, crb_t, flags, det2),) = self.points
-        _require_positive(crb_r, crb_t)
         quad = self.quad
         diagnostics = dict(diagnostics or {})
         if quad.info_r is not None:
@@ -331,9 +328,7 @@ class _Bounds(NamedTuple):
         )
 
     def rows(self) -> list[tuple[float, float, tuple[str, ...]]]:
-        """(crb_r, crb_theta, flags) per point, checked as CrbPair checks them."""
-        for crb_r, crb_t, _, _ in self.points:
-            _require_positive(crb_r, crb_t)
+        """(crb_r, crb_theta, flags) per point."""
         return [point[:3] for point in self.points]
 
 
@@ -350,7 +345,8 @@ def _bound_pair(
     num, the terms of quad and cos_theta may be scalars or arrays that
     broadcast against each other, and each point gets the bounds and flags
     it would get on its own. A parameter the model does not contain (an
-    info of None) is absent at every point.
+    info of None) is absent at every point; a bound that comes out NaN or
+    not positive raises NumericDomainError.
 
     Args:
         model: Label carried into the result.
@@ -398,6 +394,8 @@ def _bound_pair(
             crb_r = num_i / d_r
         elif live_t:
             crb_t = num_i / d_t
+        if not (crb_r > 0 and crb_t > 0):
+            _require_positive(crb_r, crb_t)
         points.append((crb_r, crb_t, _FLAG_SETS[degenerate, endfire], det2))
     return _Bounds(model, quad, points)
 
@@ -407,6 +405,57 @@ def _bound_pair(
 # broadcast against x, and cases reduces the information terms over that
 # axis: a (..., n) stack of rows (_ROWS), or a ragged group with one entry
 # per abscissa of every case. The numerator is the factor times batch.scale.
+
+
+def _chunks(count: int, per_point: int) -> list[slice]:
+    """Slices of count points, each within _BATCH_ELEMENTS abscissas or a single point."""
+    step = max(1, _BATCH_ELEMENTS // per_point)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _stacked_sums(cases: _Cases, count: int, fill: Callable[..., None], *operands) -> np.ndarray:
+    """Per-point sums of count terms of the operands, made in one workspace.
+
+    The operands broadcast to a (P, n) stack of rows, walked in _chunks, or
+    to one point or a ragged group, taken whole. fill(work, *operands) writes
+    the terms of the given points (a chunk's rows of a (P, n) operand) into
+    work, count blocks of a chunk's size allocated once per call.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, operands))
+    if len(shape) == 1:
+        work = np.empty((count, *shape))
+        fill(work, *operands)
+        return cases.sum(work)
+    parts = _chunks(*shape)
+    work = np.empty((count, parts[0].stop, shape[1]))
+    sums = np.empty((count, shape[0]))
+    for part in parts:
+        chunk = work[:, :part.stop - part.start]
+        fill(chunk, *(a[part] if np.ndim(a) == 2 and len(a) > 1 else a for a in operands))
+        sums[:, part] = cases.sum(chunk)
+    return sums
+
+
+def _radial_sums(x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray, cases: _Cases,
+                 extra: int = 0, more: Callable[..., None] | None = None) -> np.ndarray:
+    """Per-point sums of da^2, dt^2, a^2, t^2, da dt and extra model terms.
+
+    a and t are radial_terms' dr_dr_m1 and dr_dt, da and dt their deviations
+    from the case's mean; more(x, r, terms, slots) writes a chunk's extras.
+    The angle products are made once per call where every point shares x.
+    """
+    angles = _angle_products(x, theta) if np.ndim(x) < 2 or len(x) == 1 else None
+
+    def fill(work, xs, rs):
+        terms = radial_terms(xs, rs, theta, work[:4], angles or _angle_products(xs, theta))
+        if more is not None:
+            more(xs, rs, terms, work[5:])
+        # The deviations overwrite w and rng, then the products their factors.
+        cases.centered(work[2:4], out=work[:2])
+        np.multiply(work[0], work[1], out=work[4])
+        np.multiply(work[:4], work[:4], out=work[:4])
+
+    return _stacked_sums(cases, 5 + extra, fill, x, r)
 
 
 def _hspm_kernel(
@@ -429,27 +478,24 @@ def _hspm_kernel(
     the distinct-angle model reads the per-subarray arrival sines.
     """
     k, cm = batch.k, batch.cm
-    terms = radial_terms(x, r, theta)
-    a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
 
-    if shared_angle:
-        z = z_hat = 0.0
-        # Summed term by term like the distinct-angle z_tilde; K cos^2 would
-        # round differently.
-        z_tilde = cases.sum(np.full(at.shape, cases.spread(batch.cos_t * batch.cos_t)))
-    else:
-        sines = arrival_sine_terms(x, r, theta, terms)
-        sr, st = sines["ds_dr"], sines["ds_dt"]
-        z = cases.sum(sr * sr)
-        z_tilde = cases.sum(st * st)
-        z_hat = cases.sum(sr * st)
-    q_tilde = cases.sum(at * at)
+    def sines(xs, rs, terms, slots):
+        if shared_angle:
+            # Summed term by term like hspm-dist's z_tilde; K cos^2 rounds otherwise.
+            slots[0] = cases.spread(batch.cos_t * batch.cos_t)
+        else:
+            s = arrival_sine_terms(xs, rs, theta, terms)
+            np.multiply(s["ds_dr"], s["ds_dr"], out=slots[0])
+            np.multiply(s["ds_dt"], s["ds_dt"], out=slots[1])
+            np.multiply(s["ds_dr"], s["ds_dt"], out=slots[2])
 
-    da, dt = cases.centered(a_m1), cases.centered(at)
-    info_r = k * cm * z + 12.0 * k * cases.sum(da * da)
-    info_t = k * cm * z_tilde + 12.0 * k * cases.sum(dt * dt)
-    info_c = k * cm * z_hat + 12.0 * k * cases.sum(da * dt)
-    scale_r = k * cm * z + 12.0 * k * cases.sum(a_m1 * a_m1)
+    extra = 1 if shared_angle else 3
+    da2, dt2, a2, q_tilde, dadt, *zs = _radial_sums(x, r, theta, cases, extra, sines)
+    z, z_tilde, z_hat = (0.0, *zs, 0.0) if shared_angle else zs
+    info_r = k * cm * z + 12.0 * k * da2
+    info_t = k * cm * z_tilde + 12.0 * k * dt2
+    info_c = k * cm * z_hat + 12.0 * k * dadt
+    scale_r = k * cm * z + 12.0 * k * a2
     scale_t = k * cm * z_tilde + 12.0 * k * q_tilde
     return 6.0 * k / batch.m, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
@@ -460,10 +506,14 @@ def _pwm_kernel(
     """Planar information: angle only, independent of the range."""
     k, m, cm = batch.k, batch.m, batch.cm
 
+    def fill(work, xs):
+        cases.centered(xs, out=work[0])
+        np.multiply(work[0], work[0], out=work[0])
+        np.multiply(xs, xs, out=work[1])
+
     # 12 K M sum(x^2) + K^2 M (M^2-1) d^2 - 12 M sum(x)^2, in centered form;
     # the same for every range, so spread over the batch shape.
-    info = k * k * m * cm + 12.0 * m * k * _centered_power(x, cases)
-    scale = k * k * m * cm + 12.0 * m * k * cases.sum(x * x)
+    info, scale = k * k * m * cm + 12.0 * m * k * _stacked_sums(cases, 2, fill, x)
     shape = np.broadcast_shapes(np.shape(info), np.broadcast_shapes(x.shape, np.shape(r))[:-1])
     info, scale = np.broadcast_to(info, shape), np.broadcast_to(scale, shape)
     quad = _Quadratic(
@@ -476,16 +526,8 @@ def _swm_kernel(
     x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray, batch: _Batch, cases: _Cases
 ) -> tuple[float | np.ndarray, _Quadratic]:
     """Spherical-wave information: sums over every antenna."""
-    terms = radial_terms(x, r, theta)
     n = batch.k * batch.m
-    a_m1, at = terms["dr_dr_m1"], terms["dr_dt"]
-
-    da, dt = cases.centered(a_m1), cases.centered(at)
-    info_r = n * cases.sum(da * da)
-    info_t = n * cases.sum(dt * dt)
-    info_c = n * cases.sum(da * dt)
-    scale_r = n * cases.sum(a_m1 * a_m1)
-    scale_t = n * cases.sum(at * at)
+    info_r, info_t, scale_r, scale_t, info_c = n * _radial_sums(x, r, theta, cases)
     return 0.5 * n, _Quadratic(info_r, info_t, info_c, scale_r, scale_t)
 
 

@@ -36,10 +36,10 @@ __all__ = [
 
 
 # Most antennas K * M one layout may have. A closed-form evaluation holds
-# about 8 float64 temporaries per antenna and point (a crb run at the cap
-# peaks near 110 MB), and the oracle about 600 bytes per antenna (a
-# cross_validate of one case at the cap peaks near 550 MB); both stay well
-# within a 2 GB address space. The largest benchmark layout has 7007.
+# about 8 float64 values per antenna and point in its workspace and angle
+# products (a crb run at the cap peaks near 110 MB), the oracle about 600
+# bytes per antenna (a cross_validate of one case at the cap near 550 MB);
+# both stay well within a 2 GB address space. The largest benchmark layout has 7007.
 _MAX_ELEMENTS = 1 << 20
 
 
@@ -282,7 +282,8 @@ def field_regions(layout: ModularLayout, wavelength: float) -> FieldRegions:
 
 
 def radial_terms(
-    x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray
+    x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray,
+    out: np.ndarray | None = None, angles: tuple[np.ndarray, ...] | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-point ranges and their derivatives.
 
@@ -315,30 +316,44 @@ def radial_terms(
             against x, e.g. (P, 1) for P ranges against x of shape (1, K).
         theta: Target angle, radians: a scalar, or an array broadcasting
             against x, e.g. one angle per abscissa.
+        out: (4, ...) array over the broadcast shape of x and r taking w,
+            rng, dr_dr_m1 and dr_dt in that order; allocated when None.
+        angles: _angle_products(x, theta), made once for calls sharing them.
 
     Returns:
         Dict of arrays keyed by the names above, of the broadcast shape of
-        x and r, except xc, which has the shape of x.
+        x and r (views of out), except xc, which has the shape of x.
 
     Raises:
         SingularGeometryError: If the target coincides with an abscissa.
     """
-    x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
-    w = r - x * np.sin(theta)
-    xc = x * np.cos(theta)
-    rng = np.hypot(w, xc)
-    if np.any(rng == 0):
+    xs, xc, neg_xc2 = _angle_products(x, theta) if angles is None else angles
+    if out is None:
+        out = np.empty((4, *np.broadcast_shapes(xs.shape, r.shape)))
+    w, rng, dr_dr_m1, dr_dt = out
+    np.hypot(np.subtract(r, xs, out=w), xc, out=rng)
+    # fl(r - xs) has the sign of r - xs, so w > 0 and rng > 0 where r > every xs.
+    ahead = r.min(initial=np.inf) > xs.max(initial=-np.inf)
+    if not ahead and np.any(rng == 0):
         raise SingularGeometryError("target coincides with an antenna")
     # Branch on the sign of w: both forms are exact algebra, each one free
     # of cancellation on its own side. The first is evaluated everywhere,
     # and the second replaces it only where w < 0.
     with np.errstate(invalid="ignore", divide="ignore"):
-        dr_dr_m1 = np.divide(-(xc * xc), rng * (rng + w), out=np.empty(np.shape(rng)))
-    behind = w < 0
-    if np.any(behind):
+        np.multiply(rng, np.add(rng, w, out=dr_dr_m1), out=dr_dr_m1)
+        np.divide(neg_xc2, dr_dr_m1, out=dr_dr_m1)
+    if not ahead and np.any(behind := w < 0):
         dr_dr_m1[behind] = (w[behind] - rng[behind]) / rng[behind]
-    return {"w": w, "xc": xc, "rng": rng, "dr_dr_m1": dr_dr_m1, "dr_dt": -r * xc / rng}
+    np.divide(np.multiply(-r, xc, out=dr_dt), rng, out=dr_dt)
+    return {"w": w, "xc": xc, "rng": rng, "dr_dr_m1": dr_dr_m1, "dr_dt": dr_dt}
+
+
+def _angle_products(x: np.ndarray, theta: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """x sin theta, x cos theta and -(x cos theta)^2: all radial_terms reads of x and theta."""
+    x = np.asarray(x, dtype=float)
+    xc = x * np.cos(theta)
+    return x * np.sin(theta), xc, -(xc * xc)
 
 
 def arrival_sine_terms(

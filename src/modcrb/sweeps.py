@@ -5,13 +5,12 @@ or inner-gap values) and return flat records ready for CSV/JSON emission.
 A layout sweep builds no layout per gap value: it stacks the validated gap
 rows of the whole grid and derives every abscissa from them in one integer
 pass (geometry._grid_abscissas, the formula build_layout uses for one row).
-Each model's closed form runs once per chunk of grid points, a chunk
-holding at most crb._BATCH_ELEMENTS abscissas (points times the model's
-subarrays or antennas per point), or one point where a point alone holds
-more, so every float64 temporary of a kernel call stays within 64 KiB
-whatever the grid size. The arithmetic is elementwise, so every record has
-the bits crb_bounds gives for its point, and two runs of the same config
-produce byte-identical files.
+Each model's kernel runs once per sweep, walking the grid in chunks of at
+most crb._BATCH_ELEMENTS abscissas (points times abscissas per point), or
+one point where a point alone holds more, in one workspace of 5 to 8
+float64 blocks of a chunk's size that it allocates once. The arithmetic is
+elementwise, so every record has the bits crb_bounds gives for its point,
+and two runs of the same config produce byte-identical files.
 
 The CSV format is fixed: header
 ``sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags``, UTF-8, LF
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .crb import _BATCH_ELEMENTS, _abscissas, _crb_batch, _rows
+from .crb import _abscissas, _crb_batch, _rows
 from .errors import InvalidConfigurationError
 from .geometry import TargetPolar, _grid_abscissas, build_layout
 
@@ -70,12 +69,6 @@ class SweepRecord:
     crb_r_m2: float
     crb_theta_rad2: float
     flags: tuple[str, ...] = ()
-
-
-def _chunks(count: int, per_point: int) -> list[slice]:
-    """Slices of a grid of count points, each within _BATCH_ELEMENTS abscissas."""
-    step = max(1, _BATCH_ELEMENTS // per_point)
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _records(sweep_var: str, values, models, columns) -> list[SweepRecord]:
@@ -122,13 +115,8 @@ def _range_records(config: ExperimentConfig, grid: tuple[float, ...]) -> list[Sw
     # Validate every grid point before spending time on any evaluation.
     ranges = np.array([TargetPolar(r, theta).r for r in grid])[:, None]
     batch = _rows(layout, theta, config.wavelength, snr)
-    columns = []
-    for model in models:
-        x = _abscissas(model, layout)[None, :]
-        rows = []
-        for part in _chunks(len(grid), x.size):
-            rows += _crb_batch(model, x, ranges[part], theta, batch).rows()
-        columns.append(rows)
+    columns = [_crb_batch(model, _abscissas(model, layout)[None, :], ranges, theta, batch).rows()
+               for model in models]
     return _records("r_m", grid, models, columns)
 
 
@@ -163,13 +151,8 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     layout = build_layout(config.num_subarrays, config.subarray_size, gaps[0], config.pitch)
     grid = _grid_abscissas(gaps, layout.subarray_size, layout.pitch)
     batch = _rows(layout, target.theta, config.wavelength, snr)
-    columns = []
-    for model in models:
-        x = _abscissas(model, grid)
-        rows = []
-        for part in _chunks(len(gaps), x.shape[1]):
-            rows += _crb_batch(model, x[part], target.r, target.theta, batch).rows()
-        columns.append(rows)
+    columns = [_crb_batch(model, _abscissas(model, grid), target.r, target.theta, batch).rows()
+               for model in models]
     return _records("gamma", [float(gamma) for gamma in gammas], models, columns)
 
 

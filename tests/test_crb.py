@@ -11,6 +11,7 @@ from modcrb import (
     FLAG_ENDFIRE,
     InvalidConfigurationError,
     MODEL_ORDER,
+    NumericDomainError,
     SensingSnr,
     TargetPolar,
     WavefrontModel,
@@ -180,6 +181,17 @@ def test_bound_pair_mixed_batch_matches_batches_of_one():
             assert type(crb_r) is float and type(crb_t) is float
             assert det2 is None or type(det2) is float
         assert batch.rows() == [point[:3] for point in batch.points]
+
+
+def test_bound_pair_rejects_a_bound_that_is_nan_or_not_positive():
+    # the one check of a computed bound runs where it is computed, at every
+    # point of a batch
+    quad = _Quadratic(np.array([4.0, 4.0]), np.array([9.0, 9.0]), 1.0, 10.0, 10.0)
+    with pytest.raises(NumericDomainError, match=r"^crb_r must be positive or \+inf, got nan$"):
+        _bound_pair(WavefrontModel.SWM, np.array([2.0, math.nan]), quad, 0.5)
+    quad = _Quadratic(None, 9.0, 0.0, 0.0, 10.0)
+    with pytest.raises(NumericDomainError, match=r"^crb_theta must be positive or \+inf, got -"):
+        _bound_pair(WavefrontModel.PWM, -2.0, quad, 0.5)
 
 
 def test_single_subarray_loses_range_only():

@@ -1,5 +1,6 @@
 """Generic-FIM oracle: inner-product identities, FD legs, cross-validation."""
 
+import hashlib
 import json
 import math
 
@@ -434,6 +435,24 @@ def test_verify_batch_makes_one_kernel_call_per_model_per_group(monkeypatch):
     assert calls == list(MODEL_ORDER) * len(groups)
 
 
+def test_each_closed_form_sums_a_ragged_group_in_two_passes(monkeypatch):
+    # a kernel stacks the terms it sums, so a group costs one per-case pass
+    # for the means and one for the products, whatever the number of terms
+    rng = np.random.default_rng(3)
+    cases = [sample_case(rng) for _ in range(10)]
+    ants = _antennas([(layout, target, lam) for layout, target, _, lam in cases])
+    batch = crb_module._group((layout, target.theta, lam, snr)
+                              for layout, target, snr, lam in cases)
+    passes = []
+    case_sum = crb_module._Cases.sum
+    monkeypatch.setattr(crb_module._Cases, "sum",
+                        lambda self, values: passes.append(values.shape) or case_sum(self, values))
+    for model in MODEL_ORDER:
+        passes.clear()
+        crb_module._crb_group(model, ants, batch)
+        assert len(passes) == 2, (model, passes)
+
+
 def test_verify_batch_draws_each_group_before_checking_it(monkeypatch):
     # cases are drawn as the groups need them, not all up front: when a group
     # is checked, at most one case past its end has been drawn
@@ -473,6 +492,23 @@ def test_uniform_group_closed_forms_are_the_range_sweep_bits():
         closed = report.closed_form
         assert closed["crb_r_m2"].hex() == record.crb_r_m2.hex(), report.point
         assert closed["crb_theta_rad2"].hex() == record.crb_theta_rad2.hex(), report.point
+
+
+# The test above runs the same kernels on both sides, so this digest is
+# what pins the bits of verify's ragged groups: every closed-form, analytic
+# and finite-difference bound of 10 drawn cases at each of seeds 1-3.
+_VERIFY_SHA256 = "ae900a99db8f4cd3d94c359a1384216f3f66e0de8a7eed500e16d15c92d93b05"
+
+
+def test_verify_reports_match_their_digest():
+    values = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for rep in _validate(MODEL_ORDER, [sample_case(rng) for _ in range(10)]):
+            for pair in (rep.closed_form, rep.generic_analytic, rep.generic_fd):
+                values += [pair["crb_r_m2"].hex(), pair["crb_theta_rad2"].hex()]
+    assert len(values) == 3 * 10 * len(MODEL_ORDER) * 6
+    assert hashlib.sha256("\n".join(values).encode()).hexdigest() == _VERIFY_SHA256
 
 
 def _bounds(reports):

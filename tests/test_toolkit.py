@@ -205,7 +205,23 @@ def test_run_layout_sweep_validates_shape_and_budget(monkeypatch):
         run_layout_sweep(bad)  # the last outer gap would hit 0
     assert calls == []  # every gamma is checked before any evaluation
     run_layout_sweep(dataclasses.replace(preset("fig4-c1"), gamma_stop=3))
-    assert len(calls) == 4  # one chunk per model
+    assert len(calls) == 4  # one call per model
+
+
+def test_range_sweep_calls_each_kernel_once_over_its_chunks(monkeypatch):
+    # the kernel walks the sweep's chunks itself, in one workspace
+    calls = []
+    for model, (attr, kernel) in list(crb_module._KERNELS.items()):
+        def counting(*args, _model=model, _kernel=kernel, **kwargs):
+            calls.append(_model)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setitem(crb_module._KERNELS, model, (attr, counting))
+    _, overrides, _, _ = _SWEEP_CASES["mid-array"]
+    config = dataclasses.replace(preset("fig3"), **overrides)
+    assert len(crb_module._chunks(config.r_count, config.layout().num_elements)) == 3
+    run_range_sweep(config)
+    assert calls == list(config.model_list())
 
 
 def _pointwise_records(config, kind):
@@ -276,7 +292,7 @@ def test_sweeps_match_pointwise_closed_forms(case):
         model, flag = flagged
         assert any(rec.model == model and flag in rec.flags for rec in records)
     sizes = [part.stop - part.start
-             for part in sweeps._chunks(config.r_count, config.layout().num_elements)]
+             for part in crb_module._chunks(config.r_count, config.layout().num_elements)]
     if case == "large-array":
         assert sizes == [1] * config.r_count
     if case == "mid-array":
@@ -344,9 +360,10 @@ def test_large_array_csv_matches_its_digest(tmp_path):
     reason="the heap trimming this guards against is glibc's",
 )
 def test_large_range_sweep_does_not_page_fault():
-    # Kernel temporaries above the chunk budget's 64 KiB make glibc hand the
-    # freed top of its heap back to the operating system after each call and
-    # fault it in again on the next: about 4800 minor faults per sweep.
+    # Memory freed at the top of glibc's heap past its trim threshold goes
+    # back to the operating system and faults in again on the next call:
+    # about 4800 minor faults per sweep when each point allocated its own
+    # kernel temporaries, rather than each call one workspace.
     import resource  # POSIX only, like the condition above
 
     _, overrides, _, _ = _SWEEP_CASES["large-array"]
