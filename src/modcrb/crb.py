@@ -22,7 +22,7 @@ batch of one. The oracle's verify passes a ragged group: the abscissas of
 cases of different K and M side by side, as wavefront._antennas lays them
 out, each case summed over its own contiguous slice, so a group costs one
 pass per model and every case keeps the bits it gets alone. A kernel sums
-its terms from one workspace in one call per chunk of rows (_stacked_sums)
+its terms from its thread's workspace, one call per chunk (_stacked_sums),
 and computes only the geometry it reads: swm and hspm-shared read
 d r_k / d r - 1 and d r_k / d theta from geometry.radial_terms, hspm-dist
 adds the arrival-sine derivatives of geometry.arrival_sine_terms, and pwm
@@ -51,6 +51,7 @@ Units: range bounds in meters squared, angle bounds in radians squared.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import partial
@@ -88,17 +89,14 @@ FLAG_ENDFIRE = "endfire"
 
 # Most abscissas one kernel pass holds, whether a sweep chunk (grid points
 # times the model's abscissas per point) or a verify group (its cases'
-# antennas); a point or case larger than that goes alone. A kernel call
-# allocates one workspace of 5 to 8 float64 blocks of a chunk's size, once,
-# and reuses it for every chunk. Warm-op minor faults and op_ms_p50, median
-# of 6 runs (2-vCPU x86_64 pinned to one CPU, glibc 2.36, numpy 2.4):
-#   budget  large-array (K=7, M=1001)   presets (fig3, fig4-c1, fig4-c2)
-#   2**12   91-93, 13.1 ms              249-265, 17.9 ms
-#   2**13   0-93, 12.2 ms               228-288, 18.9 ms
-#   2**14   0, 11.3 ms                  0, 17.6 ms
-# glibc's trim threshold follows the largest workspace freed, so the faults
-# depend on heap placement. The times differ by less than their run-to-run
-# spread, and 2**14 would double a verify group's oracle peak, near 600
+# antennas); a point or case larger than that goes alone. Each thread keeps
+# one workspace of 8 float64 blocks of this size (512 KiB, _blocks), made on
+# its first kernel call, for every chunk of every kernel call it makes, so
+# warm sweeps allocate no chunk-sized memory and glibc has nothing to trim.
+# Warm-op minor faults (getrusage, 2-vCPU x86_64 pinned to one CPU, glibc
+# 2.36, numpy 2.4): presets 0.4 (368 with a workspace per kernel call),
+# large-array 0 (0 or 92 by heap placement), verify 311 (326), all of them
+# in the oracle. 2**14 would double a verify group's oracle peak, near 600
 # bytes per antenna (4.9 MB for a full group at 2**13).
 _BATCH_ELEMENTS = 1 << 13
 
@@ -327,10 +325,6 @@ class _Bounds(NamedTuple):
             diagnostics=diagnostics,
         )
 
-    def rows(self) -> list[tuple[float, float, tuple[str, ...]]]:
-        """(crb_r, crb_theta, flags) per point."""
-        return [point[:3] for point in self.points]
-
 
 def _bound_pair(
     model: WavefrontModel | None,
@@ -413,21 +407,39 @@ def _chunks(count: int, per_point: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+_WORKSPACE = threading.local()
+
+
+def _blocks(count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """count float64 blocks of shape: views of the thread's workspace, or new ones too big for it.
+
+    The thread's next kernel call overwrites the views, so no kernel returns one.
+    """
+    size = count * math.prod(shape)
+    if size > 8 * _BATCH_ELEMENTS:
+        return np.empty((count, *shape))
+    try:
+        buffer = _WORKSPACE.buffer
+    except AttributeError:
+        buffer = _WORKSPACE.buffer = np.empty(8 * _BATCH_ELEMENTS)
+    return buffer[:size].reshape(count, *shape)
+
+
 def _stacked_sums(cases: _Cases, count: int, fill: Callable[..., None], *operands) -> np.ndarray:
-    """Per-point sums of count terms of the operands, made in one workspace.
+    """Per-point sums of count terms of the operands, made in the thread's workspace.
 
     The operands broadcast to a (P, n) stack of rows, walked in _chunks, or
     to one point or a ragged group, taken whole. fill(work, *operands) writes
     the terms of the given points (a chunk's rows of a (P, n) operand) into
-    work, count blocks of a chunk's size allocated once per call.
+    work, count _blocks of a chunk's size.
     """
     shape = np.broadcast_shapes(*map(np.shape, operands))
     if len(shape) == 1:
-        work = np.empty((count, *shape))
+        work = _blocks(count, shape)
         fill(work, *operands)
         return cases.sum(work)
     parts = _chunks(*shape)
-    work = np.empty((count, parts[0].stop, shape[1]))
+    work = _blocks(count, (parts[0].stop, shape[1]))
     sums = np.empty((count, shape[0]))
     for part in parts:
         chunk = work[:, :part.stop - part.start]
@@ -484,10 +496,11 @@ def _hspm_kernel(
             # Summed term by term like hspm-dist's z_tilde; K cos^2 rounds otherwise.
             slots[0] = cases.spread(batch.cos_t * batch.cos_t)
         else:
-            s = arrival_sine_terms(xs, rs, theta, terms)
+            # The products overwrite rng^3, then ds_dr and ds_dt themselves.
+            s = arrival_sine_terms(xs, rs, theta, terms, out=slots)
+            np.multiply(s["ds_dr"], s["ds_dt"], out=slots[2])
             np.multiply(s["ds_dr"], s["ds_dr"], out=slots[0])
             np.multiply(s["ds_dt"], s["ds_dt"], out=slots[1])
-            np.multiply(s["ds_dr"], s["ds_dt"], out=slots[2])
 
     extra = 1 if shared_angle else 3
     da2, dt2, a2, q_tilde, dadt, *zs = _radial_sums(x, r, theta, cases, extra, sines)

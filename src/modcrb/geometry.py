@@ -248,10 +248,11 @@ def _grid_abscissas(gaps: np.ndarray, m: int, pitch: float) -> _Abscissas:
     ref_idx -= ref_idx[:, half:half + 1]
     ref_idx[:, :half] -= gaps[:, :half]
     m_idx = np.arange(-(m - 1) // 2, (m - 1) // 2 + 1, dtype=np.int64)
-    # Integer index grid keeps mirror symmetry exact after the single
-    # multiply by the pitch.
-    elem_idx = (ref_idx[:, :, None] + m_idx).reshape(len(gaps), -1)
-    return _Abscissas(ref_idx.astype(np.float64) * pitch, elem_idx.astype(np.float64) * pitch)
+    # The integer index grid, summed exactly in float64 (every index is below
+    # 2**53), keeps mirror symmetry exact after the single multiply by the pitch.
+    element_x = np.add(ref_idx[:, :, None], m_idx, dtype=np.float64)
+    element_x *= pitch
+    return _Abscissas(ref_idx.astype(np.float64) * pitch, element_x.reshape(len(gaps), -1))
 
 
 def _require_wavelength(wavelength: float) -> None:
@@ -361,16 +362,18 @@ def arrival_sine_terms(
     r: float | np.ndarray,
     theta: float | np.ndarray,
     ranges: dict[str, np.ndarray],
+    out: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Per-point arrival sines and their derivatives.
+    """Per-point derivatives of the arrival sines.
 
     Only the distinct-arrival-angle model reads these. From the w, xc and
     rng of ranges = radial_terms(x, r, theta) this evaluates, elementwise:
 
-        sin_a    (r sin - x) / rng, clipped to [-1, 1]   (arrival sine)
         ds_dr    r x cos^2 / rng^3                (d sin_a / d r)
         ds_dt    r^2 cos (r - x sin) / rng^3      (d sin_a / d theta)
+        rng3     rng^3
 
+    of the arrival sine sin_a = (r sin - x) / rng (_arrival_sine).
     Like radial_terms, the arithmetic is elementwise, so row i of a batch
     equals the call for point i alone.
 
@@ -379,22 +382,30 @@ def arrival_sine_terms(
         r: Target range, meters, as passed to radial_terms.
         theta: Target angle, radians, as passed to radial_terms.
         ranges: radial_terms(x, r, theta).
+        out: (3, ...) array over the broadcast shape of x and r taking
+            ds_dr, ds_dt and rng3 in that order; allocated when None.
 
     Returns:
-        Dict of arrays of the broadcast shape of x and r, keyed by the
-        names above.
+        Dict of arrays of the broadcast shape of x and r (views of out),
+        keyed by the names above.
     """
-    x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
-    s = np.sin(theta)
     c = np.cos(theta)
     rng = ranges["rng"]
-    rng3 = rng * rng * rng
-    return {
-        "sin_a": np.clip((r * s - x) / rng, -1.0, 1.0),
-        "ds_dr": r * ranges["xc"] * c / rng3,
-        "ds_dt": r * r * c * ranges["w"] / rng3,
-    }
+    if out is None:
+        out = np.empty((3, *rng.shape))
+    ds_dr, ds_dt, rng3 = out
+    np.multiply(np.multiply(rng, rng, out=rng3), rng, out=rng3)
+    np.multiply(np.multiply(r, ranges["xc"], out=ds_dr), c, out=ds_dr)
+    np.divide(ds_dr, rng3, out=ds_dr)
+    np.multiply(np.multiply(np.multiply(r, r, out=ds_dt), c, out=ds_dt), ranges["w"], out=ds_dt)
+    np.divide(ds_dt, rng3, out=ds_dt)
+    return {"ds_dr": ds_dr, "ds_dt": ds_dt, "rng3": rng3}
+
+
+def _arrival_sine(x: np.ndarray, r, theta, ranges: dict[str, np.ndarray]) -> np.ndarray:
+    """sin_a of arrival_sine_terms' arguments, clipped to [-1, 1]; only the phase reads it."""
+    return np.clip((np.asarray(r, dtype=float) * np.sin(theta) - x) / ranges["rng"], -1.0, 1.0)
 
 
 def _sine_increment(theta: float | np.ndarray, dtheta: float | np.ndarray) -> np.ndarray:

@@ -391,7 +391,7 @@ def _validate(
     ants = _antennas([(layout, target, wavelength) for layout, target, _, wavelength in cases])
     batch = _group((layout, target.theta, wavelength, snr)
                    for layout, target, snr, wavelength in cases)
-    closed = [_crb_group(model, ants, batch).rows() for model in models]
+    closed = [_crb_group(model, ants, batch).points for model in models]
     starts = ants.starts
     group = _Cases(ants.case)
     ones = np.ones(len(ants.case), dtype=complex)
@@ -413,14 +413,14 @@ def _validate(
     nums = np.array([0.5 / snr.gamma for _, _, snr, _ in cases])
     legs = 2 * len(models)
     quad = _Quadratic(*np.concatenate(sums, axis=1))
-    rows = _bound_pair(None, np.tile(nums, legs), quad, np.tile(batch.cos_t, legs)).rows()
+    rows = _bound_pair(None, np.tile(nums, legs), quad, np.tile(batch.cos_t, legs)).points
 
     reports = []
     for c, (layout, target, _, _) in enumerate(cases):
         for i, model in enumerate(models):
-            crb_r, crb_t, _ = closed[i][c]
-            an_r, an_t, _ = rows[2 * i * n + c]
-            fd_r, fd_t, _ = rows[(2 * i + 1) * n + c]
+            crb_r, crb_t, _, _ = closed[i][c]
+            an_r, an_t, _, _ = rows[2 * i * n + c]
+            fd_r, fd_t, _, _ = rows[(2 * i + 1) * n + c]
             step_r, step_t = used[i][c]
             reports.append(ValidationReport(
                 model=model.value,

@@ -7,10 +7,12 @@ rows of the whole grid and derives every abscissa from them in one integer
 pass (geometry._grid_abscissas, the formula build_layout uses for one row).
 Each model's kernel runs once per sweep, walking the grid in chunks of at
 most crb._BATCH_ELEMENTS abscissas (points times abscissas per point), or
-one point where a point alone holds more, in one workspace of 5 to 8
-float64 blocks of a chunk's size that it allocates once. The arithmetic is
+one point where a point alone holds more, in the one workspace each thread
+keeps from its first kernel call: a warm presets or large-array op faults in
+under one page (368 and 0 or 92 with a workspace per call). The arithmetic is
 elementwise, so every record has the bits crb_bounds gives for its point,
-and two runs of the same config produce byte-identical files.
+and two runs of the same config produce byte-identical files. Records are
+zipped from the kernels' columns, and each writer formats a file in one pass.
 
 The CSV format is fixed: header
 ``sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags``, UTF-8, LF
@@ -20,11 +22,11 @@ the literal ``inf``, and flags joined by ';' within their cell.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from itertools import chain, cycle, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +52,12 @@ __all__ = [
 CSV_HEADER = "sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags"
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One (sweep value, model) evaluation result.
+
+    A NamedTuple: immutable and hashable, with _replace and _asdict for
+    what dataclasses.replace and dataclasses.asdict gave when it was a
+    frozen dataclass, and equal to a plain tuple of the same cells.
 
     Attributes:
         sweep_var: Name of the swept variable ("r_m" or "gamma").
@@ -71,18 +76,17 @@ class SweepRecord:
     flags: tuple[str, ...] = ()
 
 
-def _records(sweep_var: str, values, models, columns) -> list[SweepRecord]:
+def _records(sweep_var: str, values, models, points) -> list[SweepRecord]:
     """Records ordered by grid position first and model order second.
 
-    columns holds, per model, the (crb_r, crb_theta, flags) rows of every
-    grid point.
+    points holds, per model, the _Bounds.points of every grid point. The
+    cells are zipped from the model columns, with no Python code per record.
     """
-    tokens = [model.value for model in models]
-    return [
-        SweepRecord(sweep_var, value, token, *rows[i])
-        for i, value in enumerate(values)
-        for token, rows in zip(tokens, columns)
-    ]
+    crb_r, crb_theta, flags, _ = zip(*chain.from_iterable(zip(*points)))
+    values = chain.from_iterable(zip(*[values] * len(models)))
+    cells = zip(repeat(sweep_var), values, cycle([model.value for model in models]),
+                crb_r, crb_theta, flags)
+    return list(map(SweepRecord._make, cells))
 
 
 def run_point(config: ExperimentConfig) -> list[SweepRecord]:
@@ -115,9 +119,9 @@ def _range_records(config: ExperimentConfig, grid: tuple[float, ...]) -> list[Sw
     # Validate every grid point before spending time on any evaluation.
     ranges = np.array([TargetPolar(r, theta).r for r in grid])[:, None]
     batch = _rows(layout, theta, config.wavelength, snr)
-    columns = [_crb_batch(model, _abscissas(model, layout)[None, :], ranges, theta, batch).rows()
-               for model in models]
-    return _records("r_m", grid, models, columns)
+    points = [_crb_batch(model, _abscissas(model, layout)[None, :], ranges, theta, batch).points
+              for model in models]
+    return _records("r_m", grid, models, points)
 
 
 def _sweep_spacings(config: ExperimentConfig, gamma: int) -> tuple[int, ...]:
@@ -151,34 +155,24 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     layout = build_layout(config.num_subarrays, config.subarray_size, gaps[0], config.pitch)
     grid = _grid_abscissas(gaps, layout.subarray_size, layout.pitch)
     batch = _rows(layout, target.theta, config.wavelength, snr)
-    columns = [_crb_batch(model, _abscissas(model, grid), target.r, target.theta, batch).rows()
-               for model in models]
-    return _records("gamma", [float(gamma) for gamma in gammas], models, columns)
+    points = [_crb_batch(model, _abscissas(model, grid), target.r, target.theta, batch).points
+              for model in models]
+    return _records("gamma", [float(gamma) for gamma in gammas], models, points)
 
 
 def write_csv(records: list[SweepRecord], path: str) -> None:
     """Write records as CSV with the fixed header and 17-digit floats.
 
-    "%.17g" spells infinities "inf" and "-inf". Consecutive records of one
-    grid point share their sweep value object, so its cell is formatted
-    once per point; an equal but distinct value (0.0 after -0.0) is
-    formatted anew.
+    "%.17g" spells infinities "inf" and "-inf". The cells of every record
+    fill one template of as many rows, in one formatting pass.
     """
     if not records:
         raise InvalidConfigurationError("no records to write")
-    lines = [CSV_HEADER]
-    value = object()  # is no record's sweep value
-    for rec in records:
-        if rec.sweep_value is not value:
-            value = rec.sweep_value
-            cell = "%.17g" % value
-        lines.append(
-            "%s,%s,%s,%.17g,%.17g,%s"
-            % (rec.sweep_var, cell, rec.model, rec.crb_r_m2, rec.crb_theta_rad2,
-               ";".join(rec.flags))
-        )
+    cells = list(chain.from_iterable(records))
+    cells[5::6] = map(";".join, cells[5::6])
+    text = ("%s,%.17g,%s,%.17g,%.17g,%s\n" * len(records)) % tuple(cells)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(CSV_HEADER + "\n" + text)
 
 
 def read_csv(path: str) -> list[SweepRecord]:
@@ -216,6 +210,18 @@ def _json_value(value) -> str:
     return json.dumps(value)
 
 
+_JSON_SPECIALS = {"inf": '"inf"', "-inf": '"-inf"', "nan": "NaN"}  # float.__repr__ -> json.dump
+
+
+def _json_numbers(column) -> list[str]:
+    """_json_value of every cell of a column, in one pass where every cell is a float."""
+    try:
+        reprs = list(map(float.__repr__, column))
+    except TypeError:  # a cell that is not a float
+        return list(map(_json_value, column))
+    return list(map(_JSON_SPECIALS.get, reprs, reprs))
+
+
 def _json_flags(flags: tuple[str, ...]) -> str:
     """A flags tuple as json.dump(..., indent=2) writes it inside a record."""
     if not flags:
@@ -241,27 +247,21 @@ def write_json(records: list[SweepRecord], path: str) -> None:
     The bytes are those of json.dump(payload, indent=2) plus a newline,
     where payload holds one dict per record. The fixed record shape is
     formatted directly, because json's fast C encoder is not used when an
-    indent is set. The few distinct names and flag sets are encoded once
-    per call, and a sweep value once per run of records sharing it, as in
-    write_csv.
+    indent is set: each column is converted in one pass (the few distinct
+    names and flag sets encoded once each), and the cells fill one template
+    of as many records.
     """
     if not records:
         raise InvalidConfigurationError("no records to write")
-    quote = functools.lru_cache(maxsize=None)(json.dumps)
-    flag_list = functools.lru_cache(maxsize=None)(_json_flags)
-    items = []
-    value = object()  # is no record's sweep value
-    for rec in records:
-        if rec.sweep_value is not value:
-            value = rec.sweep_value
-            cell = _json_value(value)
-        items.append(
-            _JSON_RECORD
-            % (quote(rec.sweep_var), cell, quote(rec.model), _json_value(rec.crb_r_m2),
-               _json_value(rec.crb_theta_rad2), flag_list(rec.flags))
-        )
+    cells = list(chain.from_iterable(records))
+    for col, encode in ((0, json.dumps), (2, json.dumps), (5, _json_flags)):
+        column = cells[col::6]
+        cells[col::6] = map({key: encode(key) for key in set(column)}.__getitem__, column)
+    for col in (1, 3, 4):
+        cells[col::6] = _json_numbers(cells[col::6])
+    template = "[\n" + ",\n".join([_JSON_RECORD] * len(records)) + "\n]\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("[\n" + ",\n".join(items) + "\n]\n")
+        handle.write(template % tuple(cells))
 
 
 _PLOT_TEMPLATE = '''\

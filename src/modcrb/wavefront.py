@@ -34,6 +34,7 @@ from .geometry import (
     ModularLayout,
     TargetPolar,
     _angle_terms,
+    _arrival_sine,
     _radial_shift,
     _require_shifted_range,
     _require_wavelength,
@@ -208,7 +209,8 @@ def _phase_terms(
     terms = radial_terms(x, r, theta)
     if model is WavefrontModel.HSPM_DIST:
         sines = arrival_sine_terms(x, r, theta, terms)
-        sin_sub, dsin_dr, dsin_dt = sines["sin_a"], sines["ds_dr"], sines["ds_dt"]
+        sin_sub = _arrival_sine(x, r, theta, terms)
+        dsin_dr, dsin_dt = sines["ds_dr"], sines["ds_dt"]
     else:
         sin_sub, dsin_dt = np.sin(ants.theta)[sc], np.cos(ants.theta)[sc]
         dsin_dr = np.zeros_like(x)

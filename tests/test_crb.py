@@ -21,7 +21,15 @@ from modcrb import (
     crb_bounds,
     radial_terms,
 )
-from modcrb.crb import _ROWS, _bound_pair, _hspm_kernel, _Quadratic, _rows
+from modcrb.crb import (
+    _ROWS,
+    _WORKSPACE,
+    _bound_pair,
+    _hspm_kernel,
+    _Quadratic,
+    _rows,
+    _stacked_sums,
+)
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -180,7 +188,21 @@ def test_bound_pair_mixed_batch_matches_batches_of_one():
             crb_r, crb_t, _, det2 = batch.points[i]
             assert type(crb_r) is float and type(crb_t) is float
             assert det2 is None or type(det2) is float
-        assert batch.rows() == [point[:3] for point in batch.points]
+
+
+def test_stacked_sums_outlive_the_next_call():
+    # the blocks are views of the thread's workspace; the sums are not
+    def fill(work, x):
+        np.multiply(x, x, out=work[0])
+        np.add(x, 1.0, out=work[1])
+
+    for shape in ((2, 3), (5,)):  # sweep rows, and one point or a ragged group
+        x = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        first = _stacked_sums(_ROWS, 2, fill, x)
+        kept = first.copy()
+        assert not np.shares_memory(first, _WORKSPACE.buffer)
+        _stacked_sums(_ROWS, 2, fill, np.full(shape, 7.0))
+        assert np.array_equal(first, kept)
 
 
 def test_bound_pair_rejects_a_bound_that_is_nan_or_not_positive():

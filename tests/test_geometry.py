@@ -19,7 +19,7 @@ from modcrb import (
     radial_terms,
 )
 from modcrb import geometry
-from modcrb.geometry import _grid_abscissas
+from modcrb.geometry import _arrival_sine, _grid_abscissas
 from modcrb.sweeps import _sweep_spacings
 
 PITCH = 0.0025
@@ -240,6 +240,7 @@ def test_radial_terms_match_scalar_finite_differences():
     r, theta = 30.0, math.pi / 3
     terms = radial_terms(lay.subarray_x, r, theta)
     sines = arrival_sine_terms(lay.subarray_x, r, theta, terms)
+    sin_a = _arrival_sine(lay.subarray_x, r, theta, terms)
     h = 1e-6
 
     def rk(rr, tt, k):
@@ -250,7 +251,7 @@ def test_radial_terms_match_scalar_finite_differences():
 
     for i, k in enumerate((-1, 0, 1)):
         assert math.isclose(terms["rng"][i], rk(r, theta, k), rel_tol=1e-14)
-        assert math.isclose(sines["sin_a"][i], sk(r, theta, k), rel_tol=1e-12)
+        assert math.isclose(sin_a[i], sk(r, theta, k), rel_tol=1e-12)
         fd = (rk(r + h, theta, k) - rk(r - h, theta, k)) / (2 * h)
         assert math.isclose(terms["w"][i] / terms["rng"][i], fd, rel_tol=1e-7)
         fd = (rk(r, theta + h, k) - rk(r, theta - h, k)) / (2 * h)
@@ -283,11 +284,13 @@ def test_radial_terms_broadcast_ranges_match_scalar_calls(dtype):
     for theta in (0.0, 0.6, -1.2, math.pi / 2):
         batch = radial_terms(x[None, :], r[:, None], theta)
         assert batch.keys() == {"w", "xc", "rng", "dr_dr_m1", "dr_dt"}
-        batch.update(arrival_sine_terms(x[None, :], r[:, None], theta, batch))
-        assert len(batch) == 8
+        sin_a = _arrival_sine(x[None, :], r[:, None], theta, batch)
+        batch.update(arrival_sine_terms(x[None, :], r[:, None], theta, batch), sin_a=sin_a)
+        assert len(batch) == 9
         for i, ri in enumerate(r):
             single = radial_terms(x, ri, theta)
-            single.update(arrival_sine_terms(x, ri, theta, single))
+            sin_a = _arrival_sine(x, ri, theta, single)
+            single.update(arrival_sine_terms(x, ri, theta, single), sin_a=sin_a)
             assert single.keys() == batch.keys()
             for name, values in single.items():
                 assert values.dtype == np.float64
@@ -307,8 +310,8 @@ def test_radial_shift_matches_direct_differences():
         np.testing.assert_allclose(
             shift["d_excess"] + dr, moved["rng"] - base["rng"], rtol=1e-9, atol=1e-15
         )
-        base_sin = arrival_sine_terms(lay.subarray_x, r, theta, base)["sin_a"]
-        moved_sin = arrival_sine_terms(lay.subarray_x, r + dr, theta + dtheta, moved)["sin_a"]
+        base_sin = _arrival_sine(lay.subarray_x, r, theta, base)
+        moved_sin = _arrival_sine(lay.subarray_x, r + dr, theta + dtheta, moved)
         d_sin = arrival_sine_shift(lay.subarray_x, r, theta, dr, dtheta, shift)
         np.testing.assert_allclose(d_sin, moved_sin - base_sin, rtol=1e-8, atol=1e-15)
 

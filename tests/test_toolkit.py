@@ -6,12 +6,13 @@ import importlib
 import json
 import math
 import os
-import platform
 import re
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -299,6 +300,44 @@ def test_sweeps_match_pointwise_closed_forms(case):
         assert sizes[0] > 1 and sizes[-1] < sizes[0]
 
 
+def test_concurrent_sweeps_match_serial_runs():
+    # each thread's kernels work in a workspace of their own; four threads
+    # that switch often
+    _, overrides, _, _ = _SWEEP_CASES["large-array"]
+    jobs = [(run_layout_sweep, preset("fig4-c1")),
+            (run_range_sweep, dataclasses.replace(preset("fig3"), **overrides))] * 2
+    serial = [sweep(config) for sweep, config in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def run(job):
+        start.wait(timeout=60)
+        sweep, config = job
+        return sweep(config)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            for _ in range(3):
+                assert list(pool.map(run, jobs, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sweep_record_is_an_immutable_hashable_named_tuple():
+    rec = SweepRecord("r_m", 1.0, "swm", 2.0, 3.0)
+    assert rec.flags == ()
+    with pytest.raises(AttributeError):
+        rec.crb_r_m2 = 4.0
+    assert rec == ("r_m", 1.0, "swm", 2.0, 3.0, ())
+    assert hash(rec) == hash(("r_m", 1.0, "swm", 2.0, 3.0, ()))
+    assert ",".join(SweepRecord._fields) == CSV_HEADER
+    flagged = rec._replace(flags=(FLAG_DEGENERATE,))
+    assert flagged == ("r_m", 1.0, "swm", 2.0, 3.0, (FLAG_DEGENERATE,)) and rec.flags == ()
+    assert len({rec, flagged, rec._replace()}) == 2
+    assert list(rec._asdict()) == list(SweepRecord._fields)
+
+
 def test_csv_round_trip_is_lossless(tmp_path):
     records = run_point(preset("fig3"))
     path = tmp_path / "point.csv"
@@ -355,25 +394,26 @@ def test_large_array_csv_matches_its_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _LARGE_ARRAY_CSV_SHA256
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-    reason="the heap trimming this guards against is glibc's",
-)
-def test_large_range_sweep_does_not_page_fault():
-    # Memory freed at the top of glibc's heap past its trim threshold goes
-    # back to the operating system and faults in again on the next call:
-    # about 4800 minor faults per sweep when each point allocated its own
-    # kernel temporaries, rather than each call one workspace.
-    import resource  # POSIX only, like the condition above
+# Memory freed at the top of glibc's heap past its trim threshold goes back
+# to the operating system and faults in again on the next call. Each thread's
+# kernels work in one workspace that it keeps, and a layout sweep builds its
+# abscissa grid in place, so a warm sweep faults in almost nothing.
 
+
+def test_large_range_sweep_does_not_page_fault(minor_faults):
+    # about 4800 minor faults per sweep when each point allocated its own
+    # kernel temporaries, and 0 or about 90 by heap placement when each
+    # kernel call allocated and freed its own workspace
     _, overrides, _, _ = _SWEEP_CASES["large-array"]
     config = dataclasses.replace(preset("fig3"), **dict(overrides, r_count=56))
-    run_range_sweep(config)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(5):
-        run_range_sweep(config)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
-    assert faults < 1000
+    assert minor_faults(lambda: run_range_sweep(config)) < 20
+
+
+def test_layout_sweep_does_not_page_fault(minor_faults):
+    # about 185 when each kernel call allocated its own workspace and the
+    # grid went through an int64 index copy and a float64 cast
+    config = preset("fig4-c2")
+    assert minor_faults(lambda: run_layout_sweep(config)) < 20
 
 
 # Names the benchmark harness reads from the package. The harness takes
@@ -477,9 +517,9 @@ def test_json_emission_spells_out_infinities(tmp_path):
 def _writer_records():
     """A sweep plus records with unusual values, flags and sweep values.
 
-    The writers format a sweep value once per run of records holding the
-    same object, so equal but distinct values (-0.0 then 0.0, 30 then 30.0)
-    and a shared NaN follow each other here.
+    Equal but distinct values follow each other (-0.0 then 0.0, 30 then
+    30.0, two NaNs), and one bound is an int, which the JSON writer formats
+    cell by cell rather than as a float column.
     """
     return run_range_sweep(small_sweep_config()) + [
         SweepRecord("r_m", 2.5, "swm", math.inf, -math.inf, (FLAG_DEGENERATE,)),
@@ -494,6 +534,7 @@ def _writer_records():
         SweepRecord("r_m", math.nan, "swm", 1.0, 2.0),
         SweepRecord("r_m", math.nan, "pwm", 1.0, 2.0),
         SweepRecord("r_m", math.inf, "swm", 1.0, 2.0),
+        SweepRecord("r_m", 1.0, "swm", 2, 3.0),
     ]
 
 
