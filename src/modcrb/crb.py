@@ -93,11 +93,11 @@ FLAG_ENDFIRE = "endfire"
 # one workspace of 8 float64 blocks of this size (512 KiB, _blocks), made on
 # its first kernel call, for every chunk of every kernel call it makes, so
 # warm sweeps allocate no chunk-sized memory and glibc has nothing to trim.
+# The oracle takes its projections and finite-difference scratch from it too.
 # Warm-op minor faults (getrusage, 2-vCPU x86_64 pinned to one CPU, glibc
-# 2.36, numpy 2.4): presets 0.4 (368 with a workspace per kernel call),
-# large-array 0 (0 or 92 by heap placement), verify 311 (326), all of them
-# in the oracle. 2**14 would double a verify group's oracle peak, near 600
-# bytes per antenna (4.9 MB for a full group at 2**13).
+# 2.36, numpy 2.4): presets 0 (368 with a workspace per kernel call),
+# large-array 0.4, verify 29-34 (292-345 with fresh oracle temporaries). 2**14
+# would double a verify group's oracle peak, 183 bytes per antenna (1.5 MB).
 _BATCH_ELEMENTS = 1 << 13
 
 
@@ -454,7 +454,9 @@ def _radial_sums(x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray
 
     a and t are radial_terms' dr_dr_m1 and dr_dt, da and dt their deviations
     from the case's mean; more(x, r, terms, slots) writes a chunk's extras.
-    The angle products are made once per call where every point shares x.
+    The angle products are made once per call where every point shares x,
+    else per chunk: in swm's 3 free workspace blocks they left a warm
+    fig4-c2 layout sweep as fast (2.97 ms) and as fault-free (0.1).
     """
     angles = _angle_products(x, theta) if np.ndim(x) < 2 or len(x) == 1 else None
 

@@ -37,8 +37,8 @@ __all__ = [
 
 # Most antennas K * M one layout may have. A closed-form evaluation holds
 # about 8 float64 values per antenna and point in its workspace and angle
-# products (a crb run at the cap peaks near 110 MB), the oracle about 600
-# bytes per antenna (a cross_validate of one case at the cap near 550 MB);
+# products (a crb run at the cap peaks near 110 MB), the oracle about 210
+# bytes per antenna (a cross_validate of one swm case at the cap near 220 MB);
 # both stay well within a 2 GB address space. The largest benchmark layout has 7007.
 _MAX_ELEMENTS = 1 << 20
 
@@ -423,10 +423,12 @@ def _require_shifted_range(r: float | np.ndarray, dr: float | np.ndarray) -> Non
         )
 
 
-def _rng_minus_w(w: np.ndarray, xc: np.ndarray, rng: np.ndarray) -> np.ndarray:
-    """rng - w for rng = hypot(w, xc), free of cancellation for either sign of w."""
+def _rng_minus_w(w: np.ndarray, xc2: np.ndarray, rng: np.ndarray) -> np.ndarray:
+    """rng - w for rng = hypot(w, xc) and xc2 = xc^2, free of cancellation for either sign of w."""
+    gap = np.asarray(rng + w)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(w >= 0, xc * xc / (rng + w), rng - w)
+        np.divide(xc2, gap, out=gap)
+    return np.subtract(rng, w, out=gap, where=w < 0)
 
 
 def radial_shift(
@@ -489,29 +491,42 @@ def _angle_terms(theta: float | np.ndarray, dtheta: float | np.ndarray) -> tuple
 
 
 def _radial_shift(
-    x: np.ndarray, r: float | np.ndarray, dr: float | np.ndarray, angles: tuple[np.ndarray, ...]
+    x: np.ndarray, r: float | np.ndarray, dr: float | np.ndarray, angles: tuple[np.ndarray, ...],
+    at: np.ndarray | None = None, work: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """radial_shift from the _angle_terms of its angles.
 
     The angle terms depend on the angles alone, so a caller whose
     abscissas share a few angles evaluates them once per angle and passes
-    them gathered to the abscissas; the elementwise arithmetic gives the
-    same bits either way. The caller has checked that every r + dr is
-    positive.
+    them, with r and dr, as columns along their last axis and in at the
+    column of each abscissa; each is gathered where it is read. The
+    shifted point's terms are made in place, in the two rows of work or in
+    new buffers. The elementwise arithmetic gives the same bits either
+    way. The caller has checked that every r + dr is positive.
     """
-    x = np.asarray(x, dtype=float)
-    hr = np.asarray(dr, dtype=float)
+    def take(values):
+        return values if at is None else np.take(values, at, axis=-1)
+
+    x, r, hr = np.asarray(x, dtype=float), take(r), np.asarray(dr, dtype=float)
     s0, c0, s1, c1, d_s = angles
-    r1 = r + hr
-    w0, xc0 = r - x * s0, x * c0
-    w1, xc1 = r1 - x * s1, x * c1
-    rng0 = np.hypot(w0, xc0)
-    rng1 = np.hypot(w1, xc1)
+    w, xc = r - x * take(s0), x * take(c0)
+    rng0 = np.hypot(w, xc)
+    gap0 = _rng_minus_w(w, xc * xc, rng0)
+    r1 = r + take(hr)
+    cols = np.shape(s1) if at is None else np.shape(s1)[:-1] + np.shape(at)
+    shape = np.broadcast_shapes(np.shape(rng0), np.shape(r1), cols)
+    w, xc = (np.empty(shape), np.empty(shape)) if work is None else work
+    np.subtract(r1, np.multiply(x, take(s1), out=w), out=w)
+    r1 = r + r1  # r1 is read once more, in this sum
+    rng1 = np.hypot(w, np.multiply(x, take(c1), out=xc))
     if np.any(rng0 == 0) or np.any(rng1 == 0):
         raise SingularGeometryError("target coincides with an antenna")
-    gap0 = _rng_minus_w(w0, xc0, rng0)
-    gap1 = _rng_minus_w(w1, xc1, rng1)
-    d_excess = -(hr * (gap0 + gap1) + x * d_s * (r + r1)) / (rng0 + rng1)
+    # -(hr (gap0 + gap1) + x d_s (r + r1)) / (rng0 + rng1), in gap1, w and xc
+    d_excess = _rng_minus_w(w, np.multiply(xc, xc, out=xc), rng1)
+    np.multiply(take(hr), np.add(gap0, d_excess, out=d_excess), out=d_excess)
+    tail = np.multiply(np.multiply(x, take(d_s), out=w), r1, out=w)
+    np.negative(np.add(d_excess, tail, out=d_excess), out=d_excess)
+    np.divide(d_excess, np.add(rng0, rng1, out=xc), out=d_excess)
     return {"d_excess": d_excess, "rng0": rng0, "rng1": rng1, "gap0": gap0}
 
 
@@ -547,9 +562,8 @@ def arrival_sine_shift(
     s0, c0 = np.sin(theta), np.cos(theta)
     d_s = _sine_increment(theta, dtheta)
     rng0 = shift["rng0"]
-    d_num = (
-        d_s * rng0 * (r + hr)
-        + hr * (x * c0 * c0 + s0 * shift["gap0"])
-        - (r * s0 - x) * shift["d_excess"]
-    )
-    return d_num / (rng0 * shift["rng1"])
+    d_num = d_s * rng0 * (r + hr)
+    d_num += hr * (x * c0 * c0 + s0 * shift["gap0"])
+    d_num -= (r * s0 - x) * shift["d_excess"]
+    d_num /= rng0 * shift["rng1"]
+    return d_num

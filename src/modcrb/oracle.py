@@ -27,13 +27,14 @@ antennas of a group's cases go side by side in flat arrays
 2 pi / lambda. Per model, the closed form under test makes one kernel pass
 over the whole group (crb._crb_group); the analytic leg takes the steering
 vectors and their derivatives of the whole group from one phase pass and
-one complex exponential; the finite-difference leg stacks its four shifts
-(+-h_r, +-h_theta) of every case into one phase_increment pass and one
-exponential; each leg makes one projection, and one _bound_pair call
-inverts the information of every model, leg and case. The arithmetic is
-elementwise and each sum runs over one case's contiguous columns (through
-crb._Cases, as the closed forms' sums do), so every report keeps the bits
-it has when its case is checked alone, with separate passes.
+one complex exponential; the finite-difference leg takes the +-h_r pair of
+every case, then the +-h_theta pair, each through one phase_increment pass
+and one exponential; each leg makes one projection, in the thread's crb
+workspace, and one _bound_pair call inverts the information of every
+model, leg and case: a full group peaks near 185 bytes per antenna. The
+arithmetic is elementwise and each sum runs over one case's contiguous
+columns (through crb._Cases, as the closed forms' sums do), so every
+report keeps the bits it has when its case is checked alone.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from typing import Any
 
 import numpy as np
 
-from .crb import (_BATCH_ELEMENTS, CrbPair, SensingSnr, _bound_pair, _Cases, _crb_group, _group,
-                  _Quadratic)
+from .crb import (_BATCH_ELEMENTS, CrbPair, SensingSnr, _blocks, _bound_pair, _Cases, _crb_group,
+                  _group, _Quadratic)
 from .errors import InvalidConfigurationError
 from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
 from .wavefront import (
@@ -89,25 +90,22 @@ def _projected(g: np.ndarray, d_r: np.ndarray, d_t: np.ndarray, cases: _Cases) -
     by side, as the ragged cases lay them out. Returns a (5, C) array: the
     three projected terms and |dg_r|^2, |dg_theta|^2 of each case.
     """
-    g_conj = np.conj(g)
-    prod = g_conj * g
-    n2_g = cases.sum(prod.real)
-    dots = np.empty((2, len(g)), dtype=complex)
-    np.multiply(g_conj, d_r, out=dots[0])
-    np.multiply(g_conj, d_t, out=dots[1])
-    coef = cases.sum(dots) / n2_g
-    # The residuals overwrite the products they were projected with.
-    e_r, e_t = dots
-    np.multiply(cases.spread(coef[0]), g, out=prod)
-    np.subtract(d_r, prod, out=e_r)
-    np.multiply(cases.spread(coef[1]), g, out=prod)
-    np.subtract(d_t, prod, out=e_t)
-    terms = np.empty((5, len(g)))
-    for row, (a, b) in zip(terms, ((e_r, e_r), (e_t, e_t), (e_r, e_t), (d_r, d_r), (d_t, d_t))):
-        np.conjugate(a, out=g_conj)
-        np.multiply(g_conj, b, out=prod)
-        row[...] = prod.real
-    return cases.sum(terms)
+    # All in the thread's crb workspace: a complex scratch row, the products
+    # with g, which the residuals overwrite, and the terms, each in dead rows.
+    work = _blocks(8, (len(g),))
+    rows = work[:6].reshape(3, -1).view(complex)
+    tmp, e_r, e_t = rows
+    np.conjugate(g, out=tmp)
+    n2_g = cases.sum(np.multiply(tmp, g, out=e_r).real)
+    np.multiply(tmp, d_r, out=e_r)
+    np.multiply(tmp, d_t, out=e_t)
+    coef = cases.sum(rows[1:]) / n2_g
+    np.subtract(d_r, np.multiply(cases.spread(coef[0]), g, out=tmp), out=e_r)
+    np.subtract(d_t, np.multiply(cases.spread(coef[1]), g, out=tmp), out=e_t)
+    for row, a, b in ((6, e_r, e_r), (7, e_t, e_t), (3, e_r, e_t), (4, d_r, d_r), (5, d_t, d_t)):
+        np.multiply(np.conjugate(a, out=tmp), b, out=tmp)
+        work[row] = tmp.real
+    return cases.sum(work[3:])[[3, 4, 0, 1, 2]]
 
 
 def crb_from_steering(
@@ -216,10 +214,11 @@ def fd_rebased(
     the Fisher residuals get small. Pair the result with an all-ones
     steering vector.
 
-    The four shifts go through one stacked phase_increment call and one
-    complex exponential over a (4, K*M) array; each row has the bits of
-    the scalar call for its shift, so the result equals differences of
-    four separate evaluations exactly.
+    The shifts go in two pairs, +-h_r then +-h_theta, each through one
+    stacked phase_increment call and one complex exponential over a
+    (2, K*M) array; each row has the bits of the scalar call for its
+    shift, so the result equals differences of four separate evaluations
+    exactly.
 
     Args:
         model: Wavefront approximation.
@@ -241,28 +240,34 @@ def fd_rebased(
     if h_r <= 0 or h_theta <= 0:
         raise ValueError(f"steps must be positive, got h_r={h_r}, h_theta={h_theta}")
     ants = _one(layout, target, wavelength)
-    d_r, d_t = _fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]))
+    d_r, d_t = _fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]),
+                           np.empty((2, len(ants.case)), dtype=complex))
     return SteeringDerivatives(d_r=d_r, d_theta=d_t)
 
 
 def _fd_rebased(
-    model: WavefrontModel, ants: _Antennas, h_r: np.ndarray, h_theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    model: WavefrontModel, ants: _Antennas, h_r: np.ndarray, h_theta: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """fd_rebased over a group of cases, with steps h_r, h_theta per case.
 
-    Rows +h_r, -h_r, +h_theta, -h_theta of every case go through one
-    phase pass and one complex exponential over a (4, N) array. Each
-    column has the bits of the scalar call for its shift, so the result
-    equals differences of separate evaluations exactly. The steps must be
-    positive; _phase_increment checks that every r - h_r stays positive.
+    The stencil goes in two halves, the pair +-h_r of every case and then
+    the pair +-h_theta, each through one phase pass and one complex
+    exponential over a (2, N) array, both in 4 rows of the thread's crb
+    workspace. Each column has the bits of the scalar call for its shift,
+    so the result equals differences of separate evaluations exactly. The
+    range and angle derivatives go to the rows of out, (2, N) complex. The
+    steps must be positive; _phase_increment checks every r - h_r.
     """
-    zero = np.zeros_like(h_r)
-    dr = np.array((h_r, -h_r, zero, zero))
-    dtheta = np.array((zero, zero, h_theta, -h_theta))
-    g = -1j * _phase_increment(model, ants, dr, dtheta)
-    np.exp(g, out=g)
-    c = ants.case
-    return (g[0] - g[1]) / (2.0 * h_r)[c], (g[2] - g[3]) / (2.0 * h_theta)[c]
+    n, zero = len(ants.case), np.zeros_like(h_r)
+    for d, dr, dtheta, h in ((out[0], (h_r, -h_r), (zero, zero), h_r),
+                             (out[1], (zero, zero), (h_theta, -h_theta), h_theta)):
+        work = _blocks(4, (n,))
+        g = work.reshape(2, -1).view(complex)
+        np.multiply(-1j, _phase_increment(model, ants, np.array(dr), np.array(dtheta),
+                                          work.reshape(2, 2, n)), out=g)
+        np.exp(g, out=g)
+        np.divide(np.subtract(g[0], g[1], out=d), (2.0 * h)[ants.case], out=d)
+    return out
 
 
 def relative_error(a: float, b: float) -> float:
@@ -375,9 +380,9 @@ def _validate(
     """cross_validate every model at every (layout, target, snr, wavelength) case.
 
     The cases' antennas go side by side (see wavefront._Antennas), so per
-    model the closed form makes one kernel pass, each leg one phase pass,
-    one complex exponential and one projection for the whole group, and one
-    _bound_pair call inverts the information of every leg, model and case.
+    model the closed form makes one kernel pass, each leg fills one block of
+    rows in turn and makes one projection, and one _bound_pair call inverts
+    the information of every leg, model and case.
     Each case keeps the bits it gets alone: the arithmetic is elementwise
     and every sum runs over one case's columns.
 
@@ -394,19 +399,19 @@ def _validate(
     closed = [_crb_group(model, ants, batch).points for model in models]
     starts = ants.starts
     group = _Cases(ants.case)
-    ones = np.ones(len(ants.case), dtype=complex)
+    # g, dg/dr and dg/dtheta of every leg of every model, in turn.
+    steer = np.empty((3, len(ants.case)), dtype=complex)
     sums, used = [], []
     for model in models:
-        g, d_r, d_t = _wavefront(model, ants)
+        g, d_r, d_t = _wavefront(model, ants, steer)
         rates = zip(np.maximum.reduceat(np.abs(d_r), starts[:-1]).tolist(),
                     np.maximum.reduceat(np.abs(d_t), starts[:-1]).tolist(), ants.r.tolist())
         steps = [_fd_steps(*rate) for rate in rates]
         used.append(steps)
         sums.append(_projected(g, d_r, d_t, group))
-        # Free the analytic leg before the finite differences reach their peak.
-        del g, d_r, d_t
-        f_r, f_t = _fd_rebased(model, ants, *np.array(steps, dtype=float).T)
-        sums.append(_projected(ones, f_r, f_t, group))
+        g.fill(1.0)  # the finite differences' frame
+        _fd_rebased(model, ants, *np.array(steps).T, steer[1:])
+        sums.append(_projected(g, d_r, d_t, group))
 
     # Points ordered (model, leg, case).
     n = len(cases)

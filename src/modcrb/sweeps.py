@@ -12,7 +12,7 @@ keeps from its first kernel call: a warm presets or large-array op faults in
 under one page (368 and 0 or 92 with a workspace per call). The arithmetic is
 elementwise, so every record has the bits crb_bounds gives for its point,
 and two runs of the same config produce byte-identical files. Records are
-zipped from the kernels' columns, and each writer formats a file in one pass.
+zipped from the kernels' columns, and each writer formats a block of them per pass.
 
 The CSV format is fixed: header
 ``sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags``, UTF-8, LF
@@ -160,19 +160,27 @@ def run_layout_sweep(config: ExperimentConfig) -> list[SweepRecord]:
     return _records("gamma", [float(gamma) for gamma in gammas], models, points)
 
 
+# Records formatted per template by the writers: more than any preset or
+# benchmark sweep writes (380), so those files take one pass, while a sweep
+# at the grid cap holds the text of one block at a time.
+_WRITE_BLOCK = 1024
+
+
 def write_csv(records: list[SweepRecord], path: str) -> None:
     """Write records as CSV with the fixed header and 17-digit floats.
 
-    "%.17g" spells infinities "inf" and "-inf". The cells of every record
-    fill one template of as many rows, in one formatting pass.
+    "%.17g" spells infinities "inf" and "-inf". The cells of a block of
+    records fill one template of as many rows, in one formatting pass.
     """
     if not records:
         raise InvalidConfigurationError("no records to write")
-    cells = list(chain.from_iterable(records))
-    cells[5::6] = map(";".join, cells[5::6])
-    text = ("%s,%.17g,%s,%.17g,%.17g,%s\n" * len(records)) % tuple(cells)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(CSV_HEADER + "\n" + text)
+        handle.write(CSV_HEADER + "\n")
+        for start in range(0, len(records), _WRITE_BLOCK):
+            block = records[start:start + _WRITE_BLOCK]
+            cells = list(chain.from_iterable(block))
+            cells[5::6] = map(";".join, cells[5::6])
+            handle.write(("%s,%.17g,%s,%.17g,%.17g,%s\n" * len(block)) % tuple(cells))
 
 
 def read_csv(path: str) -> list[SweepRecord]:
@@ -247,21 +255,26 @@ def write_json(records: list[SweepRecord], path: str) -> None:
     The bytes are those of json.dump(payload, indent=2) plus a newline,
     where payload holds one dict per record. The fixed record shape is
     formatted directly, because json's fast C encoder is not used when an
-    indent is set: each column is converted in one pass (the few distinct
-    names and flag sets encoded once each), and the cells fill one template
-    of as many records.
+    indent is set: each column of a block of records is converted in one
+    pass (the few distinct names and flag sets encoded once each), and the
+    cells fill one template of as many records.
     """
     if not records:
         raise InvalidConfigurationError("no records to write")
-    cells = list(chain.from_iterable(records))
-    for col, encode in ((0, json.dumps), (2, json.dumps), (5, _json_flags)):
-        column = cells[col::6]
-        cells[col::6] = map({key: encode(key) for key in set(column)}.__getitem__, column)
-    for col in (1, 3, 4):
-        cells[col::6] = _json_numbers(cells[col::6])
-    template = "[\n" + ",\n".join([_JSON_RECORD] * len(records)) + "\n]\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(template % tuple(cells))
+        handle.write("[\n")
+        for start in range(0, len(records), _WRITE_BLOCK):
+            block = records[start:start + _WRITE_BLOCK]
+            cells = list(chain.from_iterable(block))
+            for col, encode in ((0, json.dumps), (2, json.dumps), (5, _json_flags)):
+                column = cells[col::6]
+                cells[col::6] = map({key: encode(key) for key in set(column)}.__getitem__, column)
+            for col in (1, 3, 4):
+                cells[col::6] = _json_numbers(cells[col::6])
+            if start:
+                handle.write(",\n")
+            handle.write(",\n".join([_JSON_RECORD] * len(block)) % tuple(cells))
+        handle.write("\n]\n")
 
 
 _PLOT_TEMPLATE = '''\

@@ -271,19 +271,22 @@ def steering_derivatives(
 
 
 def _wavefront(
-    model: WavefrontModel, ants: _Antennas
+    model: WavefrontModel, ants: _Antennas, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steering vectors and their rebased derivatives from one phase pass.
 
-    Returns g, dg/dr and dg/dtheta with one entry per antenna of ants. The
-    range derivative is that of g * exp(2j pi r / lambda). It differs from
+    Returns g, dg/dr and dg/dtheta with one entry per antenna of ants, as
+    the rows of out, a (3, N) complex array (new when None). The range
+    derivative is that of g * exp(2j pi r / lambda). It differs from
     steering_derivatives' by a multiple of g, which the projection onto
     the nuisance gain removes exactly, but it no longer sits on
     2 pi / lambda.
     """
-    psi, dpsi_r, dpsi_t = _phase_terms(model, ants)
-    g = np.exp(-1j * psi)
-    return g, -1j * dpsi_r * g, -1j * dpsi_t * g
+    g, d_r, d_t = np.empty((3, len(ants.case)), dtype=complex) if out is None else out
+    for phase, row in zip(_phase_terms(model, ants), (g, d_r, d_t)):
+        np.multiply(-1j, phase, out=row)
+    np.exp(g, out=g)
+    return g, np.multiply(d_r, g, out=d_r), np.multiply(d_t, g, out=d_t)
 
 
 def phase_increment(
@@ -334,14 +337,16 @@ def phase_increment(
 
 
 def _phase_increment(
-    model: WavefrontModel, ants: _Antennas, hr: np.ndarray, ht: np.ndarray
+    model: WavefrontModel, ants: _Antennas, hr: np.ndarray, ht: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """phase_increment over a group of cases.
 
     hr and ht hold shifts per case, of a common shape S + (C,) for C cases;
     the result has shape S + (N,), one column per antenna of ants, each
     shifted by its case's column. Every shifted range is checked here,
-    once for the whole group, and not again in geometry._radial_shift.
+    once for the whole group, and not again in geometry._radial_shift,
+    which takes work, (2,) + S + (N,) if given, under swm.
     """
     _require_shifted_range(ants.r, hr)
     k2 = ants.k2
@@ -349,9 +354,8 @@ def _phase_increment(
     angles = _angle_terms(ants.theta, ht)
 
     if model is WavefrontModel.SWM:
-        c = ants.case
-        shift = _radial_shift(ants.x, ants.r[c], _take(hr, c), [_take(a, c) for a in angles])
-        return k2 * shift["d_excess"]
+        d_excess = _radial_shift(ants.x, ants.r, hr, angles, ants.case, work)["d_excess"]
+        return np.multiply(k2, d_excess, out=d_excess)
 
     if model is WavefrontModel.PWM:
         return -k2 * ants.x * _take(angles[4], ants.case)
@@ -366,7 +370,9 @@ def _phase_increment(
     else:
         d_sin = angles[4]
     sub = ants.subarray
-    return k2 * (_take(shift["d_excess"], sub) - ants.offset * _take(d_sin, sub))
+    inc, d_sin = _take(shift["d_excess"], sub), _take(d_sin, sub)
+    np.subtract(inc, np.multiply(ants.offset, d_sin, out=d_sin), out=inc)
+    return np.multiply(k2, inc, out=inc)
 
 
 def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:

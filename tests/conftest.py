@@ -10,7 +10,8 @@ library: the preset, large-array and verify digest tests pin float bits,
 which the libm and the SIMD kernels behind numpy's ufuncs decide. It also
 names every MALLOC_* and GLIBC_TUNABLES variable set in the environment:
 they change when glibc maps and trims heap memory, which the minor_faults
-tests measure.
+tests measure. The traced_peak tests measure what Python and numpy allocate,
+whatever the C library.
 """
 
 import os
@@ -52,6 +53,28 @@ def minor_faults():
         for _ in range(repeats):
             fn()
         return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats
+
+    return measure
+
+
+@pytest.fixture
+def traced_peak():
+    """Callable fn -> tracemalloc peak, in bytes, of a warm fn() call.
+
+    One call warms fn up (the crb workspace, numpy's caches); the peak is
+    that of the next call, counted from the memory traced when it starts.
+    """
+    import tracemalloc
+
+    def measure(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak
 
     return measure
 

@@ -511,6 +511,60 @@ def test_verify_reports_match_their_digest():
     assert hashlib.sha256("\n".join(values).encode()).hexdigest() == _VERIFY_SHA256
 
 
+# Every field of every report of verify_batch(120, seed=5), whose four
+# groups come near the 8192-antenna budget: the digest above covers groups
+# of 10 cases, about 2500 antennas, only.
+_FULL_GROUPS_SHA256 = "8c85c77ed6604fa86c0941904456f95030e4d3289c1a11680370155f7a1025d3"
+_FULL_GROUP_SIZES = [7907, 8019, 8142, 5440]
+
+
+def test_full_verify_groups_match_their_digest(monkeypatch):
+    reports, sizes = [], []
+
+    def recording_validate(models, group):
+        sizes.append(sum(layout.num_elements for layout, _, _, _ in group))
+        reports.extend(_validate(models, group))
+        return reports[-len(models) * len(group):]
+
+    monkeypatch.setattr(oracle, "_validate", recording_validate)
+    assert verify_batch(num_cases=120, seed=5).passed
+    assert sizes == _FULL_GROUP_SIZES
+    text = "\n".join(report.to_json() for report in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == _FULL_GROUPS_SHA256
+
+
+def test_a_full_group_holds_at_most_300_bytes_per_antenna(traced_peak):
+    # it peaks near 185: the finite-difference stencil goes in halves, the
+    # shift geometry in place, the legs into one block of rows and their
+    # scratch into the crb workspace (567 with the four shifts in one (4, N)
+    # block)
+    rng = np.random.default_rng(5)
+    group = next(_groups(sample_case(rng) for _ in range(120)))
+    n = sum(layout.num_elements for layout, _, _, _ in group)
+    assert n == _FULL_GROUP_SIZES[0]
+    assert traced_peak(lambda: _validate(MODEL_ORDER, group)) <= 300 * n
+
+
+def test_full_verify_groups_take_few_page_faults(minor_faults):
+    # glibc gives the top of its heap back when a stage frees more than its
+    # trim threshold, and the next stage faults it in again. With the legs in
+    # one block of rows and their scratch in the crb workspace, a warm call
+    # reads about 750 alone and 0 after the rest of the suite, where fresh
+    # temporaries for every leg read about 6800 and 2800.
+    assert minor_faults(lambda: verify_batch(num_cases=120, seed=5), repeats=3) < 2000
+
+
+def test_finite_differences_outlive_the_next_kernel_call():
+    # their scratch lives in the thread's crb workspace, which every kernel
+    # call overwrites
+    dg = fd_rebased(WavefrontModel.SWM, FIG3, TGT, LAMBDA, 1e-4, 1e-4)
+    kept = dg.d_r.copy(), dg.d_theta.copy()
+    crb_bounds(WavefrontModel.SWM, FIG3, TargetPolar(40.0, 0.2), LAMBDA, SensingSnr(1.0))
+    for values, copy in zip((dg.d_r, dg.d_theta), kept):
+        assert not np.shares_memory(values, crb_module._WORKSPACE.buffer)
+        assert np.array_equal(values, copy)
+
+
 def _bounds(reports):
     """(closed, analytic, fd) x (crb_r, crb_theta) of each report."""
     return [

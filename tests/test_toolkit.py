@@ -579,6 +579,40 @@ def test_json_bytes_match_the_json_module(tmp_path):
     assert path.read_bytes() == reference.read_bytes()
 
 
+def test_writers_hold_one_block_of_records(tmp_path, traced_peak, monkeypatch):
+    # 20000 records, 20 blocks: each writer peaks below the size of its
+    # file (at 80000 records the one-template writers peaked at 4 times it),
+    # and the blocks join to the bytes of one template of every record
+    records = run_range_sweep(dataclasses.replace(preset("fig3"), r_count=5000))
+    assert len(records) > 16 * sweeps._WRITE_BLOCK
+    for write in (write_csv, write_json):
+        path = tmp_path / f"blocks.{write.__name__}"
+        peak = traced_peak(lambda: write(records, str(path)))
+        written = path.read_bytes()
+        assert peak < len(written), (write.__name__, peak, len(written))
+        with monkeypatch.context() as patch:
+            patch.setattr(sweeps, "_WRITE_BLOCK", len(records))
+            write(records, str(path))
+        assert path.read_bytes() == written, write.__name__
+
+
+def test_writer_blocks_join_at_every_edge_cell(tmp_path, monkeypatch):
+    # the edge cells of _writer_records split across blocks of every size
+    # keep the bytes of one template, which test_csv_bytes_match_per_cell_formatting
+    # and test_json_bytes_match_the_json_module check
+    records = _writer_records()
+    assert len(records) < sweeps._WRITE_BLOCK
+    for write in (write_csv, write_json):
+        whole = tmp_path / f"whole.{write.__name__}"
+        write(records, str(whole))
+        for block in (1, 2, 3, 7, len(records) - 1):
+            path = tmp_path / f"block{block}.{write.__name__}"
+            with monkeypatch.context() as patch:
+                patch.setattr(sweeps, "_WRITE_BLOCK", block)
+                write(records, str(path))
+            assert path.read_bytes() == whole.read_bytes(), (write.__name__, block)
+
+
 def test_emit_outputs_writes_requested_files(tmp_path):
     records = run_point(preset("fig3"))
     csv_path = tmp_path / "out.csv"
