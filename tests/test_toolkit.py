@@ -613,6 +613,126 @@ def test_writer_blocks_join_at_every_edge_cell(tmp_path, monkeypatch):
             assert path.read_bytes() == whole.read_bytes(), (write.__name__, block)
 
 
+def _records_then(bad):
+    """1500 fig3 records, then bad."""
+    records = run_range_sweep(dataclasses.replace(preset("fig3"), r_count=375))
+    assert len(records) == 1500
+    return records + [bad]
+
+
+# A str bound fails to format; a lone surrogate, which json.dumps escapes,
+# fails to encode as CSV.
+_STR_BOUND = SweepRecord("r_m", 1.0, "swm", "1.0", 2.0)
+_SURROGATE = SweepRecord("r_m", 1.0, "\ud800", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("write, bad", [(write_csv, _STR_BOUND), (write_json, _STR_BOUND),
+                                        (write_csv, _SURROGATE)])
+def test_a_failing_first_block_leaves_the_file_as_it_was(tmp_path, monkeypatch, write, bad):
+    records = _records_then(bad)
+    monkeypatch.setattr(sweeps, "_WRITE_BLOCK", len(records))
+    old = tmp_path / "old"
+    old.write_bytes(b"old bytes\n" * 5000)
+    for path in (old, tmp_path / "absent"):
+        before = path.read_bytes() if path.exists() else None
+        with pytest.raises((TypeError, UnicodeEncodeError)):
+            write(records, str(path))
+        assert (path.read_bytes() if path.exists() else None) == before
+    assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("write", [write_csv, write_json])
+def test_a_failing_later_block_leaves_only_the_blocks_before_it(tmp_path, monkeypatch, write, block):
+    # the old file is longer than the new one: none of its tail may
+    # follow the new bytes
+    tail = b"\n]\n" if write is write_json else b""
+    if block is not None:
+        monkeypatch.setattr(sweeps, "_WRITE_BLOCK", block)
+    records = _records_then(_STR_BOUND)
+    kept = records[:1500 // sweeps._WRITE_BLOCK * sweeps._WRITE_BLOCK]
+    reference = tmp_path / "reference"
+    write(kept, str(reference))
+    path = tmp_path / "out"
+    path.write_bytes(b"old bytes\n" * 50000)
+    with pytest.raises(TypeError):
+        write(records, str(path))
+    expected = reference.read_bytes()
+    assert path.read_bytes() == expected[:len(expected) - len(tail)]
+
+
+@pytest.mark.parametrize("write", [write_csv, write_json, write_plot_script])
+def test_writers_rewrite_an_existing_file_in_place(tmp_path, monkeypatch, write):
+    # like open(path, "w"): the same inode, which a hard link shares, and
+    # no byte of a longer old file left behind; unlike it, no O_TRUNC
+    def emit(path):
+        args = (records, str(tmp_path / "sweep.csv")) if write is write_plot_script else (records,)
+        write(*args, str(path))
+
+    records = run_range_sweep(small_sweep_config())
+    fresh, path, link = tmp_path / "fresh", tmp_path / "out", tmp_path / "link"
+    emit(fresh)
+    path.write_bytes(b"a longer old file\n" * 2000)
+    os.link(path, link)
+    inode = os.stat(path).st_ino
+    flags = []
+    real_open = os.open
+
+    def spy(file, mode, *args, **kwargs):
+        flags.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    emit(path)
+    monkeypatch.undo()
+    assert flags and not any(mode & os.O_TRUNC for mode in flags)
+    assert path.read_bytes() == link.read_bytes() == fresh.read_bytes()
+    assert os.stat(path).st_ino == inode
+
+
+def test_a_new_output_file_takes_the_umask(tmp_path):
+    records = run_point(preset("fig3"))
+    previous = os.umask(0o027)
+    try:
+        write_csv(records, str(tmp_path / "new.csv"))
+    finally:
+        os.umask(previous)
+    assert os.stat(tmp_path / "new.csv").st_mode & 0o777 == 0o666 & ~0o027
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_writers_stream_into_a_fifo(tmp_path):
+    # a FIFO cannot be truncated: it gets the bytes of a regular file
+    records = run_range_sweep(small_sweep_config())
+    for write in (write_csv, write_json):
+        reference, fifo = tmp_path / "reference", tmp_path / f"{write.__name__}.fifo"
+        write(records, str(reference))
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        write(records, str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [reference.read_bytes()], write.__name__
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_cli_writes_to_stdout_and_dev_null(tmp_path):
+    # neither can be truncated: a pipe gets the CSV bytes, /dev/null nothing
+    reference = tmp_path / "fig3.csv"
+    write_csv(run_range_sweep(preset("fig3")), str(reference))
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    run = "import sys; from modcrb.cli import main; sys.exit(main(sys.argv[1:]))"
+    for out, expected in (("/dev/stdout", reference.read_bytes()), ("/dev/null", b"")):
+        proc = subprocess.run(
+            [sys.executable, "-c", run, "sweep-range", "--preset", "fig3", "--out", out],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected + f"wrote {out}\n".encode()
+
+
 def test_emit_outputs_writes_requested_files(tmp_path):
     records = run_point(preset("fig3"))
     csv_path = tmp_path / "out.csv"
