@@ -492,7 +492,7 @@ def _angle_terms(theta: float | np.ndarray, dtheta: float | np.ndarray) -> tuple
 
 def _radial_shift(
     x: np.ndarray, r: float | np.ndarray, dr: float | np.ndarray, angles: tuple[np.ndarray, ...],
-    at: np.ndarray | None = None, work: np.ndarray | None = None, base: dict | None = None,
+    at: np.ndarray | None = None, work: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """radial_shift from the _angle_terms of its angles.
 
@@ -501,21 +501,17 @@ def _radial_shift(
     them, with r and dr, as columns along their last axis and in at the
     column of each abscissa; each is gathered where it is read. The
     shifted point's terms are made in place, in the two rows of work or in
-    new buffers, and a dict passed as base keeps the first call's rng0 and
-    gap0 for later shifts of the point. The elementwise arithmetic gives
-    the same bits either way. The caller has checked every r + dr > 0.
+    new buffers. The elementwise arithmetic gives the same bits either
+    way. The caller has checked that every r + dr is positive.
     """
     def take(values):
         return values if at is None else np.take(values, at, axis=-1)
 
     x, r, hr = np.asarray(x, dtype=float), take(r), np.asarray(dr, dtype=float)
     s0, c0, s1, c1, d_s = angles
-    base = {} if base is None else base
-    if not base:
-        w, xc = r - x * take(s0), x * take(c0)
-        rng0 = np.hypot(w, xc)
-        base.update(rng0=rng0, gap0=_rng_minus_w(w, xc * xc, rng0))
-    rng0, gap0 = base["rng0"], base["gap0"]
+    w, xc = r - x * take(s0), x * take(c0)
+    rng0 = np.hypot(w, xc)
+    gap0 = _rng_minus_w(w, xc * xc, rng0)
     r1 = r + take(hr)
     cols = np.shape(s1) if at is None else np.shape(s1)[:-1] + np.shape(at)
     shape = np.broadcast_shapes(np.shape(rng0), np.shape(r1), cols)

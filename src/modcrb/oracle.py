@@ -253,19 +253,18 @@ def _fd_rebased(
     The stencil goes in two halves, the pair +-h_r of every case and then
     the pair +-h_theta, each through one phase pass and one complex
     exponential over a (2, N) array, both in 4 rows of the thread's crb
-    workspace, and the halves share the base point's geometry. Each column
-    has the bits of the scalar call for its shift, so the result equals
-    differences of separate evaluations exactly. The range and angle
-    derivatives go to the rows of out, (2, N) complex. The steps must be
-    positive; _phase_increment checks every r - h_r.
+    workspace. Each column has the bits of the scalar call for its shift,
+    so the result equals differences of separate evaluations exactly. The
+    range and angle derivatives go to the rows of out, (2, N) complex. The
+    steps must be positive; _phase_increment checks every r - h_r.
     """
-    n, zero, base = len(ants.case), np.zeros_like(h_r), {}
+    n, zero = len(ants.case), np.zeros_like(h_r)
     for d, dr, dtheta, h in ((out[0], (h_r, -h_r), (zero, zero), h_r),
                              (out[1], (zero, zero), (h_theta, -h_theta), h_theta)):
         work = _blocks(4, (n,))
         g = work.reshape(2, -1).view(complex)
         np.multiply(-1j, _phase_increment(model, ants, np.array(dr), np.array(dtheta),
-                                          work.reshape(2, 2, n), base), out=g)
+                                          work.reshape(2, 2, n)), out=g)
         np.exp(g, out=g)
         np.divide(np.subtract(g[0], g[1], out=d), (2.0 * h)[ants.case], out=d)
     return out

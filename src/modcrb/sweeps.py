@@ -15,12 +15,12 @@ and two runs of the same config produce byte-identical files. Records are
 zipped from the kernels' columns, and each writer formats a block of them per pass.
 
 The writers rewrite a file in place: open without O_TRUNC, write, truncate at
-the end. On ext4 a truncating open waits for the writeback of the last bytes:
-over 1500 rewrites of a 67 KB file (2-vCPU VM) open, write and close took
-93-131, 15-18 and 11-16 us with O_TRUNC, 7-11 us in all in place. The first
-block is formatted and encoded before the open, so a record that fails there
-leaves the file as it was, or absent; one failing later leaves the blocks before.
-Inode, new-file mode and pipes or devices are as with open(path, "w").
+the end, as on ext4 a truncating open of an existing file costs more than
+writing it again. The first block is formatted and encoded before the open, so a
+record that fails there leaves the file as it was, or absent; one failing
+later leaves the blocks before. A writer killed mid-file leaves the new head
+in front of the old file's tail (see the README). Inode, new-file mode and
+pipes or devices are as with open(path, "w").
 
 The CSV format is fixed: header
 ``sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags``, UTF-8, LF

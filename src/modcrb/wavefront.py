@@ -338,7 +338,7 @@ def phase_increment(
 
 def _phase_increment(
     model: WavefrontModel, ants: _Antennas, hr: np.ndarray, ht: np.ndarray,
-    work: np.ndarray | None = None, base: dict | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """phase_increment over a group of cases.
 
@@ -346,7 +346,7 @@ def _phase_increment(
     the result has shape S + (N,), one column per antenna of ants, each
     shifted by its case's column. Every shifted range is checked here,
     once for the whole group, and not again in geometry._radial_shift,
-    which takes work, (2,) + S + (N,) if given, under swm, and base.
+    which takes work, (2,) + S + (N,) if given, under swm.
     """
     _require_shifted_range(ants.r, hr)
     k2 = ants.k2
@@ -354,7 +354,7 @@ def _phase_increment(
     angles = _angle_terms(ants.theta, ht)
 
     if model is WavefrontModel.SWM:
-        d_excess = _radial_shift(ants.x, ants.r, hr, angles, ants.case, work, base)["d_excess"]
+        d_excess = _radial_shift(ants.x, ants.r, hr, angles, ants.case, work)["d_excess"]
         return np.multiply(k2, d_excess, out=d_excess)
 
     if model is WavefrontModel.PWM:
@@ -364,7 +364,7 @@ def _phase_increment(
     r, theta = ants.r[sc], ants.theta[sc]
     hr, ht = _take(hr, sc), _take(ht, sc)
     angles = [_take(a, sc) for a in angles]
-    shift = _radial_shift(x, r, hr, angles, base=base)
+    shift = _radial_shift(x, r, hr, angles)
     if model is WavefrontModel.HSPM_DIST:
         d_sin = arrival_sine_shift(x, r, theta, hr, ht, shift)
     else:

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -690,6 +691,41 @@ def test_writers_rewrite_an_existing_file_in_place(tmp_path, monkeypatch, write)
     assert os.stat(path).st_ino == inode
 
 
+_KILL_ON_THIRD_BLOCK = """
+import dataclasses, os, signal, sys
+from modcrb import sweeps
+from modcrb.config import preset
+records = sweeps.run_range_sweep(dataclasses.replace(preset("fig3"), r_count=375))
+sweeps._WRITE_BLOCK = 400
+rows, calls = sweeps._csv_rows, []
+def rows_then_kill(block):
+    calls.append(block)
+    if len(calls) == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return rows(block)
+sweeps._csv_rows = rows_then_kill
+sweeps.write_csv(records, sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_a_killed_writer_leaves_the_new_head_over_the_old_tail(tmp_path):
+    # the documented hazard of the in-place rewrite: no final truncate runs,
+    # so the two blocks written lie over a longer old file's first bytes
+    records = run_range_sweep(dataclasses.replace(preset("fig3"), r_count=375))
+    head = tmp_path / "head"
+    write_csv(records[:800], str(head))
+    path = tmp_path / "out"
+    old = b"old,record\n" * 20000
+    path.write_bytes(old)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", _KILL_ON_THIRD_BLOCK, str(path)],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    new = head.read_bytes()
+    assert path.read_bytes() == new + old[len(new):]
+
+
 def test_a_new_output_file_takes_the_umask(tmp_path):
     records = run_point(preset("fig3"))
     previous = os.umask(0o027)
@@ -709,7 +745,7 @@ def test_writers_stream_into_a_fifo(tmp_path):
         write(records, str(reference))
         os.mkfifo(fifo)
         received = []
-        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
         reader.start()
         write(records, str(fifo))
         reader.join(timeout=30)
