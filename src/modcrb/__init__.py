@@ -32,20 +32,15 @@ from .geometry import (
     FieldRegions,
     ModularLayout,
     TargetPolar,
-    arrival_sine_shift,
     arrival_sine_terms,
     build_layout,
     field_regions,
-    radial_shift,
     radial_terms,
 )
 from .oracle import (
     ValidationReport,
     VerificationSummary,
-    crb_from_steering,
     cross_validate,
-    fd_derivatives,
-    fd_rebased,
     oracle_dtype,
     relative_error,
     sample_case,
@@ -65,10 +60,7 @@ from .sweeps import (
 )
 from .wavefront import (
     MODEL_ORDER,
-    SteeringDerivatives,
-    SteeringVector,
     WavefrontModel,
-    phase_increment,
     steering,
     steering_derivatives,
 )
@@ -90,32 +82,24 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "SensingSnr",
     "SingularGeometryError",
-    "SteeringDerivatives",
-    "SteeringVector",
     "SweepRecord",
     "TargetPolar",
     "ValidationReport",
     "VerificationSummary",
     "WavefrontModel",
-    "arrival_sine_shift",
     "arrival_sine_terms",
     "build_layout",
     "crb_boresight",
     "crb_boresight_far",
     "crb_bounds",
-    "crb_from_steering",
     "cross_validate",
     "emit_outputs",
-    "fd_derivatives",
-    "fd_rebased",
     "field_regions",
     "load_config",
     "oracle_dtype",
     "parse_config",
     "parse_models",
-    "phase_increment",
     "preset",
-    "radial_shift",
     "radial_terms",
     "read_csv",
     "relative_error",

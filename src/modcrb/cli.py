@@ -159,12 +159,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_regions(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     layout = config.layout()
+    target = config.target()  # crb's check: a finite positive range, a finite angle
     regions = field_regions(layout, config.wavelength)
     print(f"aperture_m             {layout.aperture:.6g}")
     print(f"subarray_farfield_m    {regions.subarray_farfield_bound:.6g}")
     print(f"array_rayleigh_m       {regions.array_rayleigh:.6g}")
-    print(f"target_r_m             {config.r_m:.6g}")
-    print(f"target_region          {regions.classify(config.r_m)}")
+    print(f"target_r_m             {target.r:.6g}")
+    print(f"target_region          {regions.classify(target.r)}")
     return _EXIT_OK
 
 

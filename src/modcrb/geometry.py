@@ -30,8 +30,6 @@ __all__ = [
     "field_regions",
     "radial_terms",
     "arrival_sine_terms",
-    "radial_shift",
-    "arrival_sine_shift",
 ]
 
 
@@ -431,57 +429,6 @@ def _rng_minus_w(w: np.ndarray, xc2: np.ndarray, rng: np.ndarray) -> np.ndarray:
     return np.subtract(rng, w, out=gap, where=w < 0)
 
 
-def radial_shift(
-    x: np.ndarray,
-    r: float | np.ndarray,
-    theta: float | np.ndarray,
-    dr: float | np.ndarray = 0.0,
-    dtheta: float | np.ndarray = 0.0,
-) -> dict[str, np.ndarray]:
-    """Increment of rng - r under a small polar shift of the target.
-
-    For a shift (r, theta) -> (r + dr, theta + dtheta) this returns, per
-    abscissa, the exact-algebra increment d_excess of rng - r (the range
-    increment less the reference path's dr). Rather than subtracting two
-    O(r) ranges,
-
-        d_excess = -[dr ((rng0 - w0) + (rng1 - w1)) + x d_s (r0 + r1)]
-                   / (rng0 + rng1)
-
-    with w = r - x sin, rng - w = (x cos)^2 / (rng + w) and d_s the sine
-    increment by sum-to-product: every term is O(dr, dtheta) and carries a
-    factor x, so x = 0 gets exact zeros. No derivative formulas are
-    involved, so finite differences built on these increments remain an
-    independent check of the analytic derivatives.
-
-    The shifts may be arrays broadcasting against x, e.g. (P, 1) for P
-    shifts against x of shape (K,). The arithmetic is elementwise, so row i
-    of such a call equals the call with the scalar shift (dr[i], dtheta[i])
-    bit for bit.
-
-    Args:
-        x: Reference abscissas, meters.
-        r: Base target range, meters: a scalar, or an array broadcasting
-            against x, e.g. one range per abscissa.
-        theta: Base target angle, radians, shaped like r.
-        dr: Range shift, meters: a scalar, or an array broadcasting against
-            x (every r + dr must stay positive).
-        dtheta: Angle shift, radians: a scalar, or an array broadcasting
-            against x.
-
-    Returns:
-        Dict of arrays: d_excess and the shifted range rng1, of the
-        broadcast shape of x, r, dr and dtheta, and the base range rng0
-        and its rng0 - w0 as gap0, of the broadcast shape of x and r.
-        arrival_sine_shift reads the last three.
-
-    Raises:
-        InvalidConfigurationError: If some r + dr is not positive.
-    """
-    _require_shifted_range(r, dr)
-    return _radial_shift(x, r, dr, _angle_terms(theta, dtheta))
-
-
 def _angle_terms(theta: float | np.ndarray, dtheta: float | np.ndarray) -> tuple[np.ndarray, ...]:
     """sin and cos of theta and of theta + dtheta, and the sine increment between them."""
     ht = np.asarray(dtheta, dtype=float)
@@ -494,15 +441,37 @@ def _radial_shift(
     x: np.ndarray, r: float | np.ndarray, dr: float | np.ndarray, angles: tuple[np.ndarray, ...],
     at: np.ndarray | None = None, work: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """radial_shift from the _angle_terms of its angles.
+    """Increment of rng - r under a small polar shift of the target.
 
-    The angle terms depend on the angles alone, so a caller whose
-    abscissas share a few angles evaluates them once per angle and passes
-    them, with r and dr, as columns along their last axis and in at the
-    column of each abscissa; each is gathered where it is read. The
-    shifted point's terms are made in place, in the two rows of work or in
-    new buffers. The elementwise arithmetic gives the same bits either
+    For a shift (r, theta) -> (r + dr, theta + dtheta) this returns, per
+    abscissa x, the exact-algebra increment d_excess of rng - r (the range
+    increment less the reference path's dr). Rather than subtracting two
+    O(r) ranges,
+
+        d_excess = -[dr ((rng0 - w0) + (rng1 - w1)) + x d_s (r0 + r1)]
+                   / (rng0 + rng1)
+
+    with w = r - x sin, rng - w = (x cos)^2 / (rng + w) and d_s the sine
+    increment by sum-to-product: every term is O(dr, dtheta) and carries a
+    factor x, so x = 0 gets exact zeros. No derivative formulas are
+    involved, so finite differences built on these increments remain an
+    independent check of the analytic derivatives.
+
+    angles is _angle_terms(theta, dtheta). The angle terms depend on the
+    angles alone, so a caller whose abscissas share a few angles evaluates
+    them once per angle and passes them, with r and dr, as columns along
+    their last axis and in at the column of each abscissa; each is gathered
+    where it is read. Shifts stacked along leading axes broadcast against
+    x, and the arithmetic is elementwise, so each stacked shift gets the
+    bits of its scalar call. The shifted point's terms are made in place,
+    in the two rows of work or in new buffers, with the same bits either
     way. The caller has checked that every r + dr is positive.
+
+    Returns:
+        Dict of arrays: d_excess and the shifted range rng1, of the
+        broadcast shape of x, r, dr and the angles, and the base range rng0
+        and its rng0 - w0 as gap0, of the broadcast shape of x and r.
+        _arrival_sine_shift reads the last three.
     """
     def take(values):
         return values if at is None else np.take(values, at, axis=-1)
@@ -530,7 +499,7 @@ def _radial_shift(
     return {"d_excess": d_excess, "rng0": rng0, "rng1": rng1, "gap0": gap0}
 
 
-def arrival_sine_shift(
+def _arrival_sine_shift(
     x: np.ndarray,
     r: float | np.ndarray,
     theta: float | np.ndarray,
@@ -541,21 +510,11 @@ def arrival_sine_shift(
     """Increment of the arrival sine sin_a under a small polar shift.
 
     Only the distinct-arrival-angle model reads it. sin_a1 - sin_a0 is
-    formed over rng0 rng1 from the terms of shift = radial_shift(x, r,
-    theta, dr, dtheta); with r - rng0 = x sin - gap0 the numerator's dr
-    term is x cos^2 + sin gap0, so like d_excess every term is
-    O(dr, dtheta) and x = 0 gets exact zeros.
-
-    Args:
-        x: Reference abscissas, meters, as passed to radial_shift.
-        r: Base target range, meters, as passed to radial_shift.
-        theta: Base target angle, radians, as passed to radial_shift.
-        dr: Range shift, meters, as passed to radial_shift.
-        dtheta: Angle shift, radians, as passed to radial_shift.
-        shift: radial_shift(x, r, theta, dr, dtheta).
-
-    Returns:
-        Array of the broadcast shape of x, dr and dtheta.
+    formed over rng0 rng1 from the terms of shift, _radial_shift's result
+    for the same x, r, dr and angles theta, dtheta; with
+    r - rng0 = x sin - gap0 the numerator's dr term is x cos^2 + sin gap0,
+    so like d_excess every term is O(dr, dtheta) and x = 0 gets exact zeros.
+    The result has the broadcast shape of x, dr and dtheta.
     """
     x = np.asarray(x, dtype=float)
     hr = np.asarray(dr, dtype=float)

@@ -28,8 +28,8 @@ antennas of a group's cases go side by side in flat arrays
 over the whole group (crb._crb_group); the analytic leg takes the steering
 vectors and their derivatives of the whole group from one phase pass and
 one complex exponential; the finite-difference leg takes the +-h_r pair of
-every case, then the +-h_theta pair, each through one phase_increment pass
-and one exponential; each leg makes one projection, in the thread's crb
+every case, then the +-h_theta pair, each through one _phase_increment
+pass and one exponential; each leg makes one projection, in the thread's crb
 workspace, and one _bound_pair call inverts the information of every
 model, leg and case: a full group peaks near 185 bytes per antenna. The
 arithmetic is elementwise and each sum runs over one case's contiguous
@@ -47,29 +47,22 @@ from typing import Any
 
 import numpy as np
 
-from .crb import (_BATCH_ELEMENTS, CrbPair, SensingSnr, _blocks, _bound_pair, _Cases, _crb_group,
-                  _group, _Quadratic)
+from .crb import (_BATCH_ELEMENTS, SensingSnr, _blocks, _bound_pair, _Cases, _crb_group, _group,
+                  _Quadratic)
 from .errors import InvalidConfigurationError
 from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
 from .wavefront import (
     MODEL_ORDER,
-    SteeringDerivatives,
-    SteeringVector,
     WavefrontModel,
     _antennas,
     _Antennas,
-    _one,
     _phase_increment,
     _wavefront,
-    steering,
 )
 
 __all__ = [
     "ValidationReport",
     "VerificationSummary",
-    "crb_from_steering",
-    "fd_derivatives",
-    "fd_rebased",
     "cross_validate",
     "relative_error",
     "sample_case",
@@ -108,155 +101,32 @@ def _projected(g: np.ndarray, d_r: np.ndarray, d_t: np.ndarray, cases: _Cases) -
     return cases.sum(work[3:])[[3, 4, 0, 1, 2]]
 
 
-def crb_from_steering(
-    g: SteeringVector,
-    dg: SteeringDerivatives,
-    snr: SensingSnr,
-    model: WavefrontModel | None = None,
-    cos_theta: float | None = None,
-) -> CrbPair:
-    """Bounds from a steering vector and its derivatives alone.
-
-    Args:
-        g: Steering vector.
-        dg: Derivatives with respect to (r, theta), the range one in the
-            reference-path frame (as fd_rebased gives it): the raw one's
-            2 pi / lambda part leaves the bounds alone but inflates the
-            degeneracy scale |dg_r|^2 until well-conditioned range
-            information reads as degenerate.
-        snr: Sensing SNR.
-        model: Optional label carried into the result.
-        cos_theta: Optional cosine of the target angle for the endfire
-            test; without it no result is treated as endfire.
-
-    Returns:
-        CrbPair under the same degeneracy and endfire policy as the closed
-        forms.
-    """
-    gv, d_r, d_t = g.values, dg.d_r, dg.d_theta
-    if gv.ndim != 1 or gv.shape != d_r.shape or gv.shape != d_t.shape:
-        raise InvalidConfigurationError(
-            "steering vector and derivatives must be 1-D arrays of one shape"
-        )
-    n = len(gv)
-    sums = _projected(gv, d_r, d_t, _Cases(np.zeros(n, dtype=np.int64)))
-    quad = _Quadratic(*sums[:, 0])
-    return _bound_pair(model, 0.5 / snr.gamma, quad, cos_theta).pair()
-
-
-def fd_derivatives(
-    model: WavefrontModel,
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    h_r: float | None = None,
-    h_theta: float | None = None,
-) -> SteeringDerivatives:
-    """Central finite-difference derivatives of the steering vector.
-
-    Args:
-        model: Wavefront approximation.
-        layout: Array layout.
-        target: Target position.
-        wavelength: Carrier wavelength, meters.
-        h_r: Range step, meters. Defaults to max(1e-4, 1e-7 * r).
-        h_theta: Angle step, radians. Defaults to 1e-4.
-
-    Returns:
-        SteeringDerivatives from symmetric differences at the snapped
-        steps actually representable around the target.
-
-    Raises:
-        ValueError: If the range step is too large (r - h_r <= 0).
-    """
-    r, theta = target.r, target.theta
-    if h_r is None:
-        h_r = max(1e-4, 1e-7 * r)
-    if h_theta is None:
-        h_theta = 1e-4
-    if h_r <= 0 or h_theta <= 0:
-        raise ValueError(f"steps must be positive, got h_r={h_r}, h_theta={h_theta}")
-    r_hi, r_lo = r + h_r, r - h_r
-    if r_lo <= 0:
-        raise ValueError(
-            f"range step {h_r} too large for target range {r}"
-        )
-    t_hi, t_lo = theta + h_theta, theta - h_theta
-
-    def g_at(rr: float, tt: float) -> np.ndarray:
-        return steering(model, layout, TargetPolar(rr, tt), wavelength).values
-
-    # Snapped steps: divide by the spacing the floats actually realize.
-    d_r = (g_at(r_hi, theta) - g_at(r_lo, theta)) / (r_hi - r_lo)
-    d_t = (g_at(r, t_hi) - g_at(r, t_lo)) / (t_hi - t_lo)
-    return SteeringDerivatives(d_r=d_r, d_theta=d_t)
-
-
-def fd_rebased(
-    model: WavefrontModel,
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    h_r: float,
-    h_theta: float,
-) -> SteeringDerivatives:
-    """Central differences of the steering vector in its own phase frame.
-
-    Rotating entry i of the steering vector by exp(+1j psi_i(target)), a
-    per-entry constant, leaves every Gram quantity the CRB is built from
-    unchanged and turns the vector at the base point into all ones. In that
-    frame the shifted evaluations are exp(-1j dpsi) for the small phase
-    increments dpsi of phase_increment, accurate relative to their own size
-    and measured against the reference path (the range differences lack a
-    multiple of the all-ones vector, which the projection removes). The
-    differences stay second order in h but no longer sit on top of absolute
-    phases of order 2 pi r / lambda, whose rounding otherwise dominates once
-    the Fisher residuals get small. Pair the result with an all-ones
-    steering vector.
-
-    The shifts go in two pairs, +-h_r then +-h_theta, each through one
-    stacked phase_increment call and one complex exponential over a
-    (2, K*M) array; each row has the bits of the scalar call for its
-    shift, so the result equals differences of four separate evaluations
-    exactly.
-
-    Args:
-        model: Wavefront approximation.
-        layout: Array layout.
-        target: Target position.
-        wavelength: Carrier wavelength, meters.
-        h_r: Range step, meters (must leave r - h_r > 0).
-        h_theta: Angle step, radians.
-
-    Returns:
-        SteeringDerivatives in the rebased frame.
-
-    Raises:
-        ValueError: If a step is not positive.
-        InvalidConfigurationError: If the range step is too large
-            (r - h_r <= 0): "shifted range ... must stay positive", from
-            phase_increment's check.
-    """
-    if h_r <= 0 or h_theta <= 0:
-        raise ValueError(f"steps must be positive, got h_r={h_r}, h_theta={h_theta}")
-    ants = _one(layout, target, wavelength)
-    d_r, d_t = _fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]),
-                           np.empty((2, len(ants.case)), dtype=complex))
-    return SteeringDerivatives(d_r=d_r, d_theta=d_t)
-
-
 def _fd_rebased(
     model: WavefrontModel, ants: _Antennas, h_r: np.ndarray, h_theta: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """fd_rebased over a group of cases, with steps h_r, h_theta per case.
+    """Central differences of the steering vectors in their own phase frame.
 
-    The stencil goes in two halves, the pair +-h_r of every case and then
-    the pair +-h_theta, each through one phase pass and one complex
-    exponential over a (2, N) array, both in 4 rows of the thread's crb
-    workspace. Each column has the bits of the scalar call for its shift,
-    so the result equals differences of separate evaluations exactly. The
-    range and angle derivatives go to the rows of out, (2, N) complex. The
-    steps must be positive; _phase_increment checks every r - h_r.
+    Rotating entry i of a steering vector by exp(+1j psi_i(target)), a
+    per-entry constant, leaves every Gram quantity the CRB is built from
+    unchanged and turns the vector at the base point into all ones. In that
+    frame the shifted evaluations are exp(-1j dpsi) for the small phase
+    increments dpsi of _phase_increment, accurate relative to their own
+    size and measured against the reference path (the range differences
+    lack a multiple of the all-ones vector, which the projection removes).
+    The differences stay second order in h but no longer sit on top of
+    absolute phases of order 2 pi r / lambda, whose rounding otherwise
+    dominates once the Fisher residuals get small. Pair the result with an
+    all-ones steering vector.
+
+    h_r and h_theta hold the steps of each case of ants. The stencil goes
+    in two halves, the pair +-h_r of every case and then the pair
+    +-h_theta, each through one phase pass and one complex exponential over
+    a (2, N) array, both in 4 rows of the thread's crb workspace. Each
+    column has the bits it gets when its case and shift are evaluated
+    alone, so the result equals differences of separate evaluations
+    exactly. The range and angle derivatives go to the rows of out, (2, N)
+    complex. The steps must be positive; _phase_increment checks every
+    r - h_r.
     """
     n, zero = len(ants.case), np.zeros_like(h_r)
     for d, dr, dtheta, h in ((out[0], (h_r, -h_r), (zero, zero), h_r),
@@ -354,7 +224,7 @@ def cross_validate(
     """Check one closed form against the generic route at one point.
 
     Both legs of the generic route work in the reference-path frame (see
-    the module docstring). The finite-difference leg uses fd_rebased with
+    the module docstring). The finite-difference leg uses _fd_rebased with
     the phase-aware steps of _fd_steps (recorded in the report) so that it
     stays meaningful even where the closed forms are themselves heavily
     cancellation-protected. The check is verify_batch's, on a group of one.

@@ -23,7 +23,6 @@ in r and its range derivative vanishes identically.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,18 +37,15 @@ from .geometry import (
     _radial_shift,
     _require_shifted_range,
     _require_wavelength,
-    arrival_sine_shift,
+    _arrival_sine_shift,
     arrival_sine_terms,
     radial_terms,
 )
 
 __all__ = [
     "WavefrontModel",
-    "SteeringVector",
-    "SteeringDerivatives",
     "steering",
     "steering_derivatives",
-    "phase_increment",
 ]
 
 
@@ -81,29 +77,6 @@ MODEL_ORDER = (
     WavefrontModel.PWM,
     WavefrontModel.SWM,
 )
-
-
-@dataclass(frozen=True)
-class SteeringVector:
-    """Unit-modulus steering vector, subarray-major order."""
-
-    values: np.ndarray = field(compare=False, repr=False)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class SteeringDerivatives:
-    """Entrywise partial derivatives of a steering vector.
-
-    Attributes:
-        d_r: Derivative with respect to target range, per entry.
-        d_theta: Derivative with respect to target angle, per entry.
-    """
-
-    d_r: np.ndarray = field(compare=False, repr=False)
-    d_theta: np.ndarray = field(compare=False, repr=False)
 
 
 class _Antennas(NamedTuple):
@@ -227,7 +200,7 @@ def steering(
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
-) -> SteeringVector:
+) -> np.ndarray:
     """Steering vector of the layout toward a target under a model.
 
     Args:
@@ -237,10 +210,10 @@ def steering(
         wavelength: Carrier wavelength, meters.
 
     Returns:
-        SteeringVector of length K*M, unit modulus per entry.
+        Complex array of length K*M, subarray-major, unit modulus per entry.
     """
     psi, _, _ = _phase_terms(model, _one(layout, target, wavelength))
-    return SteeringVector(values=np.exp(-1j * psi))
+    return np.exp(-1j * psi)
 
 
 def steering_derivatives(
@@ -248,7 +221,7 @@ def steering_derivatives(
     layout: ModularLayout,
     target: TargetPolar,
     wavelength: float,
-) -> SteeringDerivatives:
+) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (r, theta) derivatives of the steering vector.
 
     Each entry of the steering vector is exp(-1j psi) for a real phase psi,
@@ -261,13 +234,13 @@ def steering_derivatives(
         wavelength: Carrier wavelength, meters.
 
     Returns:
-        SteeringDerivatives with d_r and d_theta arrays of length K*M.
+        (d_r, d_theta), complex arrays of length K*M, subarray-major.
     """
     g, d_r, d_theta = _wavefront(model, _one(layout, target, wavelength))
     if model is not WavefrontModel.PWM:
         # Put back the reference path's rate that _phase_terms leaves out.
         d_r = d_r - 1j * (2.0 * np.pi / wavelength) * g
-    return SteeringDerivatives(d_r=d_r, d_theta=d_theta)
+    return d_r, d_theta
 
 
 def _wavefront(
@@ -289,64 +262,32 @@ def _wavefront(
     return g, np.multiply(d_r, g, out=d_r), np.multiply(d_t, g, out=d_t)
 
 
-def phase_increment(
-    model: WavefrontModel,
-    layout: ModularLayout,
-    target: TargetPolar,
-    wavelength: float,
-    dr: float | np.ndarray = 0.0,
-    dtheta: float | np.ndarray = 0.0,
+def _phase_increment(
+    model: WavefrontModel, ants: _Antennas, hr: np.ndarray, ht: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Increment of the rebased steering phase under a shift of the target.
+    """Increment of the rebased steering phase under shifts of the targets.
 
     The rebased phase is psi - 2 pi r / lambda, the phase against the path
     from the array center, for every model with range, and psi under PWM.
     Subtracting two phase evaluations would lose the increment under the
     rounding of phases near 2 pi r / lambda; the exact-algebra increments of
-    radial_shift and arrival_sine_shift keep it accurate relative to its own
-    O(dr, dtheta) size, and exactly zero where the phase cannot move (the
-    center subarray under a range shift). Only the phase definitions are
-    used, never their derivatives, so finite differences of
+    geometry._radial_shift and geometry._arrival_sine_shift keep it accurate
+    relative to its own O(dr, dtheta) size, and exactly zero where the phase
+    cannot move (the center subarray under a range shift). Only the phase
+    definitions are used, never their derivatives, so finite differences of
     exp(-1j * increment) remain an independent derivative check.
-
-    Several shifts evaluate in one call: dr and dtheta may be arrays, which
-    broadcast against each other to a shape S and then against a trailing
-    abscissa axis. The arithmetic is elementwise, so entry i of a stacked
-    call equals the call with the scalar shift (dr[i], dtheta[i]) bit for
-    bit, and scalar shifts give shape (K*M,) as a shape-() S would.
-
-    Args:
-        model: Wavefront approximation.
-        layout: Array layout.
-        target: Base target position.
-        wavelength: Carrier wavelength, meters.
-        dr: Range shift, meters: a scalar or an array of shifts (every
-            r + dr must stay positive).
-        dtheta: Angle shift, radians: a scalar or an array of shifts.
-
-    Returns:
-        Real array of shape S + (K*M,), subarray-major, in radians.
-
-    Raises:
-        InvalidConfigurationError: On a wavelength that is not finite and
-            positive, or a non-positive shifted range.
-    """
-    ants = _one(layout, target, wavelength)
-    hr, ht = np.broadcast_arrays(np.asarray(dr, dtype=float), np.asarray(dtheta, dtype=float))
-    return _phase_increment(model, ants, hr[..., None], ht[..., None])
-
-
-def _phase_increment(
-    model: WavefrontModel, ants: _Antennas, hr: np.ndarray, ht: np.ndarray,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """phase_increment over a group of cases.
 
     hr and ht hold shifts per case, of a common shape S + (C,) for C cases;
     the result has shape S + (N,), one column per antenna of ants, each
-    shifted by its case's column. Every shifted range is checked here,
-    once for the whole group, and not again in geometry._radial_shift,
-    which takes work, (2,) + S + (N,) if given, under swm.
+    shifted by its case's column, in radians. The arithmetic is
+    elementwise, so each stacked shift gets the bits of its scalar call.
+    Every shifted range is checked here, once for the whole group, and not
+    again in geometry._radial_shift, which takes work, (2,) + S + (N,) if
+    given, under swm.
+
+    Raises:
+        InvalidConfigurationError: On a non-positive shifted range.
     """
     _require_shifted_range(ants.r, hr)
     k2 = ants.k2
@@ -366,7 +307,7 @@ def _phase_increment(
     angles = [_take(a, sc) for a in angles]
     shift = _radial_shift(x, r, hr, angles)
     if model is WavefrontModel.HSPM_DIST:
-        d_sin = arrival_sine_shift(x, r, theta, hr, ht, shift)
+        d_sin = _arrival_sine_shift(x, r, theta, hr, ht, shift)
     else:
         d_sin = angles[4]
     sub = ants.subarray

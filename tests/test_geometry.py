@@ -10,16 +10,15 @@ from geometry_reference import element_range, subarray_range, subarray_sine
 from modcrb import (
     InvalidConfigurationError,
     TargetPolar,
-    arrival_sine_shift,
     arrival_sine_terms,
     build_layout,
     field_regions,
     preset,
-    radial_shift,
     radial_terms,
 )
 from modcrb import geometry
-from modcrb.geometry import _arrival_sine, _grid_abscissas
+from modcrb.geometry import (_angle_terms, _arrival_sine, _arrival_sine_shift, _grid_abscissas,
+                             _radial_shift)
 from modcrb.sweeps import _sweep_spacings
 
 PITCH = 0.0025
@@ -304,7 +303,7 @@ def test_radial_shift_matches_direct_differences():
     lay = build_layout(5, 9, (12, 4, 0, 4, 12), PITCH)
     r, theta = 8.0, 0.6
     for dr, dtheta in ((1e-3, 0.0), (0.0, 1e-3), (-2e-4, 0.0), (0.0, -2e-4)):
-        shift = radial_shift(lay.subarray_x, r, theta, dr=dr, dtheta=dtheta)
+        shift = _radial_shift(lay.subarray_x, r, dr, _angle_terms(theta, dtheta))
         base = radial_terms(lay.subarray_x, r, theta)
         moved = radial_terms(lay.subarray_x, r + dr, theta + dtheta)
         np.testing.assert_allclose(
@@ -312,7 +311,7 @@ def test_radial_shift_matches_direct_differences():
         )
         base_sin = _arrival_sine(lay.subarray_x, r, theta, base)
         moved_sin = _arrival_sine(lay.subarray_x, r + dr, theta + dtheta, moved)
-        d_sin = arrival_sine_shift(lay.subarray_x, r, theta, dr, dtheta, shift)
+        d_sin = _arrival_sine_shift(lay.subarray_x, r, theta, dr, dtheta, shift)
         np.testing.assert_allclose(d_sin, moved_sin - base_sin, rtol=1e-8, atol=1e-15)
 
 
@@ -324,11 +323,11 @@ def test_radial_shift_stacked_shifts_match_scalar_calls(dtype):
     dr = np.array([1e-4, -1e-4, 0.0, 0.0, 3e-3], dtype=dtype)
     dtheta = np.array([0.0, 0.0, 1e-4, -1e-4, -2e-3], dtype=dtype)
     for theta in (0.0, 0.6, -1.2):
-        batch = radial_shift(x, 8.0, theta, dr[:, None], dtheta[:, None])
-        batch["d_sin"] = arrival_sine_shift(x, 8.0, theta, dr[:, None], dtheta[:, None], batch)
+        batch = _radial_shift(x, 8.0, dr[:, None], _angle_terms(theta, dtheta[:, None]))
+        batch["d_sin"] = _arrival_sine_shift(x, 8.0, theta, dr[:, None], dtheta[:, None], batch)
         for i in range(len(dr)):
-            single = radial_shift(x, 8.0, theta, dr[i], dtheta[i])
-            single["d_sin"] = arrival_sine_shift(x, 8.0, theta, dr[i], dtheta[i], single)
+            single = _radial_shift(x, 8.0, dr[i], _angle_terms(theta, dtheta[i]))
+            single["d_sin"] = _arrival_sine_shift(x, 8.0, theta, dr[i], dtheta[i], single)
             assert single.keys() == batch.keys() == {"d_excess", "rng0", "rng1", "gap0", "d_sin"}
             for name, values in single.items():
                 assert values.dtype == np.float64 and values.shape == x.shape
@@ -343,16 +342,9 @@ def test_radial_shift_is_exact_at_the_center_abscissa():
     dr = np.array([[1e-3], [-2e-4], [0.0], [5e-4]])
     dtheta = np.array([[0.0], [0.0], [1e-4], [-2e-3]])
     for theta in (0.0, 0.6, -1.2):
-        shift = radial_shift(x, 8.0, theta, dr, dtheta)
-        d_sin = arrival_sine_shift(x, 8.0, theta, dr, dtheta, shift)
+        shift = _radial_shift(x, 8.0, dr, _angle_terms(theta, dtheta))
+        d_sin = _arrival_sine_shift(x, 8.0, theta, dr, dtheta, shift)
         assert np.all(shift["d_excess"][:, 0] == 0.0)
         assert np.all(d_sin[:2, 0] == 0.0)
         assert np.all(shift["d_excess"][:, 1] != 0.0)
 
-
-def test_radial_shift_rejects_nonpositive_shifted_range():
-    lay = build_layout(3, 3, (2, 0, 2), PITCH)
-    with pytest.raises(InvalidConfigurationError):
-        radial_shift(lay.subarray_x, 1.0, 0.0, dr=-1.5)
-    with pytest.raises(InvalidConfigurationError):
-        radial_shift(lay.subarray_x, 1.0, 0.0, dr=np.array([[0.5], [-1.5]]))

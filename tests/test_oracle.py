@@ -8,23 +8,18 @@ import numpy as np
 import pytest
 
 from geometry_reference import hspm_sums
+from oracle_reference import bounds_from, fd_derivatives
 from modcrb import (
     InvalidConfigurationError,
     FLAG_DEGENERATE,
     FLAG_ENDFIRE,
     MODEL_ORDER,
     SensingSnr,
-    SteeringDerivatives,
-    SteeringVector,
     TargetPolar,
     WavefrontModel,
     build_layout,
     crb_bounds,
-    crb_from_steering,
     cross_validate,
-    fd_derivatives,
-    fd_rebased,
-    phase_increment,
     relative_error,
     sample_case,
     steering,
@@ -34,8 +29,8 @@ from modcrb import (
 from modcrb import crb as crb_module
 from modcrb.cli import main
 from modcrb import oracle, preset, run_range_sweep
-from modcrb.oracle import ValidationReport, _fd_steps, _groups, _validate
-from modcrb.wavefront import _antennas, _phase_terms, _wavefront
+from modcrb.oracle import ValidationReport, _fd_rebased, _fd_steps, _groups, _validate
+from modcrb.wavefront import _antennas, _phase_increment, _phase_terms, _wavefront
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -46,16 +41,21 @@ SNR = SensingSnr(1.0)
 
 def rebased(model, layout, target, lam):
     """Steering vector and rebased derivatives of one case, from one phase pass."""
-    g, d_r, d_t = _wavefront(model, _antennas([(layout, target, lam)]))
-    return SteeringVector(values=g), SteeringDerivatives(d_r=d_r, d_theta=d_t)
+    return _wavefront(model, _antennas([(layout, target, lam)]))
+
+
+def fd_rebased(model, layout, target, lam, h_r, h_theta):
+    """_fd_rebased's (d_r, d_theta) of one case."""
+    ants = _antennas([(layout, target, lam)])
+    out = np.empty((2, len(ants.case)), dtype=complex)
+    return tuple(_fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]), out))
 
 
 def test_closed_forms_match_generic_route():
     for model in MODEL_ORDER:
         closed = crb_bounds(model, FIG3, TGT, LAMBDA, SNR)
-        g, dg = rebased(model, FIG3, TGT, LAMBDA)
-        generic = crb_from_steering(g, dg, SNR, model=model,
-                                    cos_theta=math.cos(TGT.theta))
+        generic = bounds_from(*rebased(model, FIG3, TGT, LAMBDA), SNR, model=model,
+                              cos_theta=math.cos(TGT.theta))
         assert relative_error(closed.crb_r, generic.crb_r) <= 1e-9
         assert relative_error(closed.crb_theta, generic.crb_theta) <= 1e-9
 
@@ -67,13 +67,13 @@ def test_fim_norm_terms_match_subarray_sums():
     m = FIG3.subarray_size
     md = (m**3 - m) * PITCH**2
     inter = hspm_sums(FIG3, TGT)
-    dg = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
-    ip_gr_gtheta = np.vdot(dg.d_r, dg.d_theta)
+    d_r, d_t = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
+    ip_gr_gtheta = np.vdot(d_r, d_t)
     expected_rr = k2**2 * (md * inter.z + 12.0 * m * inter.q) / 12.0
     expected_tt = k2**2 * (md * inter.z_tilde + 12.0 * m * inter.q_tilde) / 12.0
     expected_rt = k2**2 * (md * inter.z_hat + 12.0 * m * inter.q_hat) / 12.0
-    assert math.isclose(np.vdot(dg.d_r, dg.d_r).real, expected_rr, rel_tol=1e-9)
-    assert math.isclose(np.vdot(dg.d_theta, dg.d_theta).real, expected_tt, rel_tol=1e-9)
+    assert math.isclose(np.vdot(d_r, d_r).real, expected_rr, rel_tol=1e-9)
+    assert math.isclose(np.vdot(d_t, d_t).real, expected_tt, rel_tol=1e-9)
     assert math.isclose(ip_gr_gtheta.real, expected_rt, rel_tol=1e-9)
     assert abs(ip_gr_gtheta.imag) <= 1e-12 * abs(expected_rt)
 
@@ -84,12 +84,12 @@ def test_fim_cross_terms_reduce_to_range_rate_sums():
     k2 = 2.0 * math.pi / LAMBDA
     m = FIG3.subarray_size
     inter = hspm_sums(FIG3, TGT)
-    g = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA).values
-    dg = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
+    g = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
+    d_r, d_t = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA)
     scale_r = k2 * m * (3.0 + abs(inter.p))
     scale_t = k2 * m * (3.0 + abs(inter.p_tilde))
-    assert abs(np.vdot(dg.d_r, g) - 1j * k2 * m * inter.p) <= 1e-10 * scale_r
-    assert abs(np.vdot(dg.d_theta, g) - 1j * k2 * m * inter.p_tilde) <= 1e-10 * scale_t
+    assert abs(np.vdot(d_r, g) - 1j * k2 * m * inter.p) <= 1e-10 * scale_r
+    assert abs(np.vdot(d_t, g) - 1j * k2 * m * inter.p_tilde) <= 1e-10 * scale_t
 
 
 def test_fim_terms_invariants():
@@ -97,9 +97,8 @@ def test_fim_terms_invariants():
     for _ in range(15):
         layout, target, _, wavelength = sample_case(rng)
         for model in MODEL_ORDER:
-            g = steering(model, layout, target, wavelength).values
-            dg = steering_derivatives(model, layout, target, wavelength)
-            d_r, d_t = dg.d_r, dg.d_theta
+            g = steering(model, layout, target, wavelength)
+            d_r, d_t = steering_derivatives(model, layout, target, wavelength)
             n2_g = np.vdot(g, g).real
             assert math.isclose(n2_g, float(layout.num_elements), rel_tol=1e-12)
             # determinant of the gain-projected information, from residuals
@@ -114,9 +113,9 @@ def test_fim_terms_invariants():
 
 def test_generic_route_flags_pwm_range_degeneracy():
     g = steering(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
-    dg = steering_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
-    generic = crb_from_steering(g, dg, SNR, model=WavefrontModel.PWM,
-                                cos_theta=math.cos(TGT.theta))
+    d_r, d_t = steering_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
+    generic = bounds_from(g, d_r, d_t, SNR, model=WavefrontModel.PWM,
+                          cos_theta=math.cos(TGT.theta))
     assert math.isinf(generic.crb_r)
     closed = crb_bounds(WavefrontModel.PWM, FIG3, TGT, LAMBDA, SNR)
     assert relative_error(closed.crb_theta, generic.crb_theta) <= 1e-9
@@ -130,8 +129,8 @@ def test_endfire_is_flagged_by_every_closed_form_and_the_oracle(theta):
     tgt = TargetPolar(30.0, theta)
     for model in MODEL_ORDER:
         closed = crb_bounds(model, FIG3, tgt, LAMBDA, SNR)
-        g, dg = rebased(model, FIG3, tgt, LAMBDA)
-        generic = crb_from_steering(g, dg, SNR, model=model, cos_theta=math.cos(theta))
+        generic = bounds_from(*rebased(model, FIG3, tgt, LAMBDA), SNR, model=model,
+                              cos_theta=math.cos(theta))
         for pair in (closed, generic):
             assert pair.crb_theta == math.inf, (model, pair)
             assert FLAG_ENDFIRE in pair.flags, (model, pair)
@@ -141,14 +140,6 @@ def test_endfire_is_flagged_by_every_closed_form_and_the_oracle(theta):
             assert generic.flags == (FLAG_DEGENERATE, FLAG_ENDFIRE), (model, generic)
 
 
-def test_crb_from_steering_rejects_shape_mismatch():
-    g = steering(WavefrontModel.SWM, FIG3, TGT, LAMBDA)
-    dg = steering_derivatives(WavefrontModel.SWM, FIG3, TGT, LAMBDA)
-    bad = SteeringDerivatives(d_r=dg.d_r[:-1], d_theta=dg.d_theta)
-    with pytest.raises(InvalidConfigurationError):
-        crb_from_steering(g, bad, SNR)
-
-
 def test_fd_derivatives_agree_with_analytic_at_long_wavelength():
     lam = 0.5
     lay = build_layout(3, 5, (3, 0, 3), lam / 2.0)
@@ -156,7 +147,7 @@ def test_fd_derivatives_agree_with_analytic_at_long_wavelength():
     for model in MODEL_ORDER:
         analytic = steering_derivatives(model, lay, tgt, lam)
         fd = fd_derivatives(model, lay, tgt, lam, h_r=1e-4, h_theta=1e-4)
-        for a, f in ((analytic.d_r, fd.d_r), (analytic.d_theta, fd.d_theta)):
+        for a, f in zip(analytic, fd):
             scale = np.abs(a).max()
             if scale == 0.0:
                 assert np.abs(f).max() == 0.0
@@ -165,8 +156,8 @@ def test_fd_derivatives_agree_with_analytic_at_long_wavelength():
 
 
 def test_fd_derivatives_pwm_range_leg_is_exactly_zero():
-    fd = fd_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
-    assert np.all(fd.d_r == 0)
+    fd_r, _ = fd_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
+    assert np.all(fd_r == 0)
 
 
 def test_fd_derivatives_halving_quarters_the_error():
@@ -177,8 +168,7 @@ def test_fd_derivatives_halving_quarters_the_error():
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
         fd = fd_derivatives(WavefrontModel.SWM, lay, tgt, lam, h_r=h, h_theta=h)
-        errs.append(max(np.abs(fd.d_r - analytic.d_r).max(),
-                        np.abs(fd.d_theta - analytic.d_theta).max()))
+        errs.append(max(np.abs(f - a).max() for f, a in zip(fd, analytic)))
     assert 3.6 <= errs[0] / errs[1] <= 4.4
     assert 3.6 <= errs[1] / errs[2] <= 4.4
 
@@ -188,9 +178,7 @@ def test_fd_step_validation():
         fd_derivatives(WavefrontModel.SWM, FIG3, TGT, LAMBDA, h_r=-1e-4)
     with pytest.raises(ValueError):
         fd_derivatives(WavefrontModel.SWM, FIG3, TargetPolar(5e-5, 0.0), LAMBDA)
-    with pytest.raises(ValueError, match="steps must be positive"):
-        fd_rebased(WavefrontModel.SWM, FIG3, TGT, LAMBDA, h_r=0.0, h_theta=1e-4)
-    # a range step past the target is phase_increment's shifted-range error
+    # a range step past the target is _phase_increment's shifted-range error
     with pytest.raises(InvalidConfigurationError, match="must stay positive"):
         fd_rebased(WavefrontModel.SWM, FIG3, TargetPolar(5e-5, 0.0), LAMBDA,
                    h_r=1e-4, h_theta=1e-4)
@@ -211,7 +199,7 @@ def test_rebased_differences_match_direct_frame():
         k2 = 0.0 if model is WavefrontModel.PWM else 2.0 * math.pi / lam
 
         def g_ref(rr):
-            return steering(model, lay, TargetPolar(rr, tgt.theta), lam).values * np.exp(1j * k2 * rr)
+            return steering(model, lay, TargetPolar(rr, tgt.theta), lam) * np.exp(1j * k2 * rr)
 
         direct = fd_derivatives(model, lay, tgt, lam, h_r=h, h_theta=h)
         direct_r = (g_ref(tgt.r + h) - g_ref(tgt.r - h)) / ((tgt.r + h) - (tgt.r - h))
@@ -220,15 +208,14 @@ def test_rebased_differences_match_direct_frame():
         # 251 rad, whose rounding (ulp 2.8e-14) over 2 h leaves ~1.4e-10 where
         # the rebased frame is exactly 0 (the center subarray of hspm-*)
         np.testing.assert_allclose(
-            np.abs(rebased.d_r), np.abs(direct_r), rtol=1e-8, atol=1e-9
+            np.abs(rebased[0]), np.abs(direct_r), rtol=1e-8, atol=1e-9
         )
         np.testing.assert_allclose(
-            np.abs(rebased.d_theta), np.abs(direct.d_theta), rtol=1e-8, atol=1e-10
+            np.abs(rebased[1]), np.abs(direct[1]), rtol=1e-8, atol=1e-10
         )
         g = steering(model, lay, tgt, lam)
-        ones = SteeringVector(values=np.ones_like(rebased.d_r))
-        pair_direct = crb_from_steering(g, direct, SNR, model=model)
-        pair_rebased = crb_from_steering(ones, rebased, SNR, model=model)
+        pair_direct = bounds_from(g, *direct, SNR, model=model)
+        pair_rebased = bounds_from(np.ones_like(g), *rebased, SNR, model=model)
         assert relative_error(pair_direct.crb_r, pair_rebased.crb_r) <= 1e-5
         assert relative_error(pair_direct.crb_theta, pair_rebased.crb_theta) <= 1e-5
 
@@ -265,20 +252,19 @@ def separate_passes(model, layout, target, snr, lam):
     """The report cross_validate gives, from separate single-case passes."""
     cos_t = math.cos(target.theta)
     g = steering(model, layout, target, lam)
-    _, rate_r, rate_t = _phase_terms(model, _antennas([(layout, target, lam)]))
-    dg = SteeringDerivatives(d_r=-1j * rate_r * g.values, d_theta=-1j * rate_t * g.values)
-    analytic = crb_from_steering(g, dg, snr, model=model, cos_theta=cos_t)
-    h_r, h_t = _fd_steps(np.abs(dg.d_r).max(), np.abs(dg.d_theta).max(), target.r)
+    ants = _antennas([(layout, target, lam)])
+    _, rate_r, rate_t = _phase_terms(model, ants)
+    d_r, d_t = -1j * rate_r * g, -1j * rate_t * g
+    analytic = bounds_from(g, d_r, d_t, snr, model=model, cos_theta=cos_t)
+    h_r, h_t = _fd_steps(np.abs(d_r).max(), np.abs(d_t).max(), target.r)
 
     def shifted(dr, dtheta):
-        return np.exp(-1j * phase_increment(model, layout, target, lam, dr, dtheta))
+        return np.exp(-1j * _phase_increment(model, ants, np.array([dr]), np.array([dtheta])))
 
-    dg_fd = SteeringDerivatives(
-        d_r=(shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (2.0 * h_r),
-        d_theta=(shifted(0.0, h_t) - shifted(0.0, -h_t)) / (2.0 * h_t),
-    )
-    ones = SteeringVector(values=np.ones_like(dg_fd.d_r))
-    fd = crb_from_steering(ones, dg_fd, snr, model=model, cos_theta=cos_t)
+    fd = bounds_from(np.ones_like(g),
+                     (shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (2.0 * h_r),
+                     (shifted(0.0, h_t) - shifted(0.0, -h_t)) / (2.0 * h_t),
+                     snr, model=model, cos_theta=cos_t)
     closed = crb_bounds(model, layout, target, lam, snr)
 
     def error(other):
@@ -558,9 +544,9 @@ def test_finite_differences_outlive_the_next_kernel_call():
     # their scratch lives in the thread's crb workspace, which every kernel
     # call overwrites
     dg = fd_rebased(WavefrontModel.SWM, FIG3, TGT, LAMBDA, 1e-4, 1e-4)
-    kept = dg.d_r.copy(), dg.d_theta.copy()
+    kept = [values.copy() for values in dg]
     crb_bounds(WavefrontModel.SWM, FIG3, TargetPolar(40.0, 0.2), LAMBDA, SensingSnr(1.0))
-    for values, copy in zip((dg.d_r, dg.d_theta), kept):
+    for values, copy in zip(dg, kept):
         assert not np.shares_memory(values, crb_module._WORKSPACE.buffer)
         assert np.array_equal(values, copy)
 

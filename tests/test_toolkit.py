@@ -1,6 +1,8 @@
 """Config files, presets, sweep engines, CSV/JSON emission, and the CLI."""
 
+import ast
 import dataclasses
+import glob
 import hashlib
 import importlib
 import json
@@ -434,11 +436,8 @@ _BENCH_NAMES = (
     ("modcrb.geometry", "TargetPolar"),
     ("modcrb.geometry", "build_layout"),
     ("modcrb.oracle", "build_layout"),
-    ("modcrb.oracle", "crb_from_steering"),
     ("modcrb.oracle", "cross_validate"),
-    ("modcrb.oracle", "fd_rebased"),
     ("modcrb.oracle", "sample_case"),
-    ("modcrb.oracle", "steering"),
     ("modcrb.oracle", "verify_batch"),
     ("modcrb.sweeps", "_sweep_spacings"),
     ("modcrb.sweeps", "build_layout"),
@@ -474,6 +473,58 @@ def test_readme_python_api_runs_and_names_public_symbols(capsys):
     assert len(names) >= 10
     public = set(importlib.import_module("modcrb").__all__)
     assert [name for name in names if name not in public] == []
+
+
+def _identifiers(path):
+    """Names a Python file reads: bare names, attributes and imported names."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return tree, names
+
+
+def _top_level_names(tree):
+    """Functions, classes and assigned names at a module's top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_every_public_name_has_a_consumer():
+    # each name of modcrb.__all__ is read by another library module, read
+    # by the benchmark, or documented in the README's Python API section
+    modules = []
+    for path in glob.glob(os.path.join(REPO_ROOT, "src", "modcrb", "*.py")):
+        if os.path.basename(path) != "__init__.py":
+            tree, names = _identifiers(path)
+            modules.append((_top_level_names(tree), names))
+    bench = set()
+    for path in glob.glob(os.path.join(REPO_ROOT, "bench", "*.py")):
+        bench |= _identifiers(path)[1]
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("## Python API", 1)[1].split("\n## ", 1)[0]
+    before, code = section.split("```python\n", 1)
+    code, after = code.split("```", 1)
+    readme = set(re.findall(r"`([^`]+)`", before + after)) | {
+        node.name for node in ast.walk(ast.parse(code)) if isinstance(node, ast.alias)
+    }
+    public = importlib.import_module("modcrb").__all__
+    internal = {name for name in public
+                if any(name in used and name not in defined for defined, used in modules)}
+    assert [name for name in public if name not in internal | bench | readme] == []
 
 
 def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
@@ -972,6 +1023,17 @@ def test_cli_regions_report(capsys):
     assert "761.76" in out
     assert "hspm-valid" not in out  # r = 30 sits below the subarray bound
     assert "subarray-near-field" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--r", "nan"), ("--r", "-5"), ("--r", "inf"), ("--theta-deg", "nan"),
+])
+def test_cli_regions_rejects_an_invalid_target(flag, value, capsys):
+    # classify() alone would call NaN hspm-valid: it compares false against both bounds
+    assert main(["regions", "--preset", "fig3", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: target ")
 
 
 def test_cli_writes_output_files(tmp_path, capsys):

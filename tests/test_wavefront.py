@@ -15,15 +15,22 @@ from modcrb import (
     build_layout,
     crb_bounds,
     field_regions,
-    phase_increment,
     steering,
     steering_derivatives,
 )
+from modcrb.wavefront import _antennas, _phase_increment
 
 PITCH = 0.0025
 LAMBDA = 0.005
 FIG3 = build_layout(3, 125, (90, 0, 90), PITCH)
 TGT = TargetPolar(30.0, math.pi / 3)
+
+
+def increment(model, layout, target, wavelength, dr=0.0, dtheta=0.0):
+    """_phase_increment of one case; stacked shifts go along leading axes."""
+    hr, ht = np.broadcast_arrays(np.asarray(dr), np.asarray(dtheta))
+    ants = _antennas([(layout, target, wavelength)])
+    return _phase_increment(model, ants, hr[..., None], ht[..., None])
 
 
 def test_model_parse_and_order():
@@ -42,7 +49,7 @@ def test_unit_modulus_everywhere():
         lay = build_layout(k, m, int(rng.integers(1, 50)), PITCH)
         tgt = TargetPolar(float(rng.uniform(0.5, 100.0)), float(rng.uniform(-1.4, 1.4)))
         for model in MODEL_ORDER:
-            g = steering(model, lay, tgt, LAMBDA).values
+            g = steering(model, lay, tgt, LAMBDA)
             assert len(g) == lay.num_elements
             np.testing.assert_allclose(np.abs(g), 1.0, rtol=0, atol=1e-12)
 
@@ -52,10 +59,10 @@ def test_single_antenna_entries():
     tgt = TargetPolar(12.0, 0.4)
     bulk = np.exp(-2j * math.pi * 12.0 / LAMBDA)
     for model in (WavefrontModel.SWM, WavefrontModel.HSPM_DIST, WavefrontModel.HSPM_SHARED):
-        g = steering(model, lay, tgt, LAMBDA).values
+        g = steering(model, lay, tgt, LAMBDA)
         assert abs(g[0] - bulk) < 1e-12
     # the planar model is referenced to the origin, so its only entry is 1
-    g = steering(WavefrontModel.PWM, lay, tgt, LAMBDA).values
+    g = steering(WavefrontModel.PWM, lay, tgt, LAMBDA)
     assert g[0] == 1.0 + 0.0j
 
 
@@ -66,7 +73,7 @@ def test_entry_phases_match_module_definitions():
     tgt = TargetPolar(4.0, 0.7)
     half_m = (lay.subarray_size - 1) // 2
     for model in MODEL_ORDER:
-        g = steering(model, lay, tgt, LAMBDA).values.reshape(lay.num_subarrays, -1)
+        g = steering(model, lay, tgt, LAMBDA).reshape(lay.num_subarrays, -1)
         for ki, k in enumerate((-1, 0, 1)):
             for mi, m in enumerate(range(-half_m, half_m + 1)):
                 if model is WavefrontModel.SWM:
@@ -85,8 +92,8 @@ def test_entry_phases_match_module_definitions():
 
 
 def test_center_subarray_identical_across_hspm_variants():
-    g_dist = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA).values.reshape(3, -1)
-    g_shared = steering(WavefrontModel.HSPM_SHARED, FIG3, TGT, LAMBDA).values.reshape(3, -1)
+    g_dist = steering(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA).reshape(3, -1)
+    g_shared = steering(WavefrontModel.HSPM_SHARED, FIG3, TGT, LAMBDA).reshape(3, -1)
     np.testing.assert_allclose(g_dist[1], g_shared[1], rtol=0, atol=1e-12)
     # off-center subarrays must differ (distinct arrival sines)
     assert np.abs(g_dist[0] - g_shared[0]).max() > 1e-6
@@ -97,11 +104,11 @@ def test_single_subarray_collapses_hspm_variants():
     tgt = TargetPolar(30.0, math.pi / 3)
     g_dist = steering(WavefrontModel.HSPM_DIST, lay, tgt, LAMBDA)
     g_shared = steering(WavefrontModel.HSPM_SHARED, lay, tgt, LAMBDA)
-    np.testing.assert_allclose(g_dist.values, g_shared.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_dist, g_shared, rtol=0, atol=1e-12)
     d_dist = steering_derivatives(WavefrontModel.HSPM_DIST, lay, tgt, LAMBDA)
     d_shared = steering_derivatives(WavefrontModel.HSPM_SHARED, lay, tgt, LAMBDA)
-    np.testing.assert_allclose(d_dist.d_r, d_shared.d_r, rtol=1e-11, atol=1e-11)
-    np.testing.assert_allclose(d_dist.d_theta, d_shared.d_theta, rtol=1e-11, atol=1e-11)
+    for a, b in zip(d_dist, d_shared):
+        np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-11)
 
 
 def test_hspm_tracks_exact_ranges_within_fresnel_residual():
@@ -115,36 +122,36 @@ def test_hspm_tracks_exact_ranges_within_fresnel_residual():
     bound = 2.0 * math.pi * (lay.subarray_size * PITCH) ** 2 / (8.0 * LAMBDA * r)
     for theta in (0.0, math.pi / 6, math.pi / 3, -math.pi / 3):
         tgt = TargetPolar(r, theta)
-        g_hspm = steering(WavefrontModel.HSPM_DIST, lay, tgt, LAMBDA).values
-        g_swm = steering(WavefrontModel.SWM, lay, tgt, LAMBDA).values
+        g_hspm = steering(WavefrontModel.HSPM_DIST, lay, tgt, LAMBDA)
+        g_swm = steering(WavefrontModel.SWM, lay, tgt, LAMBDA)
         assert np.abs(np.angle(g_hspm * np.conj(g_swm))).max() < bound, theta
 
 
 def test_pwm_range_derivative_vanishes():
-    d = steering_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
-    assert np.all(d.d_r == 0)
+    d_r, _ = steering_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
+    assert np.all(d_r == 0)
     g1 = steering(WavefrontModel.PWM, FIG3, TargetPolar(5.0, TGT.theta), LAMBDA)
     g2 = steering(WavefrontModel.PWM, FIG3, TargetPolar(50.0, TGT.theta), LAMBDA)
-    assert np.array_equal(g1.values, g2.values)
+    assert np.array_equal(g1, g2)
 
 
 def test_pwm_angle_derivative_closed_form():
-    d = steering_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
-    g = steering(WavefrontModel.PWM, FIG3, TGT, LAMBDA).values
+    _, d_t = steering_derivatives(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
+    g = steering(WavefrontModel.PWM, FIG3, TGT, LAMBDA)
     k2 = 2.0 * math.pi / LAMBDA
     expected = 1j * k2 * FIG3.element_x * math.cos(TGT.theta) * g
-    np.testing.assert_allclose(d.d_theta, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(d_t, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_center_subarray_boresight_range_derivative():
     # at theta = 0 the center subarray has unit range rate and a frozen
     # arrival sine, so its d_r block is exactly -j (2 pi / lambda) g
     tgt = TargetPolar(30.0, 0.0)
-    g = steering(WavefrontModel.HSPM_DIST, FIG3, tgt, LAMBDA).values.reshape(3, -1)
-    d = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, tgt, LAMBDA)
+    g = steering(WavefrontModel.HSPM_DIST, FIG3, tgt, LAMBDA).reshape(3, -1)
+    d_r, _ = steering_derivatives(WavefrontModel.HSPM_DIST, FIG3, tgt, LAMBDA)
     k2 = 2.0 * math.pi / LAMBDA
     np.testing.assert_allclose(
-        d.d_r.reshape(3, -1)[1], -1j * k2 * g[1], rtol=1e-12, atol=1e-12
+        d_r.reshape(3, -1)[1], -1j * k2 * g[1], rtol=1e-12, atol=1e-12
     )
 
 
@@ -157,9 +164,8 @@ def test_derivatives_tangent_to_unit_sphere():
         lay = build_layout(k, m, int(rng.integers(1, 100)), PITCH)
         tgt = TargetPolar(float(rng.uniform(1.0, 200.0)), float(rng.uniform(-1.4, 1.4)))
         for model in MODEL_ORDER:
-            g = steering(model, lay, tgt, LAMBDA).values
-            d = steering_derivatives(model, lay, tgt, LAMBDA)
-            for du in (d.d_r, d.d_theta):
+            g = steering(model, lay, tgt, LAMBDA)
+            for du in steering_derivatives(model, lay, tgt, LAMBDA):
                 scale = np.linalg.norm(g) * np.linalg.norm(du)
                 if scale == 0.0:
                     continue
@@ -169,7 +175,7 @@ def test_derivatives_tangent_to_unit_sphere():
 def test_boresight_mirror_symmetry_is_exact():
     tgt = TargetPolar(30.0, 0.0)
     for model in MODEL_ORDER:
-        g = steering(model, FIG3, tgt, LAMBDA).values
+        g = steering(model, FIG3, tgt, LAMBDA)
         assert np.array_equal(g, g[::-1])
 
 
@@ -189,14 +195,14 @@ def test_finite_differences_confirm_analytic_derivatives():
         theta = float(rng.uniform(-1.4, 1.4))
         tgt = TargetPolar(r, theta)
         for model in MODEL_ORDER:
-            d = steering_derivatives(model, lay, tgt, lam)
-            gp = steering(model, lay, TargetPolar(r + h, theta), lam).values
-            gm = steering(model, lay, TargetPolar(r - h, theta), lam).values
+            d_r, d_t = steering_derivatives(model, lay, tgt, lam)
+            gp = steering(model, lay, TargetPolar(r + h, theta), lam)
+            gm = steering(model, lay, TargetPolar(r - h, theta), lam)
             fd_r = (gp - gm) / (2.0 * h)
-            gp = steering(model, lay, TargetPolar(r, theta + h), lam).values
-            gm = steering(model, lay, TargetPolar(r, theta - h), lam).values
+            gp = steering(model, lay, TargetPolar(r, theta + h), lam)
+            gm = steering(model, lay, TargetPolar(r, theta - h), lam)
             fd_t = (gp - gm) / (2.0 * h)
-            for analytic, fd in ((d.d_r, fd_r), (d.d_theta, fd_t)):
+            for analytic, fd in ((d_r, fd_r), (d_t, fd_t)):
                 scale = np.abs(analytic).max()
                 if scale == 0.0:
                     assert np.abs(fd).max() == 0.0
@@ -216,16 +222,16 @@ def test_phase_increment_matches_direct_difference_at_long_wavelength():
     for model in MODEL_ORDER:
         reference = 0.0 if model is WavefrontModel.PWM else k2
         for dr, dtheta in ((1e-3, 0.0), (0.0, 1e-3), (-5e-4, 2e-4)):
-            inc = phase_increment(model, lay, tgt, lam, dr=dr, dtheta=dtheta)
-            g0 = steering(model, lay, tgt, lam).values
-            g1 = steering(model, lay, TargetPolar(r + dr, theta + dtheta), lam).values
+            inc = increment(model, lay, tgt, lam, dr=dr, dtheta=dtheta)
+            g0 = steering(model, lay, tgt, lam)
+            g1 = steering(model, lay, TargetPolar(r + dr, theta + dtheta), lam)
             direct = np.angle(g0 * np.conj(g1))  # psi1 - psi0, wrapped
             np.testing.assert_allclose(inc + reference * dr, direct, rtol=1e-9, atol=1e-11)
 
 
 def test_phase_increment_zero_shift_is_zero():
     for model in MODEL_ORDER:
-        inc = phase_increment(model, FIG3, TGT, LAMBDA)
+        inc = increment(model, FIG3, TGT, LAMBDA)
         assert np.all(inc == 0.0)
 
 
@@ -238,10 +244,10 @@ def test_phase_increment_stacked_shifts_match_scalar_calls(dtype):
     for model in MODEL_ORDER:
         for theta in (0.0, 0.6, -1.2):
             tgt = TargetPolar(5.0, theta)
-            batch = phase_increment(model, lay, tgt, LAMBDA, dr, dtheta)
+            batch = increment(model, lay, tgt, LAMBDA, dr, dtheta)
             assert batch.shape == (4, lay.num_subarrays * lay.subarray_size)
             for i in range(4):
-                single = phase_increment(model, lay, tgt, LAMBDA, dr[i], dtheta[i])
+                single = increment(model, lay, tgt, LAMBDA, dr[i], dtheta[i])
                 assert single.dtype == np.float64 and single.shape == batch[i].shape
                 assert np.array_equal(batch[i], single), (model, theta, i)
 
@@ -251,9 +257,11 @@ def test_phase_increment_rejects_nonpositive_shifted_range_for_every_model():
     tgt = TargetPolar(1.0, 0.3)
     for model in MODEL_ORDER:
         with pytest.raises(InvalidConfigurationError, match="must stay positive"):
-            phase_increment(model, FIG3, tgt, LAMBDA, dr=-5.0)
+            increment(model, FIG3, tgt, LAMBDA, dr=-5.0)
         with pytest.raises(InvalidConfigurationError, match="must stay positive"):
-            phase_increment(model, FIG3, tgt, LAMBDA, dr=np.array([1e-4, -1.0]))
+            increment(model, FIG3, tgt, LAMBDA, dr=np.array([1e-4, -1.0]))
+        with pytest.raises(InvalidConfigurationError, match="must stay positive"):
+            increment(model, FIG3, tgt, LAMBDA, dr=np.array([[0.5], [-1.5]]))
 
 
 def test_phase_increment_center_subarray_ignores_range_shifts():
@@ -262,8 +270,8 @@ def test_phase_increment_center_subarray_ignores_range_shifts():
     m = FIG3.subarray_size
     for model in (WavefrontModel.HSPM_DIST, WavefrontModel.HSPM_SHARED):
         for theta in (0.0, 0.6, -1.2):
-            inc = phase_increment(model, FIG3, TargetPolar(30.0, theta), LAMBDA,
-                                  dr=np.array([1e-3, -1e-3]))
+            inc = increment(model, FIG3, TargetPolar(30.0, theta), LAMBDA,
+                            dr=np.array([1e-3, -1e-3]))
             assert np.all(inc[:, m:2 * m] == 0.0), (model, theta)
 
 
@@ -273,7 +281,7 @@ def test_every_wavelength_consumer_requires_a_finite_positive_value():
         calls = [
             lambda: field_regions(FIG3, wavelength),
             lambda: crb_bounds(WavefrontModel.SWM, FIG3, TGT, wavelength, snr),
-            lambda: phase_increment(WavefrontModel.SWM, FIG3, TGT, wavelength, dr=1e-3),
+            lambda: increment(WavefrontModel.SWM, FIG3, TGT, wavelength, dr=1e-3),
         ] + [lambda model=model: steering(model, FIG3, TGT, wavelength)
              for model in MODEL_ORDER]
         for call in calls:
