@@ -18,7 +18,7 @@ from modcrb import (
 )
 from modcrb import geometry
 from modcrb.geometry import (_angle_terms, _arrival_sine, _arrival_sine_shift, _grid_abscissas,
-                             _radial_shift)
+                             _radial_shift, _require_shifted_range)
 from modcrb.sweeps import _sweep_spacings
 
 PITCH = 0.0025
@@ -348,3 +348,16 @@ def test_radial_shift_is_exact_at_the_center_abscissa():
         assert np.all(d_sin[:2, 0] == 0.0)
         assert np.all(shift["d_excess"][:, 1] != 0.0)
 
+
+def test_radial_shift_rejects_nonpositive_shifted_range():
+    # _radial_shift leaves the check to its callers, which make it here,
+    # once for scalar and stacked shifts alike
+    lay = build_layout(3, 3, (2, 0, 2), PITCH)
+    with pytest.raises(InvalidConfigurationError, match="must stay positive"):
+        _require_shifted_range(1.0, -1.5)
+    with pytest.raises(InvalidConfigurationError, match="must stay positive"):
+        _require_shifted_range(1.0, np.array([[0.5], [-1.5]]))
+    _require_shifted_range(1.0, np.array([[0.5], [-0.5]]))
+    shift = _radial_shift(lay.subarray_x, 1.0, np.array([[0.5], [-0.5]]),
+                          _angle_terms(0.0, 0.0))
+    assert shift["d_excess"].shape == (2, lay.num_subarrays)
