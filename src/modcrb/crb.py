@@ -97,7 +97,7 @@ FLAG_ENDFIRE = "endfire"
 # Warm-op minor faults (getrusage, 2-vCPU x86_64 pinned to one CPU, glibc
 # 2.36, numpy 2.4): presets 0 (368 with a workspace per kernel call),
 # large-array 0.4, verify 29-34 (292-345 with fresh oracle temporaries). 2**14
-# would double a verify group's oracle peak, 183 bytes per antenna (1.5 MB).
+# would double a verify group's oracle peak, 247 bytes per antenna (2.0 MB).
 _BATCH_ELEMENTS = 1 << 13
 
 
@@ -136,8 +136,7 @@ class CrbPair:
             unidentifiable under the model.
         crb_theta: Angle bound, radians squared; +inf at endfire or when
             the angle information vanishes.
-        model: Wavefront model the pair belongs to, or None when the pair
-            was computed from raw steering data without a model label.
+        model: Wavefront model the pair belongs to.
         flags: Subset of {"degenerate", "endfire"}.
         diagnostics: Values the computation produced on the way: the
             information terms info_range, info_angle, info_cross and their
@@ -149,7 +148,7 @@ class CrbPair:
 
     crb_r: float
     crb_theta: float
-    model: WavefrontModel | None
+    model: WavefrontModel
     flags: tuple[str, ...] = ()
     diagnostics: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
@@ -225,9 +224,9 @@ class _Cases:
     row, as in a sweep chunk or a single point. _Cases(case) is a ragged
     group laid out as wavefront._antennas lays it out: case[i] is the case
     of entry i, and each case owns one contiguous run of entries, in case
-    order. Each case is summed over its own slice, so every sum has the
-    bits of the same sum over that case alone (np.add.reduceat adds in
-    another order).
+    order, from entry first[c] on. Each case is summed over its own slice,
+    so every sum has the bits of the same sum over that case alone
+    (np.add.reduceat adds in another order).
     """
 
     def __init__(self, case: np.ndarray | None = None):
@@ -235,6 +234,7 @@ class _Cases:
         if case is not None:
             self.counts = np.bincount(case)
             bounds = [0, *np.cumsum(self.counts).tolist()]
+            self.first = bounds[:-1]
             self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def sum(self, values: np.ndarray) -> np.ndarray:
@@ -251,7 +251,10 @@ class _Cases:
 
     def spread(self, per_case):
         """Values with one entry per case, repeated over each case's entries."""
-        return np.asarray(per_case)[..., None] if self.case is None else per_case[..., self.case]
+        if self.case is None:
+            return np.asarray(per_case)[..., None]
+        # The values of per_case[..., self.case], several times faster.
+        return np.repeat(per_case, self.counts, axis=-1)
 
 
 _ROWS = _Cases()
@@ -330,7 +333,7 @@ def _bound_pair(
     model: WavefrontModel | None,
     num: float,
     quad: _Quadratic,
-    cos_theta: float | np.ndarray | None,
+    cos_theta: float | np.ndarray,
 ) -> _Bounds:
     """Invert the information under the degeneracy and endfire policy.
 
@@ -343,19 +346,18 @@ def _bound_pair(
     not positive raises NumericDomainError.
 
     Args:
-        model: Label carried into the result.
+        model: Label carried into the result; None where no CrbPair is
+            made from it.
         num: Numerator shared by both bounds.
         quad: Information terms.
-        cos_theta: Cosine of the target angle, or None when it is unknown
-            and the endfire test is skipped.
+        cos_theta: Cosine of the target angle.
 
     Returns:
         The _Bounds; .pair() gives the CrbPair of a single point.
     """
     has_r = quad.info_r is not None
     has_t = quad.info_theta is not None
-    # Placeholders for an absent parameter or an unknown angle are never
-    # read, and cos = 1 is never endfire.
+    # Placeholders for an absent parameter are never read.
     columns = (
         num,
         quad.info_r if has_r else 0.0,
@@ -363,7 +365,7 @@ def _bound_pair(
         quad.info_cross,
         quad.scale_r,
         quad.scale_theta,
-        1.0 if cos_theta is None else cos_theta,
+        cos_theta,
     )
     terms = np.empty(np.broadcast(*columns).shape + (len(columns),))
     for i, column in enumerate(columns):
@@ -456,9 +458,15 @@ def _radial_sums(x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray
     from the case's mean; more(x, r, terms, slots) writes a chunk's extras.
     The angle products are made once per call where every point shares x,
     else per chunk: in swm's 3 free workspace blocks they left a warm
-    fig4-c2 layout sweep as fast (2.97 ms) and as fault-free (0.1).
+    fig4-c2 layout sweep as fast (2.97 ms) and as fault-free (0.1). A
+    ragged group takes the sine and cosine of each case's one angle once.
     """
-    angles = _angle_products(x, theta) if np.ndim(x) < 2 or len(x) == 1 else None
+    if cases.case is not None:
+        angles = _angle_products(x, theta[cases.first], cases.case)
+    elif np.ndim(x) < 2 or len(x) == 1:
+        angles = _angle_products(x, theta)
+    else:
+        angles = None
 
     def fill(work, xs, rs):
         terms = radial_terms(xs, rs, theta, work[:4], angles or _angle_products(xs, theta))
@@ -603,7 +611,8 @@ def _crb_group(model: WavefrontModel, ants: _Antennas, batch: _Batch) -> _Bounds
         x, case = ants.x, ants.case
     else:
         x, case = ants.sub_x, ants.sub_case
-    return _crb_batch(model, x, ants.r[case], ants.theta[case], batch, _Cases(case))
+    r, theta = np.take((ants.r, ants.theta), case, axis=-1)
+    return _crb_batch(model, x, r, theta, batch, _Cases(case))
 
 
 def crb_bounds(

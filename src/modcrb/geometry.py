@@ -35,8 +35,8 @@ __all__ = [
 
 # Most antennas K * M one layout may have. A closed-form evaluation holds
 # about 8 float64 values per antenna and point in its workspace and angle
-# products (a crb run at the cap peaks near 110 MB), the oracle about 210
-# bytes per antenna (a cross_validate of one swm case at the cap near 220 MB);
+# products (a crb run at the cap peaks near 110 MB), the oracle about 300
+# bytes per antenna (a cross_validate of one swm case at the cap near 320 MB);
 # both stay well within a 2 GB address space. The largest benchmark layout has 7007.
 _MAX_ELEMENTS = 1 << 20
 
@@ -281,7 +281,7 @@ def field_regions(layout: ModularLayout, wavelength: float) -> FieldRegions:
 
 
 def radial_terms(
-    x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray,
+    x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray | None,
     out: np.ndarray | None = None, angles: tuple[np.ndarray, ...] | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-point ranges and their derivatives.
@@ -314,10 +314,12 @@ def radial_terms(
         r: Target range, meters: a scalar, or an array broadcasting
             against x, e.g. (P, 1) for P ranges against x of shape (1, K).
         theta: Target angle, radians: a scalar, or an array broadcasting
-            against x, e.g. one angle per abscissa.
+            against x, e.g. one angle per abscissa; unread, and may be
+            None, when angles is given.
         out: (4, ...) array over the broadcast shape of x and r taking w,
             rng, dr_dr_m1 and dr_dt in that order; allocated when None.
-        angles: _angle_products(x, theta), made once for calls sharing them.
+        angles: _angle_products(x, theta), made once for calls sharing
+            them, or once per angle for abscissas sharing a few.
 
     Returns:
         Dict of arrays keyed by the names above, of the broadcast shape of
@@ -348,11 +350,21 @@ def radial_terms(
     return {"w": w, "xc": xc, "rng": rng, "dr_dr_m1": dr_dr_m1, "dr_dt": dr_dt}
 
 
-def _angle_products(x: np.ndarray, theta: float | np.ndarray) -> tuple[np.ndarray, ...]:
-    """x sin theta, x cos theta and -(x cos theta)^2: all radial_terms reads of x and theta."""
+def _angle_products(
+    x: np.ndarray, theta: float | np.ndarray, at: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """x sin theta, x cos theta and -(x cos theta)^2: all radial_terms reads of x and theta.
+
+    With at, theta holds a few angles and abscissa i reads theta[at[i]]: the
+    sine and cosine are evaluated once per angle and gathered, with the bits
+    of an evaluation per abscissa.
+    """
     x = np.asarray(x, dtype=float)
-    xc = x * np.cos(theta)
-    return x * np.sin(theta), xc, -(xc * xc)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    if at is not None:
+        sin_t, cos_t = sin_t[at], cos_t[at]
+    xc = x * cos_t
+    return x * sin_t, xc, -(xc * xc)
 
 
 def arrival_sine_terms(

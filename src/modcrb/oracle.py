@@ -27,11 +27,12 @@ antennas of a group's cases go side by side in flat arrays
 2 pi / lambda. Per model, the closed form under test makes one kernel pass
 over the whole group (crb._crb_group); the analytic leg takes the steering
 vectors and their derivatives of the whole group from one phase pass and
-one complex exponential; the finite-difference leg takes the +-h_r pair of
-every case, then the +-h_theta pair, each through one _phase_increment
-pass and one exponential; each leg makes one projection, in the thread's crb
-workspace, and one _bound_pair call inverts the information of every
-model, leg and case: a full group peaks near 185 bytes per antenna. The
+one unit phasor (wavefront._unit_phasor); the finite-difference leg takes
++-h_r and +-h_theta of every case through one _phase_increment pass and
+one unit phasor; each leg makes one projection, in the thread's crb
+workspace, the finite differences' without products with their all-ones
+g, and one _bound_pair call inverts the information of every model, leg
+and case: a full group peaks near 247 bytes per antenna. The
 arithmetic is elementwise and each sum runs over one case's contiguous
 columns (through crb._Cases, as the closed forms' sums do), so every
 report keeps the bits it has when its case is checked alone.
@@ -57,6 +58,7 @@ from .wavefront import (
     _antennas,
     _Antennas,
     _phase_increment,
+    _unit_phasor,
     _wavefront,
 )
 
@@ -76,25 +78,29 @@ def oracle_dtype():
     return np.float64
 
 
-def _projected(g: np.ndarray, d_r: np.ndarray, d_t: np.ndarray, cases: _Cases) -> np.ndarray:
+def _projected(g: np.ndarray | None, d: np.ndarray, cases: _Cases) -> np.ndarray:
     """Per case A_rr, A_thetatheta, A_rtheta via explicit residuals, and the scales.
 
-    g, d_r and d_t hold the steering vectors and derivatives of C cases side
-    by side, as the ragged cases lay them out. Returns a (5, C) array: the
-    three projected terms and |dg_r|^2, |dg_theta|^2 of each case.
+    g and d hold the steering vectors and their (r, theta) derivatives, d as
+    a (2, N) complex array, of C cases side by side, as the ragged cases lay
+    them out. g None is the finite differences' all-ones frame: there |g|^2
+    is the antenna count and conj(g) d is d, so both products are skipped,
+    with the bits they give. Returns a (5, C) array: the three projected
+    terms and |dg_r|^2, |dg_theta|^2 of each case.
     """
     # All in the thread's crb workspace: a complex scratch row, the products
     # with g, which the residuals overwrite, and the terms, each in dead rows.
-    work = _blocks(8, (len(g),))
+    work = _blocks(8, (d.shape[1],))
     rows = work[:6].reshape(3, -1).view(complex)
-    tmp, e_r, e_t = rows
-    np.conjugate(g, out=tmp)
-    n2_g = cases.sum(np.multiply(tmp, g, out=e_r).real)
-    np.multiply(tmp, d_r, out=e_r)
-    np.multiply(tmp, d_t, out=e_t)
-    coef = cases.sum(rows[1:]) / n2_g
-    np.subtract(d_r, np.multiply(cases.spread(coef[0]), g, out=tmp), out=e_r)
-    np.subtract(d_t, np.multiply(cases.spread(coef[1]), g, out=tmp), out=e_t)
+    tmp, e = rows[0], rows[1:]
+    if g is None:
+        np.subtract(d, cases.spread(cases.sum(d) / cases.counts), out=e)
+    else:
+        np.conjugate(g, out=tmp)
+        n2_g = cases.sum(np.multiply(tmp, g, out=e[0]).real)
+        coef = cases.sum(np.multiply(tmp, d, out=e)) / n2_g
+        np.subtract(d, np.multiply(cases.spread(coef), g, out=e), out=e)
+    (e_r, e_t), (d_r, d_t) = e, d
     for row, a, b in ((6, e_r, e_r), (7, e_t, e_t), (3, e_r, e_t), (4, d_r, d_r), (5, d_t, d_t)):
         np.multiply(np.conjugate(a, out=tmp), b, out=tmp)
         work[row] = tmp.real
@@ -116,28 +122,26 @@ def _fd_rebased(
     The differences stay second order in h but no longer sit on top of
     absolute phases of order 2 pi r / lambda, whose rounding otherwise
     dominates once the Fisher residuals get small. Pair the result with an
-    all-ones steering vector.
+    all-ones steering vector (_projected's g None).
 
-    h_r and h_theta hold the steps of each case of ants. The stencil goes
-    in two halves, the pair +-h_r of every case and then the pair
-    +-h_theta, each through one phase pass and one complex exponential over
-    a (2, N) array, both in 4 rows of the thread's crb workspace. Each
-    column has the bits it gets when its case and shift are evaluated
+    h_r and h_theta hold the steps of each case of ants. The whole stencil,
+    +-h_r and +-h_theta of every case stacked as (4, C) shifts, goes
+    through one phase pass, so the base point's geometry is evaluated once,
+    and one unit phasor over (4, N); both use the 8 rows of the thread's
+    crb workspace, first as _radial_shift's scratch, then for the phasors.
+    Each column has the bits it gets when its case and shift are evaluated
     alone, so the result equals differences of separate evaluations
     exactly. The range and angle derivatives go to the rows of out, (2, N)
     complex. The steps must be positive; _phase_increment checks every
     r - h_r.
     """
     n, zero = len(ants.case), np.zeros_like(h_r)
-    for d, dr, dtheta, h in ((out[0], (h_r, -h_r), (zero, zero), h_r),
-                             (out[1], (zero, zero), (h_theta, -h_theta), h_theta)):
-        work = _blocks(4, (n,))
-        g = work.reshape(2, -1).view(complex)
-        np.multiply(-1j, _phase_increment(model, ants, np.array(dr), np.array(dtheta),
-                                          work.reshape(2, 2, n)), out=g)
-        np.exp(g, out=g)
-        np.divide(np.subtract(g[0], g[1], out=d), (2.0 * h)[ants.case], out=d)
-    return out
+    work = _blocks(8, (n,))
+    inc = _phase_increment(model, ants, np.array((h_r, -h_r, zero, zero)),
+                           np.array((zero, zero, h_theta, -h_theta)), work.reshape(2, 4, n))
+    g = _unit_phasor(inc, work.reshape(4, -1).view(complex))
+    np.subtract(g[0::2], g[1::2], out=out)
+    return np.divide(out, np.take((2.0 * h_r, 2.0 * h_theta), ants.case, axis=-1), out=out)
 
 
 def relative_error(a: float, b: float) -> float:
@@ -269,7 +273,8 @@ def _validate(
     closed = [_crb_group(model, ants, batch).points for model in models]
     starts = ants.starts
     group = _Cases(ants.case)
-    # g, dg/dr and dg/dtheta of every leg of every model, in turn.
+    # g, dg/dr and dg/dtheta of every model in turn; the finite differences
+    # overwrite the analytic derivatives, and their g is all ones (None).
     steer = np.empty((3, len(ants.case)), dtype=complex)
     sums, used = [], []
     for model in models:
@@ -278,10 +283,9 @@ def _validate(
                     np.maximum.reduceat(np.abs(d_t), starts[:-1]).tolist(), ants.r.tolist())
         steps = [_fd_steps(*rate) for rate in rates]
         used.append(steps)
-        sums.append(_projected(g, d_r, d_t, group))
-        g.fill(1.0)  # the finite differences' frame
+        sums.append(_projected(g, steer[1:], group))
         _fd_rebased(model, ants, *np.array(steps).T, steer[1:])
-        sums.append(_projected(g, d_r, d_t, group))
+        sums.append(_projected(None, steer[1:], group))
 
     # Points ordered (model, leg, case).
     n = len(cases)
@@ -292,6 +296,7 @@ def _validate(
 
     reports = []
     for c, (layout, target, _, _) in enumerate(cases):
+        digest = layout.digest
         for i, model in enumerate(models):
             crb_r, crb_t, _, _ = closed[i][c]
             an_r, an_t, _, _ = rows[2 * i * n + c]
@@ -299,7 +304,7 @@ def _validate(
             step_r, step_t = used[i][c]
             reports.append(ValidationReport(
                 model=model.value,
-                point={"layout": layout.digest, "r": target.r, "theta": target.theta},
+                point={"layout": digest, "r": target.r, "theta": target.theta},
                 closed_form={"crb_r_m2": crb_r, "crb_theta_rad2": crb_t},
                 generic_analytic={"crb_r_m2": an_r, "crb_theta_rad2": an_t},
                 generic_fd={"crb_r_m2": fd_r, "crb_theta_rad2": fd_t},
@@ -325,7 +330,7 @@ def sample_case(rng: np.random.Generator):
     """
     wavelength = 0.005
     pitch = wavelength / 2.0
-    k = int(rng.choice([1, 3, 5, 7]))
+    k = (1, 3, 5, 7)[rng.integers(4)]
     m = int(rng.integers(1, 63)) * 2 + 1
     if k == 1:
         gaps: tuple[int, ...] = (0,)

@@ -32,6 +32,7 @@ from .errors import InvalidConfigurationError
 from .geometry import (
     ModularLayout,
     TargetPolar,
+    _angle_products,
     _angle_terms,
     _arrival_sine,
     _radial_shift,
@@ -169,12 +170,13 @@ def _phase_terms(
 
     if model is WavefrontModel.SWM:
         c = ants.case
-        terms = radial_terms(ants.x, ants.r[c], ants.theta[c])
+        angles = _angle_products(ants.x, ants.theta, c)
+        terms = radial_terms(ants.x, _take(ants.r, c), None, angles=angles)
         return k2 * terms["rng"], k2 * terms["dr_dr_m1"], k2 * terms["dr_dt"]
 
     if model is WavefrontModel.PWM:
-        c, x = ants.case, ants.x
-        sin_t, cos_t = np.sin(ants.theta)[c], np.cos(ants.theta)[c]
+        x = ants.x
+        sin_t, cos_t = _take((np.sin(ants.theta), np.cos(ants.theta)), ants.case)
         return -k2 * x * sin_t, np.zeros_like(x), -k2 * x * cos_t
 
     sc, x = ants.sub_case, ants.sub_x
@@ -188,10 +190,14 @@ def _phase_terms(
         sin_sub, dsin_dt = np.sin(ants.theta)[sc], np.cos(ants.theta)[sc]
         dsin_dr = np.zeros_like(x)
 
-    sub, off = ants.subarray, ants.offset
-    psi = k2 * (terms["rng"][sub] - off * sin_sub[sub])
-    dpsi_r = k2 * (terms["dr_dr_m1"][sub] - off * dsin_dr[sub])
-    dpsi_t = k2 * (terms["dr_dt"][sub] - off * dsin_dt[sub])
+    # Every subarray term gathered to its antennas in one pass.
+    rng, a, t, sin_a, ds_r, ds_t = _take(
+        (terms["rng"], terms["dr_dr_m1"], terms["dr_dt"], sin_sub, dsin_dr, dsin_dt),
+        ants.subarray)
+    off = ants.offset
+    psi = k2 * (rng - off * sin_a)
+    dpsi_r = k2 * (a - off * ds_r)
+    dpsi_t = k2 * (t - off * ds_t)
     return psi, dpsi_r, dpsi_t
 
 
@@ -213,7 +219,7 @@ def steering(
         Complex array of length K*M, subarray-major, unit modulus per entry.
     """
     psi, _, _ = _phase_terms(model, _one(layout, target, wavelength))
-    return np.exp(-1j * psi)
+    return _unit_phasor(psi, np.empty(len(psi), dtype=complex))
 
 
 def steering_derivatives(
@@ -256,10 +262,23 @@ def _wavefront(
     2 pi / lambda.
     """
     g, d_r, d_t = np.empty((3, len(ants.case)), dtype=complex) if out is None else out
-    for phase, row in zip(_phase_terms(model, ants), (g, d_r, d_t)):
-        np.multiply(-1j, phase, out=row)
-    np.exp(g, out=g)
-    return g, np.multiply(d_r, g, out=d_r), np.multiply(d_t, g, out=d_t)
+    psi, rate_r, rate_t = _phase_terms(model, ants)
+    _unit_phasor(psi, g)
+    for rate, row in ((rate_r, d_r), (rate_t, d_t)):
+        np.multiply(np.multiply(-1j, rate, out=row), g, out=row)
+    return g, d_r, d_t
+
+
+def _unit_phasor(psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-1j psi) of real phases psi, into the complex array out.
+
+    Writes cos psi and -sin psi as the real and imaginary parts: the parts
+    np.exp(-1j * psi) has, since the real part of -1j psi is a signed zero,
+    without forming -1j psi or the exponential's complex arithmetic.
+    """
+    np.cos(psi, out=out.real)
+    np.negative(np.sin(psi, out=out.imag), out=out.imag)
+    return out
 
 
 def _phase_increment(
@@ -316,6 +335,6 @@ def _phase_increment(
     return np.multiply(k2, inc, out=inc)
 
 
-def _take(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """values gathered along the last axis."""
+def _take(values, index: np.ndarray) -> np.ndarray:
+    """values, an array or a sequence of equal-length arrays, gathered along the last axis."""
     return np.take(values, index, axis=-1)

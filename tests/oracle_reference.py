@@ -57,8 +57,8 @@ def bounds_from(
     d_r: np.ndarray,
     d_t: np.ndarray,
     snr: SensingSnr,
-    model: WavefrontModel | None = None,
-    cos_theta: float | None = None,
+    model: WavefrontModel,
+    cos_theta: float,
 ) -> CrbPair:
     """Bounds of one steering vector g and its derivatives d_r, d_t.
 
@@ -66,7 +66,7 @@ def bounds_from(
     oracle._fd_rebased and wavefront._wavefront give it): the raw one's
     2 pi / lambda part leaves the bounds alone but inflates the degeneracy
     scale |dg_r|^2 until well-conditioned range information reads as
-    degenerate. Without cos_theta no result is treated as endfire.
+    degenerate.
     """
-    sums = _projected(g, d_r, d_t, _Cases(np.zeros(len(g), dtype=np.int64)))
+    sums = _projected(g, np.array((d_r, d_t)), _Cases(np.zeros(len(g), dtype=np.int64)))
     return _bound_pair(model, 0.5 / snr.gamma, _Quadratic(*sums[:, 0]), cos_theta).pair()

@@ -147,7 +147,7 @@ _POLICY_TABLE = {
     "both-degenerate": ((0.0, 0.0, 0.0, 1.0), (math.inf, math.inf, (FLAG_DEGENERATE,))),
     "singular-determinant": ((4.0, 9.0, 6.0, 1.0), (math.inf, math.inf, (FLAG_DEGENERATE,))),
     "range-absent": ((None, 9.0, 0.0, 1.0), (math.inf, 2.0 / 9.0, ())),
-    "angle-absent": ((4.0, None, 0.0, None), (0.5, math.inf, ())),
+    "angle-absent": ((4.0, None, 0.0, 1.0), (0.5, math.inf, ())),
     # on the array axis every d r_k / d r is 1, so a model with range has no
     # range information there: endfire makes range degenerate whatever the
     # rounding left in info_r
@@ -167,19 +167,19 @@ def test_bound_pair_policy_table(case):
 
 
 def test_bound_pair_mixed_batch_matches_batches_of_one():
-    # one batch per combination of absent parameters and known angle, each
-    # mixing live, degenerate, singular and endfire points
+    # one batch per combination of absent parameters, each mixing live,
+    # degenerate, singular and endfire points
     groups = {}
     for case, ((info_r, info_t, info_c, cos_t), _) in sorted(_POLICY_TABLE.items()):
-        key = (info_r is None, info_t is None, cos_t is None)
+        key = (info_r is None, info_t is None)
         groups.setdefault(key, []).append((info_r, info_t, info_c, cos_t))
-    assert len(groups[False, False, False]) == 7
-    for (no_r, no_t, no_cos), points in groups.items():
+    assert len(groups[False, False]) == 7
+    for (no_r, no_t), points in groups.items():
         info_r, info_t, info_c, cos_t = (np.array(column) for column in zip(*points))
         num = np.linspace(1.0, 3.0, len(points))
         quad = _Quadratic(None if no_r else info_r, None if no_t else info_t, info_c,
                           10.0, 10.0)
-        batch = _bound_pair(WavefrontModel.SWM, num, quad, None if no_cos else cos_t)
+        batch = _bound_pair(WavefrontModel.SWM, num, quad, cos_t)
         assert len(batch.points) == len(points)
         for i, (d_r, d_t, d_c, cos_i) in enumerate(points):
             one = _bound_pair(WavefrontModel.SWM, float(num[i]),

@@ -30,7 +30,7 @@ from modcrb import crb as crb_module
 from modcrb.cli import main
 from modcrb import oracle, preset, run_range_sweep
 from modcrb.oracle import ValidationReport, _fd_rebased, _fd_steps, _groups, _validate
-from modcrb.wavefront import _antennas, _phase_increment, _phase_terms, _wavefront
+from modcrb.wavefront import _antennas, _phase_increment, _phase_terms, _unit_phasor, _wavefront
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -214,8 +214,9 @@ def test_rebased_differences_match_direct_frame():
             np.abs(rebased[1]), np.abs(direct[1]), rtol=1e-8, atol=1e-10
         )
         g = steering(model, lay, tgt, lam)
-        pair_direct = bounds_from(g, *direct, SNR, model=model)
-        pair_rebased = bounds_from(np.ones_like(g), *rebased, SNR, model=model)
+        cos_t = math.cos(tgt.theta)
+        pair_direct = bounds_from(g, *direct, SNR, model=model, cos_theta=cos_t)
+        pair_rebased = bounds_from(np.ones_like(g), *rebased, SNR, model=model, cos_theta=cos_t)
         assert relative_error(pair_direct.crb_r, pair_rebased.crb_r) <= 1e-5
         assert relative_error(pair_direct.crb_theta, pair_rebased.crb_theta) <= 1e-5
 
@@ -520,10 +521,10 @@ def test_full_verify_groups_match_their_digest(monkeypatch):
 
 
 def test_a_full_group_holds_at_most_300_bytes_per_antenna(traced_peak):
-    # it peaks near 185: the finite-difference stencil goes in halves, the
-    # shift geometry in place, the legs into one block of rows and their
-    # scratch into the crb workspace (567 with the four shifts in one (4, N)
-    # block)
+    # it peaks near 247 with the whole finite-difference stencil in one
+    # (4, N) pass: the shift geometry goes in place, the legs into one block
+    # of rows and their scratch into the crb workspace (567 with fresh
+    # temporaries for every stage, 183 with the stencil in two halves)
     rng = np.random.default_rng(5)
     group = next(_groups(sample_case(rng) for _ in range(120)))
     n = sum(layout.num_elements for layout, _, _, _ in group)
@@ -538,6 +539,66 @@ def test_full_verify_groups_take_few_page_faults(minor_faults):
     # reads about 750 alone and 0 after the rest of the suite, where fresh
     # temporaries for every leg read about 6800 and 2800.
     assert minor_faults(lambda: verify_batch(num_cases=120, seed=5), repeats=3) < 2000
+
+
+def test_verify_batch_makes_one_phase_increment_call_per_model_per_group(monkeypatch):
+    # the whole finite-difference stencil of a group, +-h_r and +-h_theta of
+    # every case, goes through one phase pass per model
+    calls = []
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return _phase_increment(model, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_phase_increment", counting)
+    rng = np.random.default_rng(5)
+    groups = list(_groups(sample_case(rng) for _ in range(120)))
+    assert len(groups) > 2
+    assert verify_batch(num_cases=120, seed=5).passed
+    assert calls == list(MODEL_ORDER) * len(groups)
+
+
+def _sampled_group():
+    """The antennas of 10 drawn cases, and (h_r, h_theta) steps of each case."""
+    rng = np.random.default_rng(3)
+    cases = [sample_case(rng) for _ in range(10)]
+    ants = _antennas([(layout, target, lam) for layout, target, _, lam in cases])
+    return ants, np.array([_fd_steps(1.0, 1.0, r) for r in ants.r]).T
+
+
+def test_unit_phasor_has_the_bits_of_the_complex_exponential():
+    # the verify digests rest on this identity of the platform's libm: a
+    # platform where it fails breaks this test rather than only a digest
+    fixed = [0.0, 1e-12, -1e-12, 1e-3, -1e-3, math.pi, -math.pi, 1e3, -1e3, 1e5, 1.4e7]
+    ants, (h_r, h_t) = _sampled_group()
+    zero = np.zeros_like(h_r)
+    stencil = np.array((h_r, -h_r, zero, zero)), np.array((zero, zero, h_t, -h_t))
+    phases = [np.array(fixed)]
+    for model in MODEL_ORDER:
+        phases.append(_phase_terms(model, ants)[0])
+        phases.append(_phase_increment(model, ants, *stencil))
+    for psi in phases:
+        expected = np.exp(-1j * psi)
+        got = _unit_phasor(psi, np.empty(psi.shape, dtype=complex))
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_unit_frame_projection_has_the_bits_of_an_all_ones_steering_vector():
+    # the finite differences' frame skips the products with g = 1; the pwm
+    # range leg is exactly zero and must stay flagged degenerate
+    ants, steps = _sampled_group()
+    group = crb_module._Cases(ants.case)
+    n = len(ants.case)
+    for model in MODEL_ORDER:
+        d = _fd_rebased(model, ants, *steps, np.empty((2, n), dtype=complex))
+        unit = oracle._projected(None, d, group)
+        ones = oracle._projected(np.ones(n, dtype=complex), d, group)
+        assert unit.tobytes() == ones.tobytes(), model
+        if model is WavefrontModel.PWM:
+            assert not np.any(d[0]) and not np.any(unit[[0, 2, 3]])
+            points = crb_module._bound_pair(None, 0.5, crb_module._Quadratic(*unit),
+                                            np.cos(ants.theta)).points
+            assert all(FLAG_DEGENERATE in flags for _, _, flags, _ in points)
 
 
 def test_finite_differences_outlive_the_next_kernel_call():
