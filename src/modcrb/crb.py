@@ -14,16 +14,16 @@ subarrays; for the exact spherical model they are sums over antennas. The
 planar model has no range information at all, and at boresight over a
 symmetric layout info_cross vanishes.
 
-Each wavefront model has one kernel that builds its information terms for
-a batch of points at once, in one of two shapes (see _Cases). Sweeps pass
+Each wavefront model has one kernel that builds its information terms for a
+batch of points at once, in one of two shapes (geometry._Cases). Sweeps pass
 rows: stacked abscissas against broadcast ranges, the sums taken over the
-last axis, one call per model for the whole grid; crb_bounds passes a
-batch of one. The oracle's verify passes a ragged group: the abscissas of
-cases of different K and M side by side, as wavefront._antennas lays them
-out, each case summed over its own contiguous slice, so a group costs one
-pass per model and every case keeps the bits it gets alone. A kernel sums
-its terms from its thread's workspace, one call per chunk (_stacked_sums),
-and computes only the geometry it reads: swm and hspm-shared read
+last axis, one call per model for the whole grid; crb_bounds passes a batch
+of one. The oracle's verify passes a ragged group: the abscissas of cases of
+different K and M side by side, counted per case as wavefront._antennas lays
+them out, each case summed over its own slice, so a group costs one pass per
+model and every case keeps the bits it gets alone. A kernel sums its terms
+from its thread's workspace, one call per chunk (_stacked_sums), and
+computes only the geometry it reads: swm and hspm-shared read
 d r_k / d r - 1 and d r_k / d theta from geometry.radial_terms, hspm-dist
 adds the arrival-sine derivatives of geometry.arrival_sine_terms, and pwm
 reads the abscissas alone. Every bound then goes through _bound_pair, which
@@ -64,6 +64,7 @@ from .geometry import (
     ModularLayout,
     TargetPolar,
     _angle_products,
+    _Cases,
     _require_wavelength,
     arrival_sine_terms,
     radial_terms,
@@ -215,46 +216,6 @@ class _Quadratic:
     info_cross: float
     scale_r: float
     scale_theta: float
-
-
-class _Cases:
-    """Where the per-case sums and means of a batch run, over its last axis.
-
-    _Cases() is rows: every point of the batch owns the last axis of its
-    row, as in a sweep chunk or a single point. _Cases(case) is a ragged
-    group laid out as wavefront._antennas lays it out: case[i] is the case
-    of entry i, and each case owns one contiguous run of entries, in case
-    order, from entry first[c] on. Each case is summed over its own slice,
-    so every sum has the bits of the same sum over that case alone
-    (np.add.reduceat adds in another order).
-    """
-
-    def __init__(self, case: np.ndarray | None = None):
-        self.case = case
-        if case is not None:
-            self.counts = np.bincount(case)
-            bounds = [0, *np.cumsum(self.counts).tolist()]
-            self.first = bounds[:-1]
-            self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-case sums over the last axis; the cases replace it."""
-        add = np.add.reduce  # what .sum calls, without its Python wrapper
-        if self.case is None:
-            return add(values, axis=-1)
-        return np.array([add(values[..., col], axis=-1) for col in self.cols]).T
-
-    def centered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Deviations from each case's mean (sum over count, as .mean), into out if given."""
-        counts = values.shape[-1] if self.case is None else self.counts
-        return np.subtract(values, self.spread(self.sum(values) / counts), out=out)
-
-    def spread(self, per_case):
-        """Values with one entry per case, repeated over each case's entries."""
-        if self.case is None:
-            return np.asarray(per_case)[..., None]
-        # The values of per_case[..., self.case], several times faster.
-        return np.repeat(per_case, self.counts, axis=-1)
 
 
 _ROWS = _Cases()
@@ -461,8 +422,8 @@ def _radial_sums(x: np.ndarray, r: float | np.ndarray, theta: float | np.ndarray
     fig4-c2 layout sweep as fast (2.97 ms) and as fault-free (0.1). A
     ragged group takes the sine and cosine of each case's one angle once.
     """
-    if cases.case is not None:
-        angles = _angle_products(x, theta[cases.first], cases.case)
+    if cases.counts is not None:
+        angles = _angle_products(x, theta[cases.first], cases)
     elif np.ndim(x) < 2 or len(x) == 1:
         angles = _angle_products(x, theta)
     else:
@@ -604,15 +565,15 @@ def _group(cases: Iterable[tuple[ModularLayout, float, float, SensingSnr]]) -> _
 def _crb_group(model: WavefrontModel, ants: _Antennas, batch: _Batch) -> _Bounds:
     """Bounds of one model at every case of a ragged group, in one kernel pass.
 
-    The model's abscissas are the group's antennas or its subarrays, each
-    carrying its case's range and angle; batch is the group's (_group).
+    The model's abscissas are the group's antennas or its subarrays, with
+    each case's range and angle spread to them; batch is the group's (_group).
     """
     if _KERNELS[model][0] == "element_x":
-        x, case = ants.x, ants.case
+        x, cases = ants.x, ants.cases
     else:
-        x, case = ants.sub_x, ants.sub_case
-    r, theta = np.take((ants.r, ants.theta), case, axis=-1)
-    return _crb_batch(model, x, r, theta, batch, _Cases(case))
+        x, cases = ants.sub_x, ants.sub_cases
+    r, theta = cases.spread((ants.r, ants.theta))
+    return _crb_batch(model, x, r, theta, batch, cases)
 
 
 def crb_bounds(
@@ -738,9 +699,17 @@ def crb_boresight_far(
     has F = 0 and gets +inf flagged "degenerate", as in crb_boresight. The
     relative deviation of either bound from crb_boresight falls as
     (aperture / r)^2; for the range bound on the fig3 layout it is
-    0.28 (aperture / r)^2.
+    0.28 (aperture / r)^2. A range r below the aperture A raises
+    InvalidConfigurationError, as theta != 0 and an asymmetric layout do:
+    nearer in, the expansion fails (on fig3 at r = 0.2 A the angle
+    information turns negative), while for r >= A, |x_k| <= A / 2 bounds
+    correction / r^2 by K (M^2-1) d^2 / 4 + 3 spread, so the angle
+    information stays positive for every layout of more than one antenna.
     """
     _require_boresight_symmetric(layout, target)
+    if target.r < layout.aperture:
+        raise InvalidConfigurationError(
+            f"far-field form requires r >= the aperture {layout.aperture} m, got {target.r}")
     k, m, _, cm, cos_t, scale = _rows(layout, target.theta, wavelength, snr)
     r = target.r
     x = layout.subarray_x

@@ -350,19 +350,57 @@ def radial_terms(
     return {"w": w, "xc": xc, "rng": rng, "dr_dr_m1": dr_dr_m1, "dr_dt": dr_dt}
 
 
+class _Cases:
+    """Where the per-case sums and means of a batch run, over its last axis.
+
+    _Cases() is rows: every point of the batch owns the last axis of its
+    row, as in a sweep chunk or a single point. _Cases(counts) is a ragged
+    group: case c owns the next counts[c] entries, in case order, from
+    entry first[c] on, as wavefront._antennas lays out the antennas and
+    subarrays of cases side by side. Each case is summed over its own
+    slice, so every sum has the bits of the same sum over that case alone
+    (np.add.reduceat adds in another order).
+    """
+
+    def __init__(self, counts: np.ndarray | None = None):
+        self.counts = counts
+        if counts is not None:
+            bounds = [0, *np.cumsum(counts).tolist()]
+            self.first = bounds[:-1]
+            self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-case sums over the last axis; the cases replace it."""
+        add = np.add.reduce  # what .sum calls, without its Python wrapper
+        if self.counts is None:
+            return add(values, axis=-1)
+        return np.array([add(values[..., col], axis=-1) for col in self.cols]).T
+
+    def centered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Deviations from each case's mean (sum over count, as .mean), into out if given."""
+        counts = values.shape[-1] if self.counts is None else self.counts
+        return np.subtract(values, self.spread(self.sum(values) / counts), out=out)
+
+    def spread(self, per_case):
+        """Values with one entry per case, copied to each of the case's entries."""
+        if self.counts is None:
+            return np.asarray(per_case)[..., None]
+        return np.repeat(per_case, self.counts, axis=-1)
+
+
 def _angle_products(
-    x: np.ndarray, theta: float | np.ndarray, at: np.ndarray | None = None
+    x: np.ndarray, theta: float | np.ndarray, cases: _Cases | None = None
 ) -> tuple[np.ndarray, ...]:
     """x sin theta, x cos theta and -(x cos theta)^2: all radial_terms reads of x and theta.
 
-    With at, theta holds a few angles and abscissa i reads theta[at[i]]: the
-    sine and cosine are evaluated once per angle and gathered, with the bits
+    With cases, a ragged _Cases over x, theta holds one angle per case: the
+    sine and cosine are evaluated once per case and spread, with the bits
     of an evaluation per abscissa.
     """
     x = np.asarray(x, dtype=float)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    if at is not None:
-        sin_t, cos_t = sin_t[at], cos_t[at]
+    if cases is not None:
+        sin_t, cos_t = cases.spread((sin_t, cos_t))
     xc = x * cos_t
     return x * sin_t, xc, -(xc * xc)
 
@@ -451,7 +489,7 @@ def _angle_terms(theta: float | np.ndarray, dtheta: float | np.ndarray) -> tuple
 
 def _radial_shift(
     x: np.ndarray, r: float | np.ndarray, dr: float | np.ndarray, angles: tuple[np.ndarray, ...],
-    at: np.ndarray | None = None, work: np.ndarray | None = None,
+    cases: _Cases | None = None, work: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Increment of rng - r under a small polar shift of the target.
 
@@ -470,14 +508,14 @@ def _radial_shift(
     independent check of the analytic derivatives.
 
     angles is _angle_terms(theta, dtheta). The angle terms depend on the
-    angles alone, so a caller whose abscissas share a few angles evaluates
-    them once per angle and passes them, with r and dr, as columns along
-    their last axis and in at the column of each abscissa; each is gathered
-    where it is read. Shifts stacked along leading axes broadcast against
-    x, and the arithmetic is elementwise, so each stacked shift gets the
-    bits of its scalar call. The shifted point's terms are made in place,
-    in the two rows of work or in new buffers, with the same bits either
-    way. The caller has checked that every r + dr is positive.
+    angles alone, so a caller whose abscissas are the cases of a ragged group
+    evaluates them once per case and passes them, with r and dr, as one column
+    per case along their last axis, and the group's _Cases as cases; each is
+    spread where it is read. Shifts stacked along leading axes broadcast
+    against x, and the arithmetic is elementwise, so each stacked shift gets
+    the bits of its scalar call. The shifted point's terms are made in place,
+    in the two rows of work or in new buffers, with the same bits either way.
+    The caller has checked that every r + dr is positive.
 
     Returns:
         Dict of arrays: d_excess and the shifted range rng1, of the
@@ -485,27 +523,27 @@ def _radial_shift(
         and its rng0 - w0 as gap0, of the broadcast shape of x and r.
         _arrival_sine_shift reads the last three.
     """
-    def take(values):
-        return values if at is None else np.take(values, at, axis=-1)
+    def spread(values):
+        return values if cases is None else cases.spread(values)
 
-    x, r, hr = np.asarray(x, dtype=float), take(r), np.asarray(dr, dtype=float)
+    x, r, hr = np.asarray(x, dtype=float), spread(r), np.asarray(dr, dtype=float)
     s0, c0, s1, c1, d_s = angles
-    w, xc = r - x * take(s0), x * take(c0)
+    w, xc = r - x * spread(s0), x * spread(c0)
     rng0 = np.hypot(w, xc)
     gap0 = _rng_minus_w(w, xc * xc, rng0)
-    r1 = r + take(hr)
-    cols = np.shape(s1) if at is None else np.shape(s1)[:-1] + np.shape(at)
+    r1 = r + spread(hr)
+    cols = np.shape(s1) if cases is None else np.shape(s1)[:-1] + x.shape
     shape = np.broadcast_shapes(np.shape(rng0), np.shape(r1), cols)
     w, xc = (np.empty(shape), np.empty(shape)) if work is None else work
-    np.subtract(r1, np.multiply(x, take(s1), out=w), out=w)
+    np.subtract(r1, np.multiply(x, spread(s1), out=w), out=w)
     r1 = r + r1  # r1 is read once more, in this sum
-    rng1 = np.hypot(w, np.multiply(x, take(c1), out=xc))
+    rng1 = np.hypot(w, np.multiply(x, spread(c1), out=xc))
     if np.any(rng0 == 0) or np.any(rng1 == 0):
         raise SingularGeometryError("target coincides with an antenna")
     # -(hr (gap0 + gap1) + x d_s (r + r1)) / (rng0 + rng1), in gap1, w and xc
     d_excess = _rng_minus_w(w, np.multiply(xc, xc, out=xc), rng1)
-    np.multiply(take(hr), np.add(gap0, d_excess, out=d_excess), out=d_excess)
-    tail = np.multiply(np.multiply(x, take(d_s), out=w), r1, out=w)
+    np.multiply(spread(hr), np.add(gap0, d_excess, out=d_excess), out=d_excess)
+    tail = np.multiply(np.multiply(x, spread(d_s), out=w), r1, out=w)
     np.negative(np.add(d_excess, tail, out=d_excess), out=d_excess)
     np.divide(d_excess, np.add(rng0, rng1, out=xc), out=d_excess)
     return {"d_excess": d_excess, "rng0": rng0, "rng1": rng1, "gap0": gap0}
@@ -514,24 +552,23 @@ def _radial_shift(
 def _arrival_sine_shift(
     x: np.ndarray,
     r: float | np.ndarray,
-    theta: float | np.ndarray,
     dr: float | np.ndarray,
-    dtheta: float | np.ndarray,
+    angles: tuple[np.ndarray, ...],
     shift: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Increment of the arrival sine sin_a under a small polar shift.
 
     Only the distinct-arrival-angle model reads it. sin_a1 - sin_a0 is
-    formed over rng0 rng1 from the terms of shift, _radial_shift's result
-    for the same x, r, dr and angles theta, dtheta; with
+    formed over rng0 rng1 from the terms of shift, _radial_shift(x, r, dr,
+    angles) for angles = _angle_terms(theta, dtheta), whose sin theta,
+    cos theta and sine increment it reads; with
     r - rng0 = x sin - gap0 the numerator's dr term is x cos^2 + sin gap0,
     so like d_excess every term is O(dr, dtheta) and x = 0 gets exact zeros.
-    The result has the broadcast shape of x, dr and dtheta.
+    The result has the broadcast shape of x, dr and the angles.
     """
     x = np.asarray(x, dtype=float)
     hr = np.asarray(dr, dtype=float)
-    s0, c0 = np.sin(theta), np.cos(theta)
-    d_s = _sine_increment(theta, dtheta)
+    s0, c0, _, _, d_s = angles
     rng0 = shift["rng0"]
     d_num = d_s * rng0 * (r + hr)
     d_num += hr * (x * c0 * c0 + s0 * shift["gap0"])

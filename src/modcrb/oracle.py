@@ -23,18 +23,19 @@ The oracle checks a group of cases at once. verify_batch draws its cases
 one group at a time, a group being a run of consecutive draws holding at
 most crb._BATCH_ELEMENTS antennas; cross_validate is a group of one. The
 antennas of a group's cases go side by side in flat arrays
-(wavefront._Antennas), each entry carrying its case's r, theta and
-2 pi / lambda. Per model, the closed form under test makes one kernel pass
-over the whole group (crb._crb_group); the analytic leg takes the steering
-vectors and their derivatives of the whole group from one phase pass and
-one unit phasor (wavefront._unit_phasor); the finite-difference leg takes
-+-h_r and +-h_theta of every case through one _phase_increment pass and
-one unit phasor; each leg makes one projection, in the thread's crb
-workspace, the finite differences' without products with their all-ones
-g, and one _bound_pair call inverts the information of every model, leg
-and case: a full group peaks near 247 bytes per antenna. The
+(wavefront._Antennas), described once by their counts per case and per
+subarray, through which each case's r, theta and 2 pi / lambda are spread
+to its entries. Per model, the closed form under test makes one kernel
+pass over the whole group (crb._crb_group); the analytic leg takes the
+steering vectors and their derivatives of the whole group from one phase
+pass and one unit phasor (wavefront._unit_phasor); the finite-difference
+leg takes +-h_r and +-h_theta of every case through one _phase_increment
+pass and one unit phasor; each leg makes one projection, in the thread's
+crb workspace, the finite differences' without products with their
+all-ones g, and one _bound_pair call inverts the information of every
+model, leg and case: a full group peaks near 247 bytes per antenna. The
 arithmetic is elementwise and each sum runs over one case's contiguous
-columns (through crb._Cases, as the closed forms' sums do), so every
+columns (through geometry._Cases, as the closed forms' sums do), so every
 report keeps the bits it has when its case is checked alone.
 """
 
@@ -48,10 +49,9 @@ from typing import Any
 
 import numpy as np
 
-from .crb import (_BATCH_ELEMENTS, SensingSnr, _blocks, _bound_pair, _Cases, _crb_group, _group,
-                  _Quadratic)
+from .crb import _BATCH_ELEMENTS, SensingSnr, _blocks, _bound_pair, _crb_group, _group, _Quadratic
 from .errors import InvalidConfigurationError
-from .geometry import ModularLayout, TargetPolar, build_layout, field_regions
+from .geometry import ModularLayout, TargetPolar, _Cases, build_layout, field_regions
 from .wavefront import (
     MODEL_ORDER,
     WavefrontModel,
@@ -135,13 +135,13 @@ def _fd_rebased(
     complex. The steps must be positive; _phase_increment checks every
     r - h_r.
     """
-    n, zero = len(ants.case), np.zeros_like(h_r)
+    n, zero = len(ants.x), np.zeros_like(h_r)
     work = _blocks(8, (n,))
     inc = _phase_increment(model, ants, np.array((h_r, -h_r, zero, zero)),
                            np.array((zero, zero, h_theta, -h_theta)), work.reshape(2, 4, n))
     g = _unit_phasor(inc, work.reshape(4, -1).view(complex))
     np.subtract(g[0::2], g[1::2], out=out)
-    return np.divide(out, np.take((2.0 * h_r, 2.0 * h_theta), ants.case, axis=-1), out=out)
+    return np.divide(out, ants.cases.spread((2.0 * h_r, 2.0 * h_theta)), out=out)
 
 
 def relative_error(a: float, b: float) -> float:
@@ -271,16 +271,15 @@ def _validate(
     batch = _group((layout, target.theta, wavelength, snr)
                    for layout, target, snr, wavelength in cases)
     closed = [_crb_group(model, ants, batch).points for model in models]
-    starts = ants.starts
-    group = _Cases(ants.case)
+    group = ants.cases
     # g, dg/dr and dg/dtheta of every model in turn; the finite differences
     # overwrite the analytic derivatives, and their g is all ones (None).
-    steer = np.empty((3, len(ants.case)), dtype=complex)
+    steer = np.empty((3, len(ants.x)), dtype=complex)
     sums, used = [], []
     for model in models:
         g, d_r, d_t = _wavefront(model, ants, steer)
-        rates = zip(np.maximum.reduceat(np.abs(d_r), starts[:-1]).tolist(),
-                    np.maximum.reduceat(np.abs(d_t), starts[:-1]).tolist(), ants.r.tolist())
+        rates = zip(np.maximum.reduceat(np.abs(d_r), group.first).tolist(),
+                    np.maximum.reduceat(np.abs(d_t), group.first).tolist(), ants.r.tolist())
         steps = [_fd_steps(*rate) for rate in rates]
         used.append(steps)
         sums.append(_projected(g, steer[1:], group))
@@ -432,11 +431,12 @@ def verify_batch(
         VerificationSummary; .passed is True when no case broke a threshold.
 
     Raises:
-        InvalidConfigurationError: Before the first draw, on num_cases < 1, a seed
-            that is not an integer >= 0, or a tolerance not finite and >= 0.
+        InvalidConfigurationError: Before the first draw, on num_cases that is
+            not an integer >= 1, a seed that is not an integer >= 0, or a
+            tolerance not finite and >= 0.
     """
-    if num_cases < 1:
-        raise InvalidConfigurationError(f"num_cases must be >= 1, got {num_cases}")
+    if not (isinstance(num_cases, (int, np.integer)) and num_cases >= 1):
+        raise InvalidConfigurationError(f"num_cases must be an integer >= 1, got {num_cases!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     for name, tol in (("tol_analytic", tol_analytic), ("tol_fd", tol_fd)):

@@ -64,9 +64,8 @@ CSV_HEADER = "sweep_var,sweep_value,model,crb_r_m2,crb_theta_rad2,flags"
 class SweepRecord(NamedTuple):
     """One (sweep value, model) evaluation result.
 
-    A NamedTuple: immutable and hashable, with _replace and _asdict for
-    what dataclasses.replace and dataclasses.asdict gave when it was a
-    frozen dataclass, and equal to a plain tuple of the same cells.
+    A NamedTuple: immutable and hashable, with _replace and _asdict, and
+    equal to a plain tuple of the same cells.
 
     Attributes:
         sweep_var: Name of the swept variable ("r_m" or "gamma").

@@ -35,6 +35,7 @@ from .geometry import (
     _angle_products,
     _angle_terms,
     _arrival_sine,
+    _Cases,
     _radial_shift,
     _require_shifted_range,
     _require_wavelength,
@@ -83,36 +84,35 @@ MODEL_ORDER = (
 class _Antennas(NamedTuple):
     """The antennas of one or more cases side by side, case-major.
 
-    Cases may differ in K and M, so the layout is ragged: case c owns
-    columns starts[c]:starts[c + 1] of every per-antenna array, in its own
-    subarray-major order. Each antenna and each subarray carries the index
-    of its case, whose target range and angle r[c], theta[c] it reads; k2
-    holds 2 pi / lambda per antenna. The geometry is elementwise, so one
-    pass over the group gives every entry the bits it gets in a group of
-    its case alone.
+    Cases may differ in K and M, so the layout is ragged. It is described
+    once, as counts: case c owns the next K_c M_c antennas, in its own
+    subarray-major order, and the next K_c subarrays, and each subarray
+    the next M_c antennas. A value per case or per subarray reaches its
+    entries through the .spread of these _Cases, and per-case sums run
+    through their .sum; k2 holds 2 pi / lambda per antenna. The geometry
+    is elementwise, so one pass over the group gives every entry the bits
+    it gets in a group of its case alone.
 
     Attributes:
-        starts: (C + 1,) column bounds of the cases.
+        cases: Antennas per case, C cases.
+        sub_cases: Subarrays per case.
+        subarrays: Antennas per subarray, S subarrays.
         r: (C,) target range of each case, meters.
         theta: (C,) target angle of each case, radians.
-        case: (N,) case of each antenna.
         x: (N,) abscissa of each antenna, meters.
         k2: (N,) 2 pi / lambda of each antenna's case.
-        subarray: (N,) index into sub_x of each antenna's subarray.
         offset: (N,) offset m d of each antenna within its subarray.
-        sub_case: (S,) case of each subarray.
         sub_x: (S,) reference abscissa of each subarray, meters.
     """
 
-    starts: np.ndarray
+    cases: _Cases
+    sub_cases: _Cases
+    subarrays: _Cases
     r: np.ndarray
     theta: np.ndarray
-    case: np.ndarray
     x: np.ndarray
     k2: np.ndarray
-    subarray: np.ndarray
     offset: np.ndarray
-    sub_case: np.ndarray
     sub_x: np.ndarray
 
 
@@ -130,23 +130,18 @@ def _antennas(cases: Sequence[tuple[ModularLayout, TargetPolar, float]]) -> _Ant
     layouts = [layout for layout, _, _ in cases]
     ks = np.array([layout.num_subarrays for layout in layouts])
     ms = np.array([layout.subarray_size for layout in layouts])
-    sizes = ks * ms
-    starts = np.zeros(len(cases) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
-    case = np.repeat(np.arange(len(cases)), sizes)
-    sub_m = np.repeat(ms, ks)
+    per_case = _Cases(ks * ms)
     offsets = [np.tile(layout.element_offsets * layout.pitch, layout.num_subarrays)
                for layout in layouts]
     return _Antennas(
-        starts=starts,
+        cases=per_case,
+        sub_cases=_Cases(ks),
+        subarrays=_Cases(np.repeat(ms, ks)),
         r=np.array([target.r for _, target, _ in cases]),
         theta=np.array([target.theta for _, target, _ in cases]),
-        case=case,
         x=np.concatenate([layout.element_x for layout in layouts]),
-        k2=np.array(k2)[case],
-        subarray=np.repeat(np.arange(len(sub_m)), sub_m),
+        k2=per_case.spread(np.array(k2)),
         offset=np.concatenate(offsets),
-        sub_case=np.repeat(np.arange(len(cases)), ks),
         sub_x=np.concatenate([layout.subarray_x for layout in layouts]),
     )
 
@@ -169,31 +164,29 @@ def _phase_terms(
     k2 = ants.k2
 
     if model is WavefrontModel.SWM:
-        c = ants.case
-        angles = _angle_products(ants.x, ants.theta, c)
-        terms = radial_terms(ants.x, _take(ants.r, c), None, angles=angles)
+        angles = _angle_products(ants.x, ants.theta, ants.cases)
+        terms = radial_terms(ants.x, ants.cases.spread(ants.r), None, angles=angles)
         return k2 * terms["rng"], k2 * terms["dr_dr_m1"], k2 * terms["dr_dt"]
 
     if model is WavefrontModel.PWM:
         x = ants.x
-        sin_t, cos_t = _take((np.sin(ants.theta), np.cos(ants.theta)), ants.case)
+        sin_t, cos_t = ants.cases.spread((np.sin(ants.theta), np.cos(ants.theta)))
         return -k2 * x * sin_t, np.zeros_like(x), -k2 * x * cos_t
 
-    sc, x = ants.sub_case, ants.sub_x
-    r, theta = ants.r[sc], ants.theta[sc]
+    x = ants.sub_x
+    r, theta = ants.sub_cases.spread((ants.r, ants.theta))
     terms = radial_terms(x, r, theta)
     if model is WavefrontModel.HSPM_DIST:
         sines = arrival_sine_terms(x, r, theta, terms)
         sin_sub = _arrival_sine(x, r, theta, terms)
         dsin_dr, dsin_dt = sines["ds_dr"], sines["ds_dt"]
     else:
-        sin_sub, dsin_dt = np.sin(ants.theta)[sc], np.cos(ants.theta)[sc]
+        sin_sub, dsin_dt = ants.sub_cases.spread((np.sin(ants.theta), np.cos(ants.theta)))
         dsin_dr = np.zeros_like(x)
 
-    # Every subarray term gathered to its antennas in one pass.
-    rng, a, t, sin_a, ds_r, ds_t = _take(
-        (terms["rng"], terms["dr_dr_m1"], terms["dr_dt"], sin_sub, dsin_dr, dsin_dt),
-        ants.subarray)
+    # Every subarray term spread to its antennas in one pass.
+    rng, a, t, sin_a, ds_r, ds_t = ants.subarrays.spread(
+        (terms["rng"], terms["dr_dr_m1"], terms["dr_dt"], sin_sub, dsin_dr, dsin_dt))
     off = ants.offset
     psi = k2 * (rng - off * sin_a)
     dpsi_r = k2 * (a - off * ds_r)
@@ -261,7 +254,7 @@ def _wavefront(
     the nuisance gain removes exactly, but it no longer sits on
     2 pi / lambda.
     """
-    g, d_r, d_t = np.empty((3, len(ants.case)), dtype=complex) if out is None else out
+    g, d_r, d_t = np.empty((3, len(ants.x)), dtype=complex) if out is None else out
     psi, rate_r, rate_t = _phase_terms(model, ants)
     _unit_phasor(psi, g)
     for rate, row in ((rate_r, d_r), (rate_t, d_t)):
@@ -314,27 +307,20 @@ def _phase_increment(
     angles = _angle_terms(ants.theta, ht)
 
     if model is WavefrontModel.SWM:
-        d_excess = _radial_shift(ants.x, ants.r, hr, angles, ants.case, work)["d_excess"]
+        d_excess = _radial_shift(ants.x, ants.r, hr, angles, ants.cases, work)["d_excess"]
         return np.multiply(k2, d_excess, out=d_excess)
 
     if model is WavefrontModel.PWM:
-        return -k2 * ants.x * _take(angles[4], ants.case)
+        return -k2 * ants.x * ants.cases.spread(angles[4])
 
-    sc, x = ants.sub_case, ants.sub_x
-    r, theta = ants.r[sc], ants.theta[sc]
-    hr, ht = _take(hr, sc), _take(ht, sc)
-    angles = [_take(a, sc) for a in angles]
+    sub = ants.sub_cases
+    x, r, hr = ants.sub_x, sub.spread(ants.r), sub.spread(hr)
+    angles = [sub.spread(a) for a in angles]
     shift = _radial_shift(x, r, hr, angles)
     if model is WavefrontModel.HSPM_DIST:
-        d_sin = _arrival_sine_shift(x, r, theta, hr, ht, shift)
+        d_sin = _arrival_sine_shift(x, r, hr, angles, shift)
     else:
         d_sin = angles[4]
-    sub = ants.subarray
-    inc, d_sin = _take(shift["d_excess"], sub), _take(d_sin, sub)
+    inc, d_sin = ants.subarrays.spread(shift["d_excess"]), ants.subarrays.spread(d_sin)
     np.subtract(inc, np.multiply(ants.offset, d_sin, out=d_sin), out=inc)
     return np.multiply(k2, inc, out=inc)
-
-
-def _take(values, index: np.ndarray) -> np.ndarray:
-    """values, an array or a sequence of equal-length arrays, gathered along the last axis."""
-    return np.take(values, index, axis=-1)

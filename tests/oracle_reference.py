@@ -11,7 +11,8 @@ oracle._validate runs over a whole group.
 import numpy as np
 
 from modcrb import CrbPair, ModularLayout, SensingSnr, TargetPolar, WavefrontModel, steering
-from modcrb.crb import _bound_pair, _Cases, _Quadratic
+from modcrb.crb import _bound_pair, _Quadratic
+from modcrb.geometry import _Cases
 from modcrb.oracle import _projected
 
 
@@ -68,5 +69,5 @@ def bounds_from(
     scale |dg_r|^2 until well-conditioned range information reads as
     degenerate.
     """
-    sums = _projected(g, np.array((d_r, d_t)), _Cases(np.zeros(len(g), dtype=np.int64)))
+    sums = _projected(g, np.array((d_r, d_t)), _Cases([len(g)]))
     return _bound_pair(model, 0.5 / snr.gamma, _Quadratic(*sums[:, 0]), cos_theta).pair()

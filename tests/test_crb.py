@@ -248,11 +248,20 @@ def test_boresight_form_matches_general_form():
 
 
 def test_boresight_form_preconditions():
-    with pytest.raises(InvalidConfigurationError):
-        crb_boresight(FIG3, TargetPolar(30.0, 0.1), LAMBDA, SNR)
     asym = build_layout(3, 5, (1, 0, 2), PITCH)
-    with pytest.raises(InvalidConfigurationError):
-        crb_boresight(asym, TargetPolar(30.0, 0.0), LAMBDA, SNR)
+    for form in (crb_boresight, crb_boresight_far):
+        with pytest.raises(InvalidConfigurationError):
+            form(FIG3, TargetPolar(30.0, 0.1), LAMBDA, SNR)
+        with pytest.raises(InvalidConfigurationError):
+            form(asym, TargetPolar(30.0, 0.0), LAMBDA, SNR)
+    # the far form's expansion needs r >= A: on fig3 at 0.5 A its range
+    # bound would be 2.4 times below the exact one, unflagged, and at 0.2 A
+    # its angle information negative
+    for mult in (0.2, 0.5, 0.999):
+        with pytest.raises(InvalidConfigurationError, match="requires r >= the aperture"):
+            crb_boresight_far(FIG3, TargetPolar(mult * FIG3.aperture, 0.0), LAMBDA, SNR)
+    far = crb_boresight_far(FIG3, TargetPolar(FIG3.aperture, 0.0), LAMBDA, SNR)
+    assert far.flags == () and math.isfinite(far.crb_r) and math.isfinite(far.crb_theta)
 
 
 def test_boresight_single_subarray_range_degenerates():

@@ -17,8 +17,8 @@ from modcrb import (
     radial_terms,
 )
 from modcrb import geometry
-from modcrb.geometry import (_angle_terms, _arrival_sine, _arrival_sine_shift, _grid_abscissas,
-                             _radial_shift, _require_shifted_range)
+from modcrb.geometry import (_angle_terms, _arrival_sine, _arrival_sine_shift, _Cases,
+                             _grid_abscissas, _radial_shift, _require_shifted_range)
 from modcrb.sweeps import _sweep_spacings
 
 PITCH = 0.0025
@@ -311,7 +311,7 @@ def test_radial_shift_matches_direct_differences():
         )
         base_sin = _arrival_sine(lay.subarray_x, r, theta, base)
         moved_sin = _arrival_sine(lay.subarray_x, r + dr, theta + dtheta, moved)
-        d_sin = _arrival_sine_shift(lay.subarray_x, r, theta, dr, dtheta, shift)
+        d_sin = _arrival_sine_shift(lay.subarray_x, r, dr, _angle_terms(theta, dtheta), shift)
         np.testing.assert_allclose(d_sin, moved_sin - base_sin, rtol=1e-8, atol=1e-15)
 
 
@@ -323,11 +323,13 @@ def test_radial_shift_stacked_shifts_match_scalar_calls(dtype):
     dr = np.array([1e-4, -1e-4, 0.0, 0.0, 3e-3], dtype=dtype)
     dtheta = np.array([0.0, 0.0, 1e-4, -1e-4, -2e-3], dtype=dtype)
     for theta in (0.0, 0.6, -1.2):
-        batch = _radial_shift(x, 8.0, dr[:, None], _angle_terms(theta, dtheta[:, None]))
-        batch["d_sin"] = _arrival_sine_shift(x, 8.0, theta, dr[:, None], dtheta[:, None], batch)
+        angles = _angle_terms(theta, dtheta[:, None])
+        batch = _radial_shift(x, 8.0, dr[:, None], angles)
+        batch["d_sin"] = _arrival_sine_shift(x, 8.0, dr[:, None], angles, batch)
         for i in range(len(dr)):
-            single = _radial_shift(x, 8.0, dr[i], _angle_terms(theta, dtheta[i]))
-            single["d_sin"] = _arrival_sine_shift(x, 8.0, theta, dr[i], dtheta[i], single)
+            angles = _angle_terms(theta, dtheta[i])
+            single = _radial_shift(x, 8.0, dr[i], angles)
+            single["d_sin"] = _arrival_sine_shift(x, 8.0, dr[i], angles, single)
             assert single.keys() == batch.keys() == {"d_excess", "rng0", "rng1", "gap0", "d_sin"}
             for name, values in single.items():
                 assert values.dtype == np.float64 and values.shape == x.shape
@@ -342,8 +344,9 @@ def test_radial_shift_is_exact_at_the_center_abscissa():
     dr = np.array([[1e-3], [-2e-4], [0.0], [5e-4]])
     dtheta = np.array([[0.0], [0.0], [1e-4], [-2e-3]])
     for theta in (0.0, 0.6, -1.2):
-        shift = _radial_shift(x, 8.0, dr, _angle_terms(theta, dtheta))
-        d_sin = _arrival_sine_shift(x, 8.0, theta, dr, dtheta, shift)
+        angles = _angle_terms(theta, dtheta)
+        shift = _radial_shift(x, 8.0, dr, angles)
+        d_sin = _arrival_sine_shift(x, 8.0, dr, angles, shift)
         assert np.all(shift["d_excess"][:, 0] == 0.0)
         assert np.all(d_sin[:2, 0] == 0.0)
         assert np.all(shift["d_excess"][:, 1] != 0.0)
@@ -361,3 +364,21 @@ def test_radial_shift_rejects_nonpositive_shifted_range():
     shift = _radial_shift(lay.subarray_x, 1.0, np.array([[0.5], [-0.5]]),
                           _angle_terms(0.0, 0.0))
     assert shift["d_excess"].shape == (2, lay.num_subarrays)
+
+
+def test_ragged_spread_is_the_gather_by_case_bit_for_bit():
+    # a ragged group spreads each case's values to its entries by counts,
+    # with the values a gather by each entry's case index gives
+    counts = np.array([3, 1, 5, 2])
+    cases = _Cases(counts)
+    case_of = np.repeat(np.arange(len(counts)), counts)
+    rng = np.random.default_rng(11)
+    per_case = rng.standard_normal(len(counts))
+    stacked = rng.standard_normal((4, len(counts)))
+    pair = (rng.standard_normal(len(counts)), rng.standard_normal(len(counts)))
+    for values in (per_case, stacked, pair):
+        spread = cases.spread(values)
+        gathered = np.take(values, case_of, axis=-1)
+        assert spread.shape == gathered.shape == np.shape(values)[:-1] + (counts.sum(),)
+        assert spread.tobytes() == gathered.tobytes()
+    assert cases.first == [0, 3, 4, 9]

@@ -27,6 +27,7 @@ from modcrb import (
     verify_batch,
 )
 from modcrb import crb as crb_module
+from modcrb import geometry
 from modcrb.cli import main
 from modcrb import oracle, preset, run_range_sweep
 from modcrb.oracle import ValidationReport, _fd_rebased, _fd_steps, _groups, _validate
@@ -47,7 +48,7 @@ def rebased(model, layout, target, lam):
 def fd_rebased(model, layout, target, lam, h_r, h_theta):
     """_fd_rebased's (d_r, d_theta) of one case."""
     ants = _antennas([(layout, target, lam)])
-    out = np.empty((2, len(ants.case)), dtype=complex)
+    out = np.empty((2, len(ants.x)), dtype=complex)
     return tuple(_fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]), out))
 
 
@@ -380,6 +381,8 @@ def test_verify_batch_small_run_passes_and_is_reproducible():
     {"tol_analytic": -1e-9},
     {"tol_fd": math.nan},
     {"tol_fd": math.inf},
+    {"num_cases": 2.5},
+    {"num_cases": math.nan},
 ])
 def test_verify_batch_rejects_bad_inputs_before_the_first_draw(kwargs, monkeypatch):
     # a NaN or infinite tolerance would pass every deviation (x > nan and
@@ -392,7 +395,7 @@ def test_verify_batch_rejects_bad_inputs_before_the_first_draw(kwargs, monkeypat
 
     monkeypatch.setattr(oracle, "sample_case", counting_sample)
     with pytest.raises(InvalidConfigurationError, match=next(iter(kwargs))):
-        verify_batch(num_cases=3, **kwargs)
+        verify_batch(**{"num_cases": 3, **kwargs})
     assert drawn == []
 
 
@@ -438,6 +441,19 @@ def test_each_closed_form_sums_a_ragged_group_in_two_passes(monkeypatch):
         passes.clear()
         crb_module._crb_group(model, ants, batch)
         assert len(passes) == 2, (model, passes)
+
+
+def test_a_group_describes_its_ragged_layout_once(monkeypatch):
+    # _antennas makes the group's three _Cases (antennas per case, subarrays
+    # per case, antennas per subarray); the closed forms and both oracle legs
+    # of every model read them instead of making their own
+    made = []
+    init = geometry._Cases.__init__
+    monkeypatch.setattr(geometry._Cases, "__init__",
+                        lambda self, counts=None: made.append(counts) or init(self, counts))
+    rng = np.random.default_rng(3)
+    _validate(MODEL_ORDER, [sample_case(rng) for _ in range(10)])
+    assert len(made) == 3
 
 
 def test_verify_batch_draws_each_group_before_checking_it(monkeypatch):
@@ -587,8 +603,8 @@ def test_unit_frame_projection_has_the_bits_of_an_all_ones_steering_vector():
     # the finite differences' frame skips the products with g = 1; the pwm
     # range leg is exactly zero and must stay flagged degenerate
     ants, steps = _sampled_group()
-    group = crb_module._Cases(ants.case)
-    n = len(ants.case)
+    group = ants.cases
+    n = len(ants.x)
     for model in MODEL_ORDER:
         d = _fd_rebased(model, ants, *steps, np.empty((2, n), dtype=complex))
         unit = oracle._projected(None, d, group)
