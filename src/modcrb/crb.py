@@ -19,9 +19,10 @@ batch of points at once, in one of two shapes (geometry._Cases). Sweeps pass
 rows: stacked abscissas against broadcast ranges, the sums taken over the
 last axis, one call per model for the whole grid; crb_bounds passes a batch
 of one. The oracle's verify passes a ragged group: the abscissas of cases of
-different K and M side by side, counted per case as wavefront._antennas lays
-them out, each case summed over its own slice, so a group costs one pass per
-model and every case keeps the bits it gets alone. A kernel sums its terms
+different K and M side by side, each case after a zero slot, counted per
+case as wavefront._antennas lays them out, each round of per-case sums one
+np.add.reduceat from the slots, so a group costs one pass per model and
+every case keeps the bits it gets alone. A kernel sums its terms
 from its thread's workspace, one call per chunk (_stacked_sums), and
 computes only the geometry it reads: swm and hspm-shared read
 d r_k / d r - 1 and d r_k / d theta from geometry.radial_terms, hspm-dist
@@ -90,10 +91,11 @@ FLAG_ENDFIRE = "endfire"
 
 # Most abscissas one kernel pass holds, whether a sweep chunk (grid points
 # times the model's abscissas per point) or a verify group (its cases'
-# antennas); a point or case larger than that goes alone. Each thread keeps
-# one workspace of 8 float64 blocks of this size (512 KiB, _blocks), made on
-# its first kernel call, for every chunk of every kernel call it makes, so
-# warm sweeps allocate no chunk-sized memory and glibc has nothing to trim.
+# antennas and slots); a point or case larger than that goes alone. Each
+# thread keeps one workspace of 8 float64 blocks of this size (512 KiB,
+# _blocks), made on its first kernel call, for every chunk of every kernel
+# call it makes, so warm sweeps allocate no chunk-sized memory and glibc has
+# nothing to trim.
 # The oracle takes its projections and finite-difference scratch from it too.
 # Warm-op minor faults (getrusage, 2-vCPU x86_64 pinned to one CPU, glibc
 # 2.36, numpy 2.4): presets 0 (368 with a workspace per kernel call),
@@ -361,7 +363,7 @@ def _bound_pair(
 # where x holds the model's abscissas along its last axis, r and theta
 # broadcast against x, and cases reduces the information terms over that
 # axis: a (..., n) stack of rows (_ROWS), or a ragged group with one entry
-# per abscissa of every case. The numerator is the factor times batch.scale.
+# per slot and abscissa of every case. The numerator is the factor times batch.scale.
 
 
 def _chunks(count: int, per_point: int) -> list[slice]:

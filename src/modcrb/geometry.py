@@ -355,26 +355,32 @@ class _Cases:
 
     _Cases() is rows: every point of the batch owns the last axis of its
     row, as in a sweep chunk or a single point. _Cases(counts) is a ragged
-    group: case c owns the next counts[c] entries, in case order, from
-    entry first[c] on, as wavefront._antennas lays out the antennas and
-    subarrays of cases side by side. Each case is summed over its own
-    slice, so every sum has the bits of the same sum over that case alone
-    (np.add.reduceat adds in another order).
+    group, as wavefront._antennas lays out the antennas and subarrays of
+    cases side by side: case c owns a slot at entry first[c], then its
+    counts[c] entries, in case order. .sum writes +0.0 into every slot and
+    makes one np.add.reduceat call, which copies each case's slot and adds
+    the case's entries to it pairwise, as np.add.reduce of the case alone
+    adds them pairwise to its identity +0.0: every sum has the bits of the
+    same sum over that case alone. Without the slot, reduceat would start
+    from the case's first entry and round differently.
     """
 
     def __init__(self, counts: np.ndarray | None = None):
         self.counts = counts
         if counts is not None:
-            bounds = [0, *np.cumsum(counts).tolist()]
-            self.first = bounds[:-1]
-            self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+            self.reps = np.asarray(counts) + 1  # a case's slot and its entries
+            self.first = np.cumsum(self.reps) - self.reps
 
     def sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-case sums over the last axis; the cases replace it."""
-        add = np.add.reduce  # what .sum calls, without its Python wrapper
+        """Per-case sums over the last axis; the cases replace it.
+
+        In a ragged group this first writes +0.0 into the slots of values,
+        which every caller passes as scratch or with +0.0 there already.
+        """
         if self.counts is None:
-            return add(values, axis=-1)
-        return np.array([add(values[..., col], axis=-1) for col in self.cols]).T
+            return np.add.reduce(values, axis=-1)  # what .sum calls, without its Python wrapper
+        values[..., self.first] = 0.0
+        return np.add.reduceat(values, self.first, axis=-1)
 
     def centered(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Deviations from each case's mean (sum over count, as .mean), into out if given."""
@@ -382,10 +388,10 @@ class _Cases:
         return np.subtract(values, self.spread(self.sum(values) / counts), out=out)
 
     def spread(self, per_case):
-        """Values with one entry per case, copied to each of the case's entries."""
+        """Values with one entry per case, copied to the case's slot and each of its entries."""
         if self.counts is None:
             return np.asarray(per_case)[..., None]
-        return np.repeat(per_case, self.counts, axis=-1)
+        return np.asarray(per_case).repeat(self.reps, axis=-1)
 
 
 def _angle_products(

@@ -21,22 +21,27 @@ scale |dg_r|^2) where the range information is O((A / r)^4).
 
 The oracle checks a group of cases at once. verify_batch draws its cases
 one group at a time, a group being a run of consecutive draws holding at
-most crb._BATCH_ELEMENTS antennas; cross_validate is a group of one. The
-antennas of a group's cases go side by side in flat arrays
-(wavefront._Antennas), described once by their counts per case and per
-subarray, through which each case's r, theta and 2 pi / lambda are spread
-to its entries. Per model, the closed form under test makes one kernel
-pass over the whole group (crb._crb_group); the analytic leg takes the
-steering vectors and their derivatives of the whole group from one phase
+most crb._BATCH_ELEMENTS entries, the antennas and a slot of each case;
+cross_validate is a group of one. The antennas of a group's cases go side
+by side in flat arrays (wavefront._Antennas), each case after its slot, a
+zero abscissa whose phase rates and increments are exactly zero. They are
+described once by their counts per case and per subarray, through which
+each case's r, theta and 2 pi / lambda are spread to its entries. Per
+model, the closed form under test makes one kernel pass over the whole
+group (crb._crb_group); the analytic leg takes the steering vectors and their derivatives of the whole group from one phase
 pass and one unit phasor (wavefront._unit_phasor); the finite-difference
 leg takes +-h_r and +-h_theta of every case through one _phase_increment
 pass and one unit phasor; each leg makes one projection, in the thread's
 crb workspace, the finite differences' without products with their
 all-ones g, and one _bound_pair call inverts the information of every
 model, leg and case: a full group peaks near 247 bytes per antenna. The
-arithmetic is elementwise and each sum runs over one case's contiguous
-columns (through geometry._Cases, as the closed forms' sums do), so every
-report keeps the bits it has when its case is checked alone.
+arithmetic is elementwise, and each round of per-case sums is one
+np.add.reduceat call from the cases' +0.0 slots (geometry._Cases, as the
+closed forms' sums are), which adds each case's entries as a sum over that
+case alone does, so every report keeps the bits it has when its case is
+checked alone. verify_batch takes the maxima and the threshold tests over
+the group's arrays (_GroupCheck) and builds a ValidationReport only for a
+failure.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -82,11 +87,12 @@ def _projected(g: np.ndarray | None, d: np.ndarray, cases: _Cases) -> np.ndarray
     """Per case A_rr, A_thetatheta, A_rtheta via explicit residuals, and the scales.
 
     g and d hold the steering vectors and their (r, theta) derivatives, d as
-    a (2, N) complex array, of C cases side by side, as the ragged cases lay
-    them out. g None is the finite differences' all-ones frame: there |g|^2
-    is the antenna count and conj(g) d is d, so both products are skipped,
-    with the bits they give. Returns a (5, C) array: the three projected
-    terms and |dg_r|^2, |dg_theta|^2 of each case.
+    a (2, N + C) complex array, of C cases side by side, as the ragged
+    cases lay them out. g None is the finite differences' all-ones frame:
+    there |g|^2 is the antenna count and conj(g) d is d, so both products
+    are skipped, with the bits they give. Each case's slot leaves its sums
+    alone; d's slots are overwritten. Returns a (5, C) array: the three
+    projected terms and |dg_r|^2, |dg_theta|^2 of each case.
     """
     # All in the thread's crb workspace: a complex scratch row, the products
     # with g, which the residuals overwrite, and the terms, each in dead rows.
@@ -127,13 +133,13 @@ def _fd_rebased(
     h_r and h_theta hold the steps of each case of ants. The whole stencil,
     +-h_r and +-h_theta of every case stacked as (4, C) shifts, goes
     through one phase pass, so the base point's geometry is evaluated once,
-    and one unit phasor over (4, N); both use the 8 rows of the thread's
+    and one unit phasor over (4, N + C); both use the 8 rows of the thread's
     crb workspace, first as _radial_shift's scratch, then for the phasors.
     Each column has the bits it gets when its case and shift are evaluated
     alone, so the result equals differences of separate evaluations
-    exactly. The range and angle derivatives go to the rows of out, (2, N)
-    complex. The steps must be positive; _phase_increment checks every
-    r - h_r.
+    exactly. The range and angle derivatives go to the rows of out,
+    (2, N + C) complex, zero at the slots. The steps must be positive;
+    _phase_increment checks every r - h_r.
     """
     n, zero = len(ants.x), np.zeros_like(h_r)
     work = _blocks(8, (n,))
@@ -150,14 +156,18 @@ def relative_error(a: float, b: float) -> float:
     Two infinities of the same sign count as equal (0.0); an infinity
     against a finite value counts as +inf; 0 against 0 is 0.
     """
-    if math.isinf(a) and math.isinf(b):
-        return 0.0 if a == b else math.inf
-    if math.isinf(a) or math.isinf(b):
-        return math.inf
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
+    return float(_relative_errors(a, b))
+
+
+def _relative_errors(a, b) -> np.ndarray:
+    """relative_error of every pair of a and b, elementwise, with its bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        err = np.abs(a - b) / scale
+    # An infinite scale has an infinity on a side: equal sides or not.
+    return np.where(np.isinf(scale), np.where(a == b, 0.0, np.inf),
+                    np.where(scale == 0.0, 0.0, err))
 
 
 @dataclass(frozen=True)
@@ -201,7 +211,7 @@ class ValidationReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _fd_steps(rate_r: float, rate_t: float, r: float) -> tuple[float, float]:
+def _fd_steps(rate_r, rate_t, r) -> tuple[np.ndarray, np.ndarray]:
     """Phase-aware steps keeping central-difference truncation near 1e-8.
 
     A unit-modulus entry exp(-1j psi(u)) differenced at step h picks up a
@@ -209,13 +219,14 @@ def _fd_steps(rate_r: float, rate_t: float, r: float) -> tuple[float, float]:
     w = dpsi/du, so the step is sized against the largest entry rates
     rate_r and rate_t. The range rates are rebased (see _wavefront) and can
     be tiny, but they vary on the scale of the target range r, so h_r also
-    stays below 1e-5 r, a truncation of about (h_r / r)^2. The rates only
-    size the steps; the finite differences never reuse the analytic values.
+    stays below 1e-5 r, a truncation of about (h_r / r)^2. A zero rate sets
+    no limit. The rates only size the steps; the finite differences never
+    reuse the analytic values. Elementwise, over per-case arrays.
     """
     eta = 1.4e-4  # (w h) giving (w h)^2 / 6 ~ 3e-9
-    h_r = min(1e-5 * r, eta / rate_r) if rate_r else 1e-5 * r
-    h_theta = min(1e-4, eta / rate_t) if rate_t else 1e-4
-    return h_r, h_theta
+    with np.errstate(divide="ignore"):
+        return (np.minimum(1e-5 * np.asarray(r), eta / np.asarray(rate_r)),
+                np.minimum(1e-4, eta / np.asarray(rate_t)))
 
 
 def cross_validate(
@@ -243,47 +254,79 @@ def cross_validate(
     Returns:
         ValidationReport with both relative errors.
     """
-    (report,) = _validate((model,), [(layout, target, snr, wavelength)])
-    return report
+    return _check_group((model,), [(layout, target, snr, wavelength)]).report(0, 0)
 
 
-def _validate(
+class _GroupCheck(NamedTuple):
+    """Every model's bounds at every case of a group, by the three routes.
+
+    closed, analytic and fd hold (crb_r, crb_theta), and steps the finite
+    differences' (h_r, h_theta), as (models, cases, 2) arrays.
+    """
+
+    models: Sequence[WavefrontModel]
+    cases: Sequence[tuple[ModularLayout, TargetPolar, SensingSnr, float]]
+    closed: np.ndarray
+    analytic: np.ndarray
+    fd: np.ndarray
+    steps: np.ndarray
+
+    def report(self, i: int, c: int) -> ValidationReport:
+        """The ValidationReport of model i at case c."""
+        layout, target, _, _ = self.cases[c]
+        (crb_r, crb_t), (an_r, an_t), (fd_r, fd_t), (step_r, step_t) = (
+            bounds[i, c].tolist() for bounds in (self.closed, self.analytic, self.fd, self.steps))
+        return ValidationReport(
+            model=self.models[i].value,
+            point={"layout": layout.digest, "r": target.r, "theta": target.theta},
+            closed_form={"crb_r_m2": crb_r, "crb_theta_rad2": crb_t},
+            generic_analytic={"crb_r_m2": an_r, "crb_theta_rad2": an_t},
+            generic_fd={"crb_r_m2": fd_r, "crb_theta_rad2": fd_t},
+            rel_err_analytic=max(relative_error(crb_r, an_r), relative_error(crb_t, an_t)),
+            rel_err_fd=max(relative_error(crb_r, fd_r), relative_error(crb_t, fd_t)),
+            fd_step_used={"h_r": step_r, "h_theta": step_t},
+        )
+
+
+def _pairs(points) -> list[tuple[float, float]]:
+    """(crb_r, crb_theta) of each point of a crb._Bounds."""
+    return [(crb_r, crb_t) for crb_r, crb_t, _, _ in points]
+
+
+def _check_group(
     models: Sequence[WavefrontModel],
     cases: Sequence[tuple[ModularLayout, TargetPolar, SensingSnr, float]],
-) -> list[ValidationReport]:
-    """cross_validate every model at every (layout, target, snr, wavelength) case.
+) -> _GroupCheck:
+    """cross_validate's bounds of every model at every (layout, target, snr, wavelength) case.
 
     The cases' antennas go side by side (see wavefront._Antennas), so per
     model the closed form makes one kernel pass, each leg fills one block of
     rows in turn and makes one projection, and one _bound_pair call inverts
-    the information of every leg, model and case.
-    Each case keeps the bits it gets alone: the arithmetic is elementwise
-    and every sum runs over one case's columns.
+    the information of every leg, model and case. Each case keeps the bits
+    it gets alone: the arithmetic is elementwise and every sum is the sum of
+    one case's entries. No report is built here; .report makes the ones read.
 
     Args:
         models: Wavefront models under test.
         cases: Points to check, each as sample_case returns it.
-
-    Returns:
-        One ValidationReport per case and model, case-major.
     """
     ants = _antennas([(layout, target, wavelength) for layout, target, _, wavelength in cases])
     batch = _group((layout, target.theta, wavelength, snr)
                    for layout, target, snr, wavelength in cases)
-    closed = [_crb_group(model, ants, batch).points for model in models]
+    closed = [_pairs(_crb_group(model, ants, batch).points) for model in models]
     group = ants.cases
     # g, dg/dr and dg/dtheta of every model in turn; the finite differences
     # overwrite the analytic derivatives, and their g is all ones (None).
     steer = np.empty((3, len(ants.x)), dtype=complex)
-    sums, used = [], []
+    sums, steps = [], []
     for model in models:
         g, d_r, d_t = _wavefront(model, ants, steer)
-        rates = zip(np.maximum.reduceat(np.abs(d_r), group.first).tolist(),
-                    np.maximum.reduceat(np.abs(d_t), group.first).tolist(), ants.r.tolist())
-        steps = [_fd_steps(*rate) for rate in rates]
-        used.append(steps)
+        # A slot's rates are 0, so it leaves each case's largest rate as it is.
+        h_r, h_t = _fd_steps(np.maximum.reduceat(np.abs(d_r), group.first),
+                             np.maximum.reduceat(np.abs(d_t), group.first), ants.r)
+        steps.append((h_r, h_t))
         sums.append(_projected(g, steer[1:], group))
-        _fd_rebased(model, ants, *np.array(steps).T, steer[1:])
+        _fd_rebased(model, ants, h_r, h_t, steer[1:])
         sums.append(_projected(None, steer[1:], group))
 
     # Points ordered (model, leg, case).
@@ -292,26 +335,9 @@ def _validate(
     legs = 2 * len(models)
     quad = _Quadratic(*np.concatenate(sums, axis=1))
     rows = _bound_pair(None, np.tile(nums, legs), quad, np.tile(batch.cos_t, legs)).points
-
-    reports = []
-    for c, (layout, target, _, _) in enumerate(cases):
-        digest = layout.digest
-        for i, model in enumerate(models):
-            crb_r, crb_t, _, _ = closed[i][c]
-            an_r, an_t, _, _ = rows[2 * i * n + c]
-            fd_r, fd_t, _, _ = rows[(2 * i + 1) * n + c]
-            step_r, step_t = used[i][c]
-            reports.append(ValidationReport(
-                model=model.value,
-                point={"layout": digest, "r": target.r, "theta": target.theta},
-                closed_form={"crb_r_m2": crb_r, "crb_theta_rad2": crb_t},
-                generic_analytic={"crb_r_m2": an_r, "crb_theta_rad2": an_t},
-                generic_fd={"crb_r_m2": fd_r, "crb_theta_rad2": fd_t},
-                rel_err_analytic=max(relative_error(crb_r, an_r), relative_error(crb_t, an_t)),
-                rel_err_fd=max(relative_error(crb_r, fd_r), relative_error(crb_t, fd_t)),
-                fd_step_used={"h_r": step_r, "h_theta": step_t},
-            ))
-    return reports
+    generic = np.array(_pairs(rows)).reshape(len(models), 2, n, 2)
+    return _GroupCheck(models, cases, np.array(closed), generic[:, 0], generic[:, 1],
+                       np.array(steps).transpose(0, 2, 1))
 
 
 def sample_case(rng: np.random.Generator):
@@ -395,15 +421,17 @@ class VerificationSummary:
 
 
 def _groups(cases: Iterable) -> Iterator[list]:
-    """Consecutive runs of cases with at most _BATCH_ELEMENTS antennas in all.
+    """Consecutive runs of cases with at most _BATCH_ELEMENTS entries in all.
 
-    A case with more antennas than that forms a group of its own. A group
-    is yielded once the first case past its end has been drawn.
+    A case takes its antennas and its slot (see wavefront._Antennas), so a
+    group fits the thread's crb workspace. A case with more entries than
+    that forms a group of its own. A group is yielded once the first case
+    past its end has been drawn.
     """
     group: list = []
     size = 0
     for case in cases:
-        n = case[0].num_elements
+        n = case[0].num_elements + 1
         if group and size + n > _BATCH_ELEMENTS:
             yield group
             group, size = [], 0
@@ -433,26 +461,32 @@ def verify_batch(
     Raises:
         InvalidConfigurationError: Before the first draw, on num_cases that is
             not an integer >= 1, a seed that is not an integer >= 0, or a
-            tolerance not finite and >= 0.
+            tolerance that is not a finite real number >= 0.
     """
     if not (isinstance(num_cases, (int, np.integer)) and num_cases >= 1):
         raise InvalidConfigurationError(f"num_cases must be an integer >= 1, got {num_cases!r}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     for name, tol in (("tol_analytic", tol_analytic), ("tol_fd", tol_fd)):
-        if not (math.isfinite(tol) and tol >= 0):
-            raise InvalidConfigurationError(f"{name} must be finite and >= 0, got {tol}")
+        if not (isinstance(tol, (int, float, np.integer, np.floating))
+                and math.isfinite(tol) and tol >= 0):
+            raise InvalidConfigurationError(f"{name} must be finite and >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     max_an = {model.value: 0.0 for model in MODEL_ORDER}
     max_fd = {model.value: 0.0 for model in MODEL_ORDER}
     failures: list[ValidationReport] = []
     for group in _groups(sample_case(rng) for _ in range(num_cases)):
-        for report in _validate(MODEL_ORDER, group):
-            token = report.model
-            max_an[token] = max(max_an[token], report.rel_err_analytic)
-            max_fd[token] = max(max_fd[token], report.rel_err_fd)
-            if report.rel_err_analytic > tol_analytic or report.rel_err_fd > tol_fd:
-                failures.append(report)
+        check = _check_group(MODEL_ORDER, group)
+        # Each report's rel_err_analytic and rel_err_fd, as (models, cases) arrays.
+        err_an, err_fd = (_relative_errors(check.closed, leg).max(axis=-1)
+                          for leg in (check.analytic, check.fd))
+        for model, worst_an, worst_fd in zip(MODEL_ORDER, err_an.max(axis=1).tolist(),
+                                             err_fd.max(axis=1).tolist()):
+            max_an[model.value] = max(max_an[model.value], worst_an)
+            max_fd[model.value] = max(max_fd[model.value], worst_fd)
+        # Reports only for the failures, case-major.
+        over = (err_an > tol_analytic) | (err_fd > tol_fd)
+        failures += [check.report(i, c) for c, i in zip(*np.nonzero(over.T))]
     return VerificationSummary(
         num_cases=num_cases,
         seed=seed,

@@ -85,29 +85,37 @@ class _Antennas(NamedTuple):
     """The antennas of one or more cases side by side, case-major.
 
     Cases may differ in K and M, so the layout is ragged. It is described
-    once, as counts: case c owns the next K_c M_c antennas, in its own
-    subarray-major order, and the next K_c subarrays, and each subarray
-    the next M_c antennas. A value per case or per subarray reaches its
-    entries through the .spread of these _Cases, and per-case sums run
-    through their .sum; k2 holds 2 pi / lambda per antenna. The geometry
-    is elementwise, so one pass over the group gives every entry the bits
-    it gets in a group of its case alone.
+    once, as counts: case c owns a slot, then the next K_c M_c antennas, in
+    its own subarray-major order, and at the subarray level a slot, then
+    the next K_c subarrays, each of which spreads to the next M_c antennas.
+    A slot is a zero abscissa with a zero offset: the center of the array,
+    where every model's phase rates and shift increments are exactly zero,
+    at the case's range, so no geometry check trips on it. It lets every
+    per-case sum be one np.add.reduceat call with the bits of the case
+    alone (geometry._Cases). A value per case reaches its entries through
+    the .spread of these _Cases, and per-case sums run through their .sum;
+    a value per subarray reaches its antennas through .repeat(subarrays),
+    slot to slot. k2 holds 2 pi / lambda per entry. The geometry is
+    elementwise, so one pass over the group gives every entry the bits it
+    gets in a group of its case alone.
 
     Attributes:
         cases: Antennas per case, C cases.
         sub_cases: Subarrays per case.
-        subarrays: Antennas per subarray, S subarrays.
+        subarrays: (S + C,) repeat counts from the subarray level to the
+            antennas: 1 for a slot, M for a subarray.
         r: (C,) target range of each case, meters.
         theta: (C,) target angle of each case, radians.
-        x: (N,) abscissa of each antenna, meters.
-        k2: (N,) 2 pi / lambda of each antenna's case.
-        offset: (N,) offset m d of each antenna within its subarray.
-        sub_x: (S,) reference abscissa of each subarray, meters.
+        x: (N + C,) abscissa of each antenna, meters; +0.0 at the slots.
+        k2: (N + C,) 2 pi / lambda of each entry's case.
+        offset: (N + C,) offset m d of each antenna within its subarray.
+        sub_x: (S + C,) reference abscissa of each subarray, meters; +0.0
+            at the slots.
     """
 
     cases: _Cases
     sub_cases: _Cases
-    subarrays: _Cases
+    subarrays: np.ndarray
     r: np.ndarray
     theta: np.ndarray
     x: np.ndarray
@@ -116,8 +124,11 @@ class _Antennas(NamedTuple):
     sub_x: np.ndarray
 
 
+_SLOT = np.zeros(1)
+
+
 def _antennas(cases: Sequence[tuple[ModularLayout, TargetPolar, float]]) -> _Antennas:
-    """Concatenate the antennas of (layout, target, wavelength) cases.
+    """Concatenate the antennas of (layout, target, wavelength) cases, each after its slot.
 
     Raises:
         InvalidConfigurationError: On a wavelength that is not finite and
@@ -130,19 +141,28 @@ def _antennas(cases: Sequence[tuple[ModularLayout, TargetPolar, float]]) -> _Ant
     layouts = [layout for layout, _, _ in cases]
     ks = np.array([layout.num_subarrays for layout in layouts])
     ms = np.array([layout.subarray_size for layout in layouts])
-    per_case = _Cases(ks * ms)
-    offsets = [np.tile(layout.element_offsets * layout.pitch, layout.num_subarrays)
-               for layout in layouts]
+    per_case, sub_cases = _Cases(ks * ms), _Cases(ks)
+    subarrays = sub_cases.spread(ms)
+    subarrays[sub_cases.first] = 1
+    # Antenna m of a subarray sits m entries past its center (a slot is its
+    # own center): integer labels times the pitch, as element_offsets.
+    ends = np.cumsum(subarrays)
+    labels = np.arange(ends[-1]) - (ends - (subarrays + 1) // 2).repeat(subarrays)
+    pitch = per_case.spread(np.array([layout.pitch for layout in layouts]))
+
+    def slot_led(parts):
+        return np.concatenate([part for values in parts for part in (_SLOT, values)])
+
     return _Antennas(
         cases=per_case,
-        sub_cases=_Cases(ks),
-        subarrays=_Cases(np.repeat(ms, ks)),
+        sub_cases=sub_cases,
+        subarrays=subarrays,
         r=np.array([target.r for _, target, _ in cases]),
         theta=np.array([target.theta for _, target, _ in cases]),
-        x=np.concatenate([layout.element_x for layout in layouts]),
+        x=slot_led(layout.element_x for layout in layouts),
         k2=per_case.spread(np.array(k2)),
-        offset=np.concatenate(offsets),
-        sub_x=np.concatenate([layout.subarray_x for layout in layouts]),
+        offset=labels * pitch,
+        sub_x=slot_led(layout.subarray_x for layout in layouts),
     )
 
 
@@ -156,10 +176,11 @@ def _phase_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase psi such that g = exp(-1j psi), and rebased (r, theta) rates.
 
-    Returns three real arrays with one entry per antenna of ants: psi, the
-    range rate of psi - 2 pi r / lambda (of psi under PWM, which has no
-    range), built from the cancellation-free dr_dr - 1, and dpsi/dtheta.
-    A term that depends on the case alone is evaluated once per case.
+    Returns three real arrays with one entry per slot and antenna of ants:
+    psi, the range rate of psi - 2 pi r / lambda (of psi under PWM, which
+    has no range), built from the cancellation-free dr_dr - 1, and
+    dpsi/dtheta. A term that depends on the case alone is evaluated once
+    per case.
     """
     k2 = ants.k2
 
@@ -185,8 +206,9 @@ def _phase_terms(
         dsin_dr = np.zeros_like(x)
 
     # Every subarray term spread to its antennas in one pass.
-    rng, a, t, sin_a, ds_r, ds_t = ants.subarrays.spread(
-        (terms["rng"], terms["dr_dr_m1"], terms["dr_dt"], sin_sub, dsin_dr, dsin_dt))
+    rng, a, t, sin_a, ds_r, ds_t = np.array(
+        (terms["rng"], terms["dr_dr_m1"], terms["dr_dt"], sin_sub, dsin_dr, dsin_dt)
+    ).repeat(ants.subarrays, axis=-1)
     off = ants.offset
     psi = k2 * (rng - off * sin_a)
     dpsi_r = k2 * (a - off * ds_r)
@@ -211,7 +233,7 @@ def steering(
     Returns:
         Complex array of length K*M, subarray-major, unit modulus per entry.
     """
-    psi, _, _ = _phase_terms(model, _one(layout, target, wavelength))
+    psi = _phase_terms(model, _one(layout, target, wavelength))[0][1:]  # past the slot
     return _unit_phasor(psi, np.empty(len(psi), dtype=complex))
 
 
@@ -235,7 +257,7 @@ def steering_derivatives(
     Returns:
         (d_r, d_theta), complex arrays of length K*M, subarray-major.
     """
-    g, d_r, d_theta = _wavefront(model, _one(layout, target, wavelength))
+    g, d_r, d_theta = _wavefront(model, _one(layout, target, wavelength))[:, 1:]  # past the slot
     if model is not WavefrontModel.PWM:
         # Put back the reference path's rate that _phase_terms leaves out.
         d_r = d_r - 1j * (2.0 * np.pi / wavelength) * g
@@ -247,19 +269,21 @@ def _wavefront(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steering vectors and their rebased derivatives from one phase pass.
 
-    Returns g, dg/dr and dg/dtheta with one entry per antenna of ants, as
-    the rows of out, a (3, N) complex array (new when None). The range
-    derivative is that of g * exp(2j pi r / lambda). It differs from
-    steering_derivatives' by a multiple of g, which the projection onto
-    the nuisance gain removes exactly, but it no longer sits on
-    2 pi / lambda.
+    Returns g, dg/dr and dg/dtheta with one entry per slot and antenna of
+    ants, as the rows of out, a (3, N + C) complex array (new when None);
+    the slots' derivatives are zero. The range derivative is that of
+    g * exp(2j pi r / lambda). It differs from steering_derivatives' by a
+    multiple of g, which the projection onto the nuisance gain removes
+    exactly, but it no longer sits on 2 pi / lambda.
     """
-    g, d_r, d_t = np.empty((3, len(ants.x)), dtype=complex) if out is None else out
+    if out is None:
+        out = np.empty((3, len(ants.x)), dtype=complex)
+    g, d_r, d_t = out
     psi, rate_r, rate_t = _phase_terms(model, ants)
     _unit_phasor(psi, g)
     for rate, row in ((rate_r, d_r), (rate_t, d_t)):
         np.multiply(np.multiply(-1j, rate, out=row), g, out=row)
-    return g, d_r, d_t
+    return out
 
 
 def _unit_phasor(psi: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -291,12 +315,13 @@ def _phase_increment(
     exp(-1j * increment) remain an independent derivative check.
 
     hr and ht hold shifts per case, of a common shape S + (C,) for C cases;
-    the result has shape S + (N,), one column per antenna of ants, each
-    shifted by its case's column, in radians. The arithmetic is
-    elementwise, so each stacked shift gets the bits of its scalar call.
+    the result has shape S + (N + C,), one column per slot and antenna of
+    ants, each shifted by its case's column, in radians (exactly zero at
+    the slots). The arithmetic is elementwise, so each stacked shift gets
+    the bits of its scalar call.
     Every shifted range is checked here, once for the whole group, and not
-    again in geometry._radial_shift, which takes work, (2,) + S + (N,) if
-    given, under swm.
+    again in geometry._radial_shift, which takes work, (2,) + S + (N + C,)
+    if given, under swm.
 
     Raises:
         InvalidConfigurationError: On a non-positive shifted range.
@@ -321,6 +346,6 @@ def _phase_increment(
         d_sin = _arrival_sine_shift(x, r, hr, angles, shift)
     else:
         d_sin = angles[4]
-    inc, d_sin = ants.subarrays.spread(shift["d_excess"]), ants.subarrays.spread(d_sin)
+    inc, d_sin = (values.repeat(ants.subarrays, axis=-1) for values in (shift["d_excess"], d_sin))
     np.subtract(inc, np.multiply(ants.offset, d_sin, out=d_sin), out=inc)
     return np.multiply(k2, inc, out=inc)

@@ -5,7 +5,8 @@ none of the rebased frame or stacked shifts of oracle._fd_rebased, so it
 stays an independent reference for the analytic derivatives. bounds_from
 inverts the projected Fisher information of one steering vector and its
 derivatives, through the same oracle._projected and crb._bound_pair that
-oracle._validate runs over a whole group.
+oracle._check_group runs over a whole group. group_reports and without_slots
+read a group's results as a list of reports and as antennas alone.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from modcrb import CrbPair, ModularLayout, SensingSnr, TargetPolar, WavefrontModel, steering
 from modcrb.crb import _bound_pair, _Quadratic
 from modcrb.geometry import _Cases
-from modcrb.oracle import _projected
+from modcrb.oracle import _check_group, _projected
 
 
 def fd_derivatives(
@@ -69,5 +70,18 @@ def bounds_from(
     scale |dg_r|^2 until well-conditioned range information reads as
     degenerate.
     """
-    sums = _projected(g, np.array((d_r, d_t)), _Cases([len(g)]))
+    # a group of one: its slot, then its antennas
+    g, d_r, d_t = np.concatenate((np.zeros((3, 1), dtype=complex), (g, d_r, d_t)), axis=1)
+    sums = _projected(g, np.array((d_r, d_t)), _Cases([len(g) - 1]))
     return _bound_pair(model, 0.5 / snr.gamma, _Quadratic(*sums[:, 0]), cos_theta).pair()
+
+
+def group_reports(models, cases):
+    """Every ValidationReport of a group, case-major, as verify_batch would build them."""
+    check = _check_group(models, cases)
+    return [check.report(i, c) for c in range(len(cases)) for i in range(len(models))]
+
+
+def without_slots(values: np.ndarray, ants) -> np.ndarray:
+    """values over the entries of a wavefront._Antennas with each case's slot taken out."""
+    return np.delete(values, ants.cases.first, axis=-1)

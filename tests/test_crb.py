@@ -92,6 +92,73 @@ def test_bounds_symmetric_in_angle_sign():
             _assert_pair_close(plus, minus, 1e-12)
 
 
+def _worst_deviation(base, other, factor_r=1.0, factor_t=1.0):
+    """Largest relative deviation of other from base times the factors; flags must match."""
+    worst = 0.0
+    for a, b in zip(base, other):
+        assert a.flags == b.flags, (a, b)
+        for va, vb in ((factor_r * a.crb_r, b.crb_r), (factor_t * a.crb_theta, b.crb_theta)):
+            if math.isinf(va) or math.isinf(vb):
+                assert va == vb, (a, b)
+            else:
+                worst = max(worst, abs(va - vb) / max(abs(va), abs(vb)))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def random_points():
+    """300 random layouts, each with a target at 0.3 m to 3 km and |theta| <= 1.5 rad."""
+    rng = np.random.default_rng(2029)
+    points = []
+    for _ in range(300):
+        k = int(rng.choice([1, 3, 5, 7]))
+        m = int(rng.integers(0, 63)) * 2 + 1
+        half = (k - 1) // 2
+        gaps = [int(g) for g in rng.integers(1, 201, size=2 * half)]
+        lay = build_layout(k, m, tuple(gaps[:half] + [0] + gaps[half:]), PITCH)
+        tgt = TargetPolar(float(10.0 ** rng.uniform(math.log10(0.3), math.log10(3e3))),
+                          float(rng.uniform(-1.5, 1.5)))
+        points.append((lay, tgt, SensingSnr(float(10.0 ** rng.uniform(-1.0, 2.0)))))
+    base = [crb_bounds(model, lay, tgt, LAMBDA, snr)
+            for lay, tgt, snr in points for model in MODEL_ORDER]
+    return points, base
+
+
+# The three relations below are exact in real arithmetic. Over these points
+# the closed forms hold them to 2.1e-14, 8.8e-15 and 5.7e-16 (numpy 2.4,
+# x86_64), so 1e-11 leaves a margin for any platform's rounding and still
+# catches a unit or asymmetry error, which a digest would only pin.
+
+
+def test_scaling_every_length_scales_the_range_bound_by_its_square(random_points):
+    # the pitch, r and lambda times c keep every phase: crb_r gains c^2
+    points, base = random_points
+    c = 3.7
+    scaled = [crb_bounds(model, build_layout(lay.num_subarrays, lay.subarray_size,
+                                             lay.spacings, c * lay.pitch),
+                         TargetPolar(c * tgt.r, tgt.theta), c * LAMBDA, snr)
+              for lay, tgt, snr in points for model in MODEL_ORDER]
+    assert _worst_deviation(base, scaled, factor_r=c * c) <= 1e-11
+
+
+def test_mirrored_layout_and_target_keep_every_bound(random_points):
+    # reversed gaps seen from -theta are the same geometry in a mirror
+    points, base = random_points
+    mirrored = [crb_bounds(model, build_layout(lay.num_subarrays, lay.subarray_size,
+                                               lay.spacings[::-1], lay.pitch),
+                           TargetPolar(tgt.r, -tgt.theta), LAMBDA, snr)
+                for lay, tgt, snr in points for model in MODEL_ORDER]
+    assert _worst_deviation(base, mirrored) <= 1e-11
+
+
+def test_every_bound_goes_as_the_inverse_snr(random_points):
+    points, base = random_points
+    factor = 7.3
+    louder = [crb_bounds(model, lay, tgt, LAMBDA, SensingSnr(factor * snr.gamma))
+              for lay, tgt, snr in points for model in MODEL_ORDER]
+    assert _worst_deviation(base, louder, 1.0 / factor, 1.0 / factor) <= 1e-11
+
+
 def test_distinct_angles_beat_shared_angle_on_range():
     dist = crb_bounds(WavefrontModel.HSPM_DIST, FIG3, TGT, LAMBDA, SNR)
     shared = crb_bounds(WavefrontModel.HSPM_SHARED, FIG3, TGT, LAMBDA, SNR)

@@ -367,11 +367,11 @@ def test_radial_shift_rejects_nonpositive_shifted_range():
 
 
 def test_ragged_spread_is_the_gather_by_case_bit_for_bit():
-    # a ragged group spreads each case's values to its entries by counts,
-    # with the values a gather by each entry's case index gives
+    # a ragged group spreads each case's values to its slot and its entries
+    # by counts, with the values a gather by each entry's case index gives
     counts = np.array([3, 1, 5, 2])
     cases = _Cases(counts)
-    case_of = np.repeat(np.arange(len(counts)), counts)
+    case_of = np.repeat(np.arange(len(counts)), counts + 1)
     rng = np.random.default_rng(11)
     per_case = rng.standard_normal(len(counts))
     stacked = rng.standard_normal((4, len(counts)))
@@ -379,6 +379,28 @@ def test_ragged_spread_is_the_gather_by_case_bit_for_bit():
     for values in (per_case, stacked, pair):
         spread = cases.spread(values)
         gathered = np.take(values, case_of, axis=-1)
-        assert spread.shape == gathered.shape == np.shape(values)[:-1] + (counts.sum(),)
+        assert spread.shape == gathered.shape == np.shape(values)[:-1] + (counts.sum() + 4,)
         assert spread.tobytes() == gathered.tobytes()
-    assert cases.first == [0, 3, 4, 9]
+    assert cases.first.tolist() == [0, 4, 6, 12]
+
+
+def test_ragged_sum_is_the_sum_of_each_case_alone_bit_for_bit():
+    # a ragged sum is one np.add.reduceat from each case's +0.0 slot; the
+    # verify digests rest on its adding as np.add.reduce of the case alone,
+    # which starts from +0.0 too, so a numpy that changes either order breaks
+    # this test rather than only a digest
+    rng = np.random.default_rng(29)
+    for trial in range(150):
+        counts = rng.integers(1, 1000 if trial % 3 else 8, size=int(rng.integers(1, 12)))
+        cases = _Cases(counts)
+        shape = (int(rng.integers(1, 6)), int(counts.sum()) + len(counts))
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zeros = rng.random(shape) < 0.05
+        values[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        # complex, real and strided real blocks, with one or more rows; the
+        # sum writes its slots, so it takes a block of a copy
+        for block in (lambda v: v, lambda v: v.real.copy(), lambda v: v.imag,
+                      lambda v: v[0].real):
+            alone = np.array([np.add.reduce(block(values)[..., a + 1:a + 1 + c], axis=-1)
+                              for a, c in zip(cases.first, counts)]).T
+            assert cases.sum(block(values.copy())).tobytes() == alone.tobytes(), trial

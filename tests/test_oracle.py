@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geometry_reference import hspm_sums
-from oracle_reference import bounds_from, fd_derivatives
+from oracle_reference import bounds_from, fd_derivatives, group_reports, without_slots
 from modcrb import (
     InvalidConfigurationError,
     FLAG_DEGENERATE,
@@ -30,7 +30,7 @@ from modcrb import crb as crb_module
 from modcrb import geometry
 from modcrb.cli import main
 from modcrb import oracle, preset, run_range_sweep
-from modcrb.oracle import ValidationReport, _fd_rebased, _fd_steps, _groups, _validate
+from modcrb.oracle import ValidationReport, _check_group, _fd_rebased, _fd_steps, _groups
 from modcrb.wavefront import _antennas, _phase_increment, _phase_terms, _unit_phasor, _wavefront
 
 PITCH = 0.0025
@@ -42,14 +42,16 @@ SNR = SensingSnr(1.0)
 
 def rebased(model, layout, target, lam):
     """Steering vector and rebased derivatives of one case, from one phase pass."""
-    return _wavefront(model, _antennas([(layout, target, lam)]))
+    ants = _antennas([(layout, target, lam)])
+    return without_slots(_wavefront(model, ants), ants)
 
 
 def fd_rebased(model, layout, target, lam, h_r, h_theta):
     """_fd_rebased's (d_r, d_theta) of one case."""
     ants = _antennas([(layout, target, lam)])
     out = np.empty((2, len(ants.x)), dtype=complex)
-    return tuple(_fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]), out))
+    return tuple(without_slots(_fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]),
+                                           out), ants))
 
 
 def test_closed_forms_match_generic_route():
@@ -255,13 +257,14 @@ def separate_passes(model, layout, target, snr, lam):
     cos_t = math.cos(target.theta)
     g = steering(model, layout, target, lam)
     ants = _antennas([(layout, target, lam)])
-    _, rate_r, rate_t = _phase_terms(model, ants)
+    _, rate_r, rate_t = without_slots(np.array(_phase_terms(model, ants)), ants)
     d_r, d_t = -1j * rate_r * g, -1j * rate_t * g
     analytic = bounds_from(g, d_r, d_t, snr, model=model, cos_theta=cos_t)
     h_r, h_t = _fd_steps(np.abs(d_r).max(), np.abs(d_t).max(), target.r)
 
     def shifted(dr, dtheta):
-        return np.exp(-1j * _phase_increment(model, ants, np.array([dr]), np.array([dtheta])))
+        inc = _phase_increment(model, ants, np.array([dr]), np.array([dtheta]))
+        return np.exp(-1j * without_slots(inc, ants))
 
     fd = bounds_from(np.ones_like(g),
                      (shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (2.0 * h_r),
@@ -306,7 +309,7 @@ def test_cross_validate_equals_a_reference_built_from_separate_passes():
         built.append((layout, TargetPolar(r, theta), SensingSnr(0.3 + i), lam))
     group = [case for pair in zip(drawn + drawn[:2], built) for case in pair]
     assert len({case[0].num_elements for case in group}) > 8
-    reports = _validate(MODEL_ORDER, group)
+    reports = group_reports(MODEL_ORDER, group)
     assert len(reports) == len(group) * len(MODEL_ORDER)
     for c, (layout, target, snr, lam) in enumerate(group):
         for i, model in enumerate(MODEL_ORDER):
@@ -383,6 +386,8 @@ def test_verify_batch_small_run_passes_and_is_reproducible():
     {"tol_fd": math.inf},
     {"num_cases": 2.5},
     {"num_cases": math.nan},
+    {"tol_analytic": "1e-9"},
+    {"tol_fd": None},
 ])
 def test_verify_batch_rejects_bad_inputs_before_the_first_draw(kwargs, monkeypatch):
     # a NaN or infinite tolerance would pass every deviation (x > nan and
@@ -397,6 +402,22 @@ def test_verify_batch_rejects_bad_inputs_before_the_first_draw(kwargs, monkeypat
     with pytest.raises(InvalidConfigurationError, match=next(iter(kwargs))):
         verify_batch(**{"num_cases": 3, **kwargs})
     assert drawn == []
+
+
+def test_verify_batch_fails_with_the_reports_of_every_case():
+    # reports are built only for the failures; at zero tolerance they must
+    # be the reports of every case with a deviation, in case-major order
+    summary = verify_batch(num_cases=30, seed=5, tol_analytic=0.0, tol_fd=0.0)
+    rng = np.random.default_rng(5)
+    every = [rep for group in _groups(sample_case(rng) for _ in range(30))
+             for rep in group_reports(MODEL_ORDER, group)]
+    over = [rep for rep in every if rep.rel_err_analytic > 0.0 or rep.rel_err_fd > 0.0]
+    assert len(over) > len(every) // 2
+    assert [rep.to_json() for rep in summary.failures] == [rep.to_json() for rep in over]
+    for token in summary.max_rel_err_analytic:
+        mine = [rep for rep in every if rep.model == token]
+        assert summary.max_rel_err_analytic[token] == max(rep.rel_err_analytic for rep in mine)
+        assert summary.max_rel_err_fd[token] == max(rep.rel_err_fd for rep in mine)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -444,16 +465,17 @@ def test_each_closed_form_sums_a_ragged_group_in_two_passes(monkeypatch):
 
 
 def test_a_group_describes_its_ragged_layout_once(monkeypatch):
-    # _antennas makes the group's three _Cases (antennas per case, subarrays
-    # per case, antennas per subarray); the closed forms and both oracle legs
-    # of every model read them instead of making their own
+    # _antennas makes the group's two _Cases (antennas per case, subarrays
+    # per case; antennas per subarray are plain repeat counts); the closed
+    # forms and both oracle legs of every model read them instead of making
+    # their own
     made = []
     init = geometry._Cases.__init__
     monkeypatch.setattr(geometry._Cases, "__init__",
                         lambda self, counts=None: made.append(counts) or init(self, counts))
     rng = np.random.default_rng(3)
-    _validate(MODEL_ORDER, [sample_case(rng) for _ in range(10)])
-    assert len(made) == 3
+    _check_group(MODEL_ORDER, [sample_case(rng) for _ in range(10)])
+    assert len(made) == 2
 
 
 def test_verify_batch_draws_each_group_before_checking_it(monkeypatch):
@@ -465,12 +487,12 @@ def test_verify_batch_draws_each_group_before_checking_it(monkeypatch):
         drawn.append(None)
         return sample_case(rng)
 
-    def recording_validate(models, group):
+    def recording_check(models, group):
         seen.append((len(drawn), len(group)))
-        return _validate(models, group)
+        return _check_group(models, group)
 
     monkeypatch.setattr(oracle, "sample_case", counting_sample)
-    monkeypatch.setattr(oracle, "_validate", recording_validate)
+    monkeypatch.setattr(oracle, "_check_group", recording_check)
     assert verify_batch(num_cases=120, seed=5).passed
     assert len(seen) > 2
     checked = 0
@@ -488,7 +510,7 @@ def test_uniform_group_closed_forms_are_the_range_sweep_bits():
     layout, snr, theta = config.layout(), config.snr(), math.radians(config.theta_deg)
     grid = config.range_grid()
     cases = [(layout, TargetPolar(r, theta), snr, config.wavelength) for r in grid]
-    reports = _validate(MODEL_ORDER, cases)
+    reports = group_reports(MODEL_ORDER, cases)
     assert len(reports) == len(records) == len(grid) * len(MODEL_ORDER)
     for report, record in zip(reports, records):
         assert (report.model, report.point["r"]) == (record.model, record.sweep_value)
@@ -507,7 +529,7 @@ def test_verify_reports_match_their_digest():
     values = []
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
-        for rep in _validate(MODEL_ORDER, [sample_case(rng) for _ in range(10)]):
+        for rep in group_reports(MODEL_ORDER, [sample_case(rng) for _ in range(10)]):
             for pair in (rep.closed_form, rep.generic_analytic, rep.generic_fd):
                 values += [pair["crb_r_m2"].hex(), pair["crb_theta_rad2"].hex()]
     assert len(values) == 3 * 10 * len(MODEL_ORDER) * 6
@@ -524,12 +546,13 @@ _FULL_GROUP_SIZES = [7907, 8019, 8142, 5440]
 def test_full_verify_groups_match_their_digest(monkeypatch):
     reports, sizes = [], []
 
-    def recording_validate(models, group):
+    def recording_check(models, group):
         sizes.append(sum(layout.num_elements for layout, _, _, _ in group))
-        reports.extend(_validate(models, group))
-        return reports[-len(models) * len(group):]
+        check = _check_group(models, group)
+        reports.extend(check.report(i, c) for c in range(len(group)) for i in range(len(models)))
+        return check
 
-    monkeypatch.setattr(oracle, "_validate", recording_validate)
+    monkeypatch.setattr(oracle, "_check_group", recording_check)
     assert verify_batch(num_cases=120, seed=5).passed
     assert sizes == _FULL_GROUP_SIZES
     text = "\n".join(report.to_json() for report in reports)
@@ -545,7 +568,7 @@ def test_a_full_group_holds_at_most_300_bytes_per_antenna(traced_peak):
     group = next(_groups(sample_case(rng) for _ in range(120)))
     n = sum(layout.num_elements for layout, _, _, _ in group)
     assert n == _FULL_GROUP_SIZES[0]
-    assert traced_peak(lambda: _validate(MODEL_ORDER, group)) <= 300 * n
+    assert traced_peak(lambda: group_reports(MODEL_ORDER, group)) <= 300 * n
 
 
 def test_full_verify_groups_take_few_page_faults(minor_faults):
@@ -639,7 +662,7 @@ def _bounds(reports):
 
 def _verify_reports(cases):
     """Reports of every model at every case, grouped as verify_batch groups them."""
-    return [rep for group in _groups(cases) for rep in _validate(MODEL_ORDER, group)]
+    return [rep for group in _groups(cases) for rep in group_reports(MODEL_ORDER, group)]
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from modcrb import (
     steering_derivatives,
 )
 from modcrb.wavefront import _antennas, _phase_increment
+from oracle_reference import without_slots
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -30,7 +31,7 @@ def increment(model, layout, target, wavelength, dr=0.0, dtheta=0.0):
     """_phase_increment of one case; stacked shifts go along leading axes."""
     hr, ht = np.broadcast_arrays(np.asarray(dr), np.asarray(dtheta))
     ants = _antennas([(layout, target, wavelength)])
-    return _phase_increment(model, ants, hr[..., None], ht[..., None])
+    return without_slots(_phase_increment(model, ants, hr[..., None], ht[..., None]), ants)
 
 
 def test_model_parse_and_order():
