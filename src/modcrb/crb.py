@@ -99,8 +99,9 @@ FLAG_ENDFIRE = "endfire"
 # The oracle takes its projections and finite-difference scratch from it too.
 # Warm-op minor faults (getrusage, 2-vCPU x86_64 pinned to one CPU, glibc
 # 2.36, numpy 2.4): presets 0 (368 with a workspace per kernel call),
-# large-array 0.4, verify 29-34 (292-345 with fresh oracle temporaries). 2**14
-# would double a verify group's oracle peak, 247 bytes per antenna (2.0 MB).
+# large-array 0.4, verify 55 (68 with complex oracle projections; 270 warm
+# ops). 2**14 would double a verify group's oracle peak, 214 bytes per
+# antenna (1.8 MB).
 _BATCH_ELEMENTS = 1 << 13
 
 

@@ -1,8 +1,8 @@
 """Generic Fisher-information route to the bounds, used to check the closed forms.
 
-This module never touches the closed-form algebra: it starts from a steering
-vector and its derivatives (analytic or finite-difference) and evaluates the
-nuisance-projected Fisher matrix directly,
+This module never touches the closed-form algebra: it starts from the
+derivatives of a steering vector g (analytic or finite-difference) and
+evaluates the nuisance-projected Fisher matrix directly,
 
     A_uu      = |dg_u|^2 - |g^H dg_u|^2 / |g|^2
     A_rtheta  = Re(dg_r^H dg_theta - (dg_r^H g)(g^H dg_theta) / |g|^2)
@@ -12,12 +12,23 @@ It shares only the last step with the closed forms: the projected terms go
 through the same inversion and the same degeneracy and endfire policy
 (crb._bound_pair), so a flag means the same thing on both routes.
 
-The route runs in float64 and removes cancellations instead of adding
-precision: the projections use explicit residual vectors, and both legs
-measure range rates against the rate 2 pi / lambda of the path from the
-array center. That adds a multiple of g to dg_r, which the projection
-removes exactly, and keeps the rates' digits (and a meaningful degeneracy
-scale |dg_r|^2) where the range information is O((A / r)^4).
+The route runs in real float64 arithmetic and removes cancellations instead
+of adding precision. Every entry of every model's steering vector has unit
+modulus, exp(-1j psi), so rotating entry i by exp(+1j psi_i), a per-entry
+constant that leaves every Gram quantity unchanged, turns g into the
+all-ones vector. Both legs work in that unit frame. There the analytic
+derivative along u is -1j times the phase rate, so the analytic leg reads
+the rates of wavefront._phase_terms as they are; the finite-difference leg
+differences exp(-1j dpsi) of small phase increments dpsi, as cos and sin
+rows (_fd_rebased). Projecting out the all-ones vector centres each case,
+so one real projection (_projected) serves both legs, through explicit
+residuals. Its products and sums round alike whatever SIMD loops numpy
+dispatches to; complex products do not, since one loop may fuse a
+multiply-add where another rounds twice. Both legs also measure range
+rates against the rate 2 pi / lambda of the path from the array center.
+That adds a multiple of g to dg_r, which the projection removes exactly,
+and keeps the rates' digits (and a meaningful degeneracy scale |dg_r|^2)
+where the range information is O((A / r)^4).
 
 The oracle checks a group of cases at once. verify_batch draws its cases
 one group at a time, a group being a run of consecutive draws holding at
@@ -28,13 +39,12 @@ zero abscissa whose phase rates and increments are exactly zero. They are
 described once by their counts per case and per subarray, through which
 each case's r, theta and 2 pi / lambda are spread to its entries. Per
 model, the closed form under test makes one kernel pass over the whole
-group (crb._crb_group); the analytic leg takes the steering vectors and their derivatives of the whole group from one phase
-pass and one unit phasor (wavefront._unit_phasor); the finite-difference
-leg takes +-h_r and +-h_theta of every case through one _phase_increment
-pass and one unit phasor; each leg makes one projection, in the thread's
-crb workspace, the finite differences' without products with their
-all-ones g, and one _bound_pair call inverts the information of every
-model, leg and case: a full group peaks near 247 bytes per antenna. The
+group (crb._crb_group); the analytic leg takes the phase rates of the whole
+group from one phase pass; the finite-difference leg takes +-h_r and
++-h_theta of every case through one _phase_increment pass and one cos and
+one sin pass; each leg makes one projection, in the thread's crb
+workspace, and one _bound_pair call inverts the information of every
+model, leg and case: a full group peaks near 214 bytes per antenna. The
 arithmetic is elementwise, and each round of per-case sums is one
 np.add.reduceat call from the cases' +0.0 slots (geometry._Cases, as the
 closed forms' sums are), which adds each case's entries as a sum over that
@@ -63,8 +73,7 @@ from .wavefront import (
     _antennas,
     _Antennas,
     _phase_increment,
-    _unit_phasor,
-    _wavefront,
+    _phase_terms,
 )
 
 __all__ = [
@@ -83,71 +92,72 @@ def oracle_dtype():
     return np.float64
 
 
-def _projected(g: np.ndarray | None, d: np.ndarray, cases: _Cases) -> np.ndarray:
+def _projected(parts: np.ndarray, cases: _Cases) -> np.ndarray:
     """Per case A_rr, A_thetatheta, A_rtheta via explicit residuals, and the scales.
 
-    g and d hold the steering vectors and their (r, theta) derivatives, d as
-    a (2, N + C) complex array, of C cases side by side, as the ragged
-    cases lay them out. g None is the finite differences' all-ones frame:
-    there |g|^2 is the antenna count and conj(g) d is d, so both products
-    are skipped, with the bits they give. Each case's slot leaves its sums
-    alone; d's slots are overwritten. Returns a (5, C) array: the three
-    projected terms and |dg_r|^2, |dg_theta|^2 of each case.
+    parts holds the (r, theta) derivatives of C cases side by side, as the
+    ragged cases lay them out, in the unit frame (see the module
+    docstring), as a real (2, P, N + C) block: P real rows per derivative,
+    whose products summed over P are the Gram terms. The analytic leg's one
+    row is the phase rates (its derivatives' imaginary parts, up to a sign
+    they share), the finite differences' two their real and imaginary
+    parts. Projecting out the all-ones steering vector centres each case:
+    the projected terms are A_uv = sum_p e_up e_vp over the centred parts
+    e, and the scales |d_u|^2 = sum_p d_up^2. parts is centred in place.
+    Returns a (5, C) array: the three projected terms and |d_r|^2,
+    |d_theta|^2 of each case.
     """
-    # All in the thread's crb workspace: a complex scratch row, the products
-    # with g, which the residuals overwrite, and the terms, each in dead rows.
-    work = _blocks(8, (d.shape[1],))
-    rows = work[:6].reshape(3, -1).view(complex)
-    tmp, e = rows[0], rows[1:]
-    if g is None:
-        np.subtract(d, cases.spread(cases.sum(d) / cases.counts), out=e)
-    else:
-        np.conjugate(g, out=tmp)
-        n2_g = cases.sum(np.multiply(tmp, g, out=e[0]).real)
-        coef = cases.sum(np.multiply(tmp, d, out=e)) / n2_g
-        np.subtract(d, np.multiply(cases.spread(coef), g, out=e), out=e)
-    (e_r, e_t), (d_r, d_t) = e, d
-    for row, a, b in ((6, e_r, e_r), (7, e_t, e_t), (3, e_r, e_t), (4, d_r, d_r), (5, d_t, d_t)):
-        np.multiply(np.conjugate(a, out=tmp), b, out=tmp)
-        work[row] = tmp.real
-    return cases.sum(work[3:])[[3, 4, 0, 1, 2]]
+    # The terms in the thread's crb workspace, after one scratch row.
+    work = _blocks(6, parts.shape[-1:])
+    tmp, terms = work[0], work[1:]
+
+    def dot(a, b, out):
+        np.multiply(a[0], b[0], out=out)
+        for a_p, b_p in zip(a[1:], b[1:]):
+            np.add(out, np.multiply(a_p, b_p, out=tmp), out=out)
+
+    for row, d in zip(terms[3:], parts):
+        dot(d, d, row)
+    e_r, e_t = cases.centered(parts, out=parts)
+    for row, (a, b) in zip(terms, ((e_r, e_r), (e_t, e_t), (e_r, e_t))):
+        dot(a, b, row)
+    return cases.sum(terms)
 
 
 def _fd_rebased(
     model: WavefrontModel, ants: _Antennas, h_r: np.ndarray, h_theta: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Central differences of the steering vectors in their own phase frame.
+    """Central differences of the steering vectors in the unit frame.
 
-    Rotating entry i of a steering vector by exp(+1j psi_i(target)), a
-    per-entry constant, leaves every Gram quantity the CRB is built from
-    unchanged and turns the vector at the base point into all ones. In that
-    frame the shifted evaluations are exp(-1j dpsi) for the small phase
-    increments dpsi of _phase_increment, accurate relative to their own
-    size and measured against the reference path (the range differences
-    lack a multiple of the all-ones vector, which the projection removes).
-    The differences stay second order in h but no longer sit on top of
-    absolute phases of order 2 pi r / lambda, whose rounding otherwise
-    dominates once the Fisher residuals get small. Pair the result with an
-    all-ones steering vector (_projected's g None).
+    In the unit frame (see the module docstring) the steering vector at the
+    base point is all ones, and its shifted evaluations are exp(-1j dpsi)
+    for the small phase increments dpsi of _phase_increment, accurate
+    relative to their own size and measured against the reference path (the
+    range differences lack a multiple of the all-ones vector, which the
+    projection removes). The differences stay second order in h but no
+    longer sit on top of absolute phases of order 2 pi r / lambda, whose
+    rounding otherwise dominates once the Fisher residuals get small.
 
     h_r and h_theta hold the steps of each case of ants. The whole stencil,
     +-h_r and +-h_theta of every case stacked as (4, C) shifts, goes
     through one phase pass, so the base point's geometry is evaluated once,
-    and one unit phasor over (4, N + C); both use the 8 rows of the thread's
-    crb workspace, first as _radial_shift's scratch, then for the phasors.
-    Each column has the bits it gets when its case and shift are evaluated
-    alone, so the result equals differences of separate evaluations
-    exactly. The range and angle derivatives go to the rows of out,
-    (2, N + C) complex, zero at the slots. The steps must be positive;
-    _phase_increment checks every r - h_r.
+    and one cos and one sin pass over (4, N + C); all use the 8 rows of the
+    thread's crb workspace, first as _radial_shift's scratch, then for the
+    cos and sin rows. Each column has the bits it gets when its case and
+    shift are evaluated alone, so the result equals differences of separate
+    evaluations exactly. The range and angle derivatives go to out, a real
+    (2, 2, N + C) block of their real and imaginary parts (the differences
+    of cos dpsi and of -sin dpsi), zero at the slots, as _projected takes
+    it. The steps must be positive; _phase_increment checks every r - h_r.
     """
     n, zero = len(ants.x), np.zeros_like(h_r)
     work = _blocks(8, (n,))
     inc = _phase_increment(model, ants, np.array((h_r, -h_r, zero, zero)),
                            np.array((zero, zero, h_theta, -h_theta)), work.reshape(2, 4, n))
-    g = _unit_phasor(inc, work.reshape(4, -1).view(complex))
-    np.subtract(g[0::2], g[1::2], out=out)
-    return np.divide(out, ants.cases.spread((2.0 * h_r, 2.0 * h_theta)), out=out)
+    cos, sin = np.cos(inc, out=work[:4]), np.sin(inc, out=work[4:])
+    np.subtract(cos[0::2], cos[1::2], out=out[:, 0])
+    np.subtract(sin[1::2], sin[0::2], out=out[:, 1])
+    return np.divide(out, ants.cases.spread((2.0 * h_r, 2.0 * h_theta))[:, None], out=out)
 
 
 def relative_error(a: float, b: float) -> float:
@@ -217,7 +227,7 @@ def _fd_steps(rate_r, rate_t, r) -> tuple[np.ndarray, np.ndarray]:
     A unit-modulus entry exp(-1j psi(u)) differenced at step h picks up a
     multiplicative sin(w h)/(w h) ~ 1 - (w h)^2/6 attenuation at phase rate
     w = dpsi/du, so the step is sized against the largest entry rates
-    rate_r and rate_t. The range rates are rebased (see _wavefront) and can
+    rate_r and rate_t. The range rates are rebased (see _phase_terms) and can
     be tiny, but they vary on the scale of the target range r, so h_r also
     stays below 1e-5 r, a truncation of about (h_r / r)^2. A zero rate sets
     no limit. The rates only size the steps; the finite differences never
@@ -238,11 +248,12 @@ def cross_validate(
 ) -> ValidationReport:
     """Check one closed form against the generic route at one point.
 
-    Both legs of the generic route work in the reference-path frame (see
-    the module docstring). The finite-difference leg uses _fd_rebased with
-    the phase-aware steps of _fd_steps (recorded in the report) so that it
-    stays meaningful even where the closed forms are themselves heavily
-    cancellation-protected. The check is verify_batch's, on a group of one.
+    Both legs of the generic route work in the unit frame, with range rates
+    against the reference path (see the module docstring). The
+    finite-difference leg uses _fd_rebased with the phase-aware steps of
+    _fd_steps (recorded in the report) so that it stays meaningful even
+    where the closed forms are themselves heavily cancellation-protected.
+    The check is verify_batch's, on a group of one.
 
     Args:
         model: Wavefront model under test.
@@ -315,19 +326,19 @@ def _check_group(
                    for layout, target, snr, wavelength in cases)
     closed = [_pairs(_crb_group(model, ants, batch).points) for model in models]
     group = ants.cases
-    # g, dg/dr and dg/dtheta of every model in turn; the finite differences
-    # overwrite the analytic derivatives, and their g is all ones (None).
-    steer = np.empty((3, len(ants.x)), dtype=complex)
+    # The parts of each leg of every model in turn: the analytic rates, as
+    # one row per derivative, then the finite differences over all rows.
+    parts = np.empty((2, 2, len(ants.x)))
+    rates = parts[:, :1]
     sums, steps = [], []
     for model in models:
-        g, d_r, d_t = _wavefront(model, ants, steer)
+        rates[0, 0], rates[1, 0] = _phase_terms(model, ants)[1:]
         # A slot's rates are 0, so it leaves each case's largest rate as it is.
-        h_r, h_t = _fd_steps(np.maximum.reduceat(np.abs(d_r), group.first),
-                             np.maximum.reduceat(np.abs(d_t), group.first), ants.r)
+        h_r, h_t = _fd_steps(*np.maximum.reduceat(np.abs(rates[:, 0]), group.first, axis=-1),
+                             ants.r)
         steps.append((h_r, h_t))
-        sums.append(_projected(g, steer[1:], group))
-        _fd_rebased(model, ants, h_r, h_t, steer[1:])
-        sums.append(_projected(None, steer[1:], group))
+        sums.append(_projected(rates, group))
+        sums.append(_projected(_fd_rebased(model, ants, h_r, h_t, parts), group))
 
     # Points ordered (model, leg, case).
     n = len(cases)

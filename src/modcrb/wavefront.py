@@ -234,7 +234,7 @@ def steering(
         Complex array of length K*M, subarray-major, unit modulus per entry.
     """
     psi = _phase_terms(model, _one(layout, target, wavelength))[0][1:]  # past the slot
-    return _unit_phasor(psi, np.empty(len(psi), dtype=complex))
+    return np.exp(-1j * psi)
 
 
 def steering_derivatives(
@@ -257,45 +257,13 @@ def steering_derivatives(
     Returns:
         (d_r, d_theta), complex arrays of length K*M, subarray-major.
     """
-    g, d_r, d_theta = _wavefront(model, _one(layout, target, wavelength))[:, 1:]  # past the slot
+    psi, rate_r, rate_t = (terms[1:] for terms in  # past the slot
+                           _phase_terms(model, _one(layout, target, wavelength)))
     if model is not WavefrontModel.PWM:
         # Put back the reference path's rate that _phase_terms leaves out.
-        d_r = d_r - 1j * (2.0 * np.pi / wavelength) * g
-    return d_r, d_theta
-
-
-def _wavefront(
-    model: WavefrontModel, ants: _Antennas, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steering vectors and their rebased derivatives from one phase pass.
-
-    Returns g, dg/dr and dg/dtheta with one entry per slot and antenna of
-    ants, as the rows of out, a (3, N + C) complex array (new when None);
-    the slots' derivatives are zero. The range derivative is that of
-    g * exp(2j pi r / lambda). It differs from steering_derivatives' by a
-    multiple of g, which the projection onto the nuisance gain removes
-    exactly, but it no longer sits on 2 pi / lambda.
-    """
-    if out is None:
-        out = np.empty((3, len(ants.x)), dtype=complex)
-    g, d_r, d_t = out
-    psi, rate_r, rate_t = _phase_terms(model, ants)
-    _unit_phasor(psi, g)
-    for rate, row in ((rate_r, d_r), (rate_t, d_t)):
-        np.multiply(np.multiply(-1j, rate, out=row), g, out=row)
-    return out
-
-
-def _unit_phasor(psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(-1j psi) of real phases psi, into the complex array out.
-
-    Writes cos psi and -sin psi as the real and imaginary parts: the parts
-    np.exp(-1j * psi) has, since the real part of -1j psi is a signed zero,
-    without forming -1j psi or the exponential's complex arithmetic.
-    """
-    np.cos(psi, out=out.real)
-    np.negative(np.sin(psi, out=out.imag), out=out.imag)
-    return out
+        rate_r = rate_r + 2.0 * np.pi / wavelength
+    g = np.exp(-1j * psi)
+    return -1j * rate_r * g, -1j * rate_t * g
 
 
 def _phase_increment(

@@ -3,18 +3,18 @@
 fd_derivatives differences plain steering vectors at absolute phases, with
 none of the rebased frame or stacked shifts of oracle._fd_rebased, so it
 stays an independent reference for the analytic derivatives. bounds_from
-inverts the projected Fisher information of one steering vector and its
-derivatives, through the same oracle._projected and crb._bound_pair that
-oracle._check_group runs over a whole group. group_reports and without_slots
-read a group's results as a list of reports and as antennas alone.
+inverts the projected Fisher information of one complex steering vector and
+its derivatives, projected against that vector itself, with none of the
+unit frame or real parts of oracle._projected; only the inversion,
+crb._bound_pair, is the library's. group_reports and without_slots read a
+group's results as a list of reports and as antennas alone.
 """
 
 import numpy as np
 
 from modcrb import CrbPair, ModularLayout, SensingSnr, TargetPolar, WavefrontModel, steering
 from modcrb.crb import _bound_pair, _Quadratic
-from modcrb.geometry import _Cases
-from modcrb.oracle import _check_group, _projected
+from modcrb.oracle import _check_group
 
 
 def fd_derivatives(
@@ -64,16 +64,19 @@ def bounds_from(
 ) -> CrbPair:
     """Bounds of one steering vector g and its derivatives d_r, d_t.
 
+    A plain complex projection against g: with the residuals
+    e_u = d_u - (g^H d_u / |g|^2) g, A_uv = Re(e_u^H e_v), which is
+    Re(d_u^H d_v - (d_u^H g)(g^H d_v) / |g|^2), and the scales |d_u|^2.
     The range derivative should be in the reference-path frame (as
-    oracle._fd_rebased and wavefront._wavefront give it): the raw one's
-    2 pi / lambda part leaves the bounds alone but inflates the degeneracy
-    scale |dg_r|^2 until well-conditioned range information reads as
-    degenerate.
+    oracle._fd_rebased gives it): the raw one's 2 pi / lambda part leaves
+    the bounds alone but inflates the degeneracy scale |d_r|^2 until
+    well-conditioned range information reads as degenerate.
     """
-    # a group of one: its slot, then its antennas
-    g, d_r, d_t = np.concatenate((np.zeros((3, 1), dtype=complex), (g, d_r, d_t)), axis=1)
-    sums = _projected(g, np.array((d_r, d_t)), _Cases([len(g) - 1]))
-    return _bound_pair(model, 0.5 / snr.gamma, _Quadratic(*sums[:, 0]), cos_theta).pair()
+    n2_g = np.vdot(g, g).real
+    e_r, e_t = (d - (np.vdot(g, d) / n2_g) * g for d in (d_r, d_t))
+    quad = _Quadratic(*(np.vdot(a, b).real for a, b in
+                        ((e_r, e_r), (e_t, e_t), (e_r, e_t), (d_r, d_r), (d_t, d_t))))
+    return _bound_pair(model, 0.5 / snr.gamma, quad, cos_theta).pair()
 
 
 def group_reports(models, cases):

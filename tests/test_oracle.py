@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from modcrb import geometry
 from modcrb.cli import main
 from modcrb import oracle, preset, run_range_sweep
 from modcrb.oracle import ValidationReport, _check_group, _fd_rebased, _fd_steps, _groups
-from modcrb.wavefront import _antennas, _phase_increment, _phase_terms, _unit_phasor, _wavefront
+from modcrb.wavefront import _antennas, _phase_increment, _phase_terms
 
 PITCH = 0.0025
 LAMBDA = 0.005
@@ -43,15 +47,17 @@ SNR = SensingSnr(1.0)
 def rebased(model, layout, target, lam):
     """Steering vector and rebased derivatives of one case, from one phase pass."""
     ants = _antennas([(layout, target, lam)])
-    return without_slots(_wavefront(model, ants), ants)
+    psi, rate_r, rate_t = without_slots(np.array(_phase_terms(model, ants)), ants)
+    g = np.exp(-1j * psi)
+    return g, -1j * rate_r * g, -1j * rate_t * g
 
 
 def fd_rebased(model, layout, target, lam, h_r, h_theta):
-    """_fd_rebased's (d_r, d_theta) of one case."""
+    """_fd_rebased's (d_r, d_theta) of one case, as complex arrays."""
     ants = _antennas([(layout, target, lam)])
-    out = np.empty((2, len(ants.x)), dtype=complex)
-    return tuple(without_slots(_fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]),
-                                           out), ants))
+    parts = _fd_rebased(model, ants, np.array([h_r]), np.array([h_theta]),
+                        np.empty((2, 2, len(ants.x))))
+    return tuple(without_slots(parts[:, 0] + 1j * parts[:, 1], ants))
 
 
 def test_closed_forms_match_generic_route():
@@ -254,22 +260,27 @@ def test_cross_validate_degenerate_pair_counts_as_exact():
 
 def separate_passes(model, layout, target, snr, lam):
     """The report cross_validate gives, from separate single-case passes."""
-    cos_t = math.cos(target.theta)
-    g = steering(model, layout, target, lam)
     ants = _antennas([(layout, target, lam)])
-    _, rate_r, rate_t = without_slots(np.array(_phase_terms(model, ants)), ants)
-    d_r, d_t = -1j * rate_r * g, -1j * rate_t * g
-    analytic = bounds_from(g, d_r, d_t, snr, model=model, cos_theta=cos_t)
-    h_r, h_t = _fd_steps(np.abs(d_r).max(), np.abs(d_t).max(), target.r)
+
+    def projected(parts):
+        sums = oracle._projected(parts, ants.cases)
+        return crb_module._bound_pair(model, 0.5 / snr.gamma, crb_module._Quadratic(*sums[:, 0]),
+                                      math.cos(target.theta)).pair()
+
+    rate_r, rate_t = _phase_terms(model, ants)[1:]
+    h_r, h_t = _fd_steps(np.abs(rate_r).max(), np.abs(rate_t).max(), target.r)
+    analytic = projected(np.array(((rate_r,), (rate_t,))))
 
     def shifted(dr, dtheta):
         inc = _phase_increment(model, ants, np.array([dr]), np.array([dtheta]))
-        return np.exp(-1j * without_slots(inc, ants))
+        return np.cos(inc), np.sin(inc)
 
-    fd = bounds_from(np.ones_like(g),
-                     (shifted(h_r, 0.0) - shifted(-h_r, 0.0)) / (2.0 * h_r),
-                     (shifted(0.0, h_t) - shifted(0.0, -h_t)) / (2.0 * h_t),
-                     snr, model=model, cos_theta=cos_t)
+    def parts(h, plus, minus):
+        (cos_p, sin_p), (cos_m, sin_m) = plus, minus
+        return (cos_p - cos_m) / (2.0 * h), (sin_m - sin_p) / (2.0 * h)
+
+    fd = projected(np.array((parts(h_r, shifted(h_r, 0.0), shifted(-h_r, 0.0)),
+                             parts(h_t, shifted(0.0, h_t), shifted(0.0, -h_t)))))
     closed = crb_bounds(model, layout, target, lam, snr)
 
     def error(other):
@@ -292,9 +303,10 @@ def test_cross_validate_equals_a_reference_built_from_separate_passes():
     # the oracle evaluates the phase once per leg for a whole group of cases
     # of different K * M side by side, and stacks its four finite-difference
     # shifts; none of it may move a single bit of a report. The reference
-    # builds each case alone, the analytic leg from a separate steering pass
-    # and a separate pass of the rebased phase rates. to_json writes every
-    # float by repr, so equal texts are equal bits (-0.0 included).
+    # builds each case alone, each finite-difference shift from a separate
+    # phase pass, and projects it through the same real projection, so the
+    # group may change no bit of a sum. to_json writes every float by repr,
+    # so equal texts are equal bits (-0.0 included).
     rng = np.random.default_rng(11)
     drawn = [sample_case(rng) for _ in range(6)]
     built = []
@@ -522,7 +534,7 @@ def test_uniform_group_closed_forms_are_the_range_sweep_bits():
 # The test above runs the same kernels on both sides, so this digest is
 # what pins the bits of verify's ragged groups: every closed-form, analytic
 # and finite-difference bound of 10 drawn cases at each of seeds 1-3.
-_VERIFY_SHA256 = "ae900a99db8f4cd3d94c359a1384216f3f66e0de8a7eed500e16d15c92d93b05"
+_VERIFY_SHA256 = "629c88080ec073739496a7b05cb2f6092337a101017d5d80bc079a3b769b9238"
 
 
 def test_verify_reports_match_their_digest():
@@ -539,7 +551,7 @@ def test_verify_reports_match_their_digest():
 # Every field of every report of verify_batch(120, seed=5), whose four
 # groups come near the 8192-antenna budget: the digest above covers groups
 # of 10 cases, about 2500 antennas, only.
-_FULL_GROUPS_SHA256 = "8c85c77ed6604fa86c0941904456f95030e4d3289c1a11680370155f7a1025d3"
+_FULL_GROUPS_SHA256 = "65aa3c173eb3d6d1c412f41311d2e27e82c84f070c2d22e2dce7c12fab17c38f"
 _FULL_GROUP_SIZES = [7907, 8019, 8142, 5440]
 
 
@@ -559,11 +571,44 @@ def test_full_verify_groups_match_their_digest(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == _FULL_GROUPS_SHA256
 
 
+# Every report of verify_batch(30, seed=5), hashed; run in-process and in a
+# subprocess with numpy's x86-64-v3 and AVX-512 loops switched off.
+_REPORTS_DIGEST = """
+import hashlib
+import numpy as np
+from modcrb import MODEL_ORDER, sample_case
+from modcrb.oracle import _check_group, _groups
+rng = np.random.default_rng(5)
+reports = []
+for group in _groups(sample_case(rng) for _ in range(30)):
+    check = _check_group(MODEL_ORDER, group)
+    reports += [check.report(i, c).to_json()
+                for c in range(len(group)) for i in range(len(MODEL_ORDER))]
+digest = hashlib.sha256("\\n".join(reports).encode()).hexdigest()
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the dispatch settings are x86-64 ones")
+def test_verify_reports_do_not_depend_on_cpu_dispatch():
+    # every oracle array is real float64, whose products and sums numpy's
+    # SIMD loops round alike whatever the dispatch; complex products may fuse
+    # a multiply-add on one path and not on another
+    scope = {}
+    exec(_REPORTS_DIGEST, scope)
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _REPORTS_DIGEST + "print(digest)"], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == scope["digest"]
+
+
 def test_a_full_group_holds_at_most_300_bytes_per_antenna(traced_peak):
-    # it peaks near 247 with the whole finite-difference stencil in one
-    # (4, N) pass: the shift geometry goes in place, the legs into one block
-    # of rows and their scratch into the crb workspace (567 with fresh
-    # temporaries for every stage, 183 with the stencil in two halves)
+    # it peaks near 214 with the whole finite-difference stencil in one
+    # (4, N) pass: the shift geometry goes in place, the legs into one real
+    # block of rows and their scratch into the crb workspace (230 with the
+    # complex projections the real one replaced)
     rng = np.random.default_rng(5)
     group = next(_groups(sample_case(rng) for _ in range(120)))
     n = sum(layout.num_elements for layout, _, _, _ in group)
@@ -574,9 +619,10 @@ def test_a_full_group_holds_at_most_300_bytes_per_antenna(traced_peak):
 def test_full_verify_groups_take_few_page_faults(minor_faults):
     # glibc gives the top of its heap back when a stage frees more than its
     # trim threshold, and the next stage faults it in again. With the legs in
-    # one block of rows and their scratch in the crb workspace, a warm call
-    # reads about 750 alone and 0 after the rest of the suite, where fresh
-    # temporaries for every leg read about 6800 and 2800.
+    # one real block of rows and their scratch in the crb workspace, a warm
+    # call reads about 950-1130 alone and 0 after the rest of the suite,
+    # where the complex projections the real one replaced read 1250-1430
+    # and 0.
     assert minor_faults(lambda: verify_batch(num_cases=120, seed=5), repeats=3) < 2000
 
 
@@ -605,39 +651,36 @@ def _sampled_group():
     return ants, np.array([_fd_steps(1.0, 1.0, r) for r in ants.r]).T
 
 
-def test_unit_phasor_has_the_bits_of_the_complex_exponential():
-    # the verify digests rest on this identity of the platform's libm: a
-    # platform where it fails breaks this test rather than only a digest
-    fixed = [0.0, 1e-12, -1e-12, 1e-3, -1e-3, math.pi, -math.pi, 1e3, -1e3, 1e5, 1.4e7]
-    ants, (h_r, h_t) = _sampled_group()
-    zero = np.zeros_like(h_r)
-    stencil = np.array((h_r, -h_r, zero, zero)), np.array((zero, zero, h_t, -h_t))
-    phases = [np.array(fixed)]
-    for model in MODEL_ORDER:
-        phases.append(_phase_terms(model, ants)[0])
-        phases.append(_phase_increment(model, ants, *stencil))
-    for psi in phases:
-        expected = np.exp(-1j * psi)
-        got = _unit_phasor(psi, np.empty(psi.shape, dtype=complex))
-        assert got.tobytes() == expected.tobytes()
-
-
-def test_unit_frame_projection_has_the_bits_of_an_all_ones_steering_vector():
-    # the finite differences' frame skips the products with g = 1; the pwm
-    # range leg is exactly zero and must stay flagged degenerate
+def test_real_projection_matches_a_complex_one_against_the_steering_vector():
+    # each leg's real rows in the unit frame, projected by oracle._projected,
+    # against the complex derivatives of the steering vector g = exp(-1j psi)
+    # projected against g itself (the unit frame's derivatives times g);
+    # the pwm range leg is exactly zero and must stay flagged degenerate
     ants, steps = _sampled_group()
     group = ants.cases
-    n = len(ants.x)
+    cos_t = np.cos(ants.theta)
+    worst = 0.0
     for model in MODEL_ORDER:
-        d = _fd_rebased(model, ants, *steps, np.empty((2, n), dtype=complex))
-        unit = oracle._projected(None, d, group)
-        ones = oracle._projected(np.ones(n, dtype=complex), d, group)
-        assert unit.tobytes() == ones.tobytes(), model
+        psi, rate_r, rate_t = _phase_terms(model, ants)
+        g = np.exp(-1j * psi)
+        fd = _fd_rebased(model, ants, *steps, np.empty((2, 2, len(ants.x))))
+        fd_r, fd_t = fd[:, 0] + 1j * fd[:, 1]
+        legs = ((np.array(((rate_r,), (rate_t,))), -1j * rate_r * g, -1j * rate_t * g),
+                (fd, fd_r * g, fd_t * g))
+        for parts, d_r, d_t in legs:
+            sums = oracle._projected(parts, group)
+            points = crb_module._bound_pair(None, 0.5, crb_module._Quadratic(*sums), cos_t).points
+            for c, (lo, hi) in enumerate(zip(group.first, group.first + group.reps)):
+                crb_r, crb_t, flags, _ = points[c]
+                ref = bounds_from(g[lo + 1:hi], d_r[lo + 1:hi], d_t[lo + 1:hi], SNR, model,
+                                  cos_t[c])
+                assert flags == ref.flags, (model, c)
+                worst = max(worst, relative_error(crb_r, ref.crb_r),
+                            relative_error(crb_t, ref.crb_theta))
         if model is WavefrontModel.PWM:
-            assert not np.any(d[0]) and not np.any(unit[[0, 2, 3]])
-            points = crb_module._bound_pair(None, 0.5, crb_module._Quadratic(*unit),
-                                            np.cos(ants.theta)).points
+            assert not np.any(fd[0]) and not np.any(sums[[0, 2, 3]])
             assert all(FLAG_DEGENERATE in flags for _, _, flags, _ in points)
+    assert worst <= 1e-13
 
 
 def test_finite_differences_outlive_the_next_kernel_call():
